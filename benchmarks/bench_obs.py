@@ -104,8 +104,8 @@ def bench_search(tiny: bool) -> dict:
 
     def run() -> None:
         # A fresh state each run: find_best_rule on an empty table is
-        # the per-iteration unit of every fit method (node-capped as in
-        # bench_search_kernel so a round stays sub-second).
+        # the per-iteration unit of every fit method (node-capped so a
+        # round stays sub-second).
         ExactRuleSearch(
             CoverState(dataset), max_rule_size=3, max_nodes=30_000
         ).find_best_rule()

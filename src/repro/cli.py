@@ -125,7 +125,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _make_translator(args: argparse.Namespace):
-    kernel = getattr(args, "kernel", "auto")
     backend = getattr(args, "backend", "auto")
     n_jobs = getattr(args, "n_jobs", 1)
     max_nodes = getattr(args, "max_nodes", None)
@@ -140,7 +139,6 @@ def _make_translator(args: argparse.Namespace):
             max_iterations=args.max_iterations,
             max_rule_size=args.max_rule_size,
             max_nodes_per_search=max_nodes,
-            kernel=kernel,
             backend=backend,
             n_jobs=n_jobs,
             time_budget_per_search=time_budget,
@@ -150,15 +148,13 @@ def _make_translator(args: argparse.Namespace):
             k=args.k,
             minsup=args.minsup,
             max_iterations=args.max_iterations,
-            kernel=kernel,
         )
     if args.method == "greedy":
-        return TranslatorGreedy(minsup=args.minsup, kernel=kernel)
+        return TranslatorGreedy(minsup=args.minsup)
     if args.method == "beam":
         return TranslatorBeam(
             max_iterations=args.max_iterations,
             max_rule_size=args.max_rule_size or 6,
-            kernel=kernel,
             n_jobs=n_jobs,
         )
     raise ValueError(f"unknown method {args.method!r}")
@@ -706,7 +702,6 @@ def _cmd_fit_multiview(args: argparse.Namespace) -> int:
         conditional=args.conditional,
         max_iterations=args.max_iterations,
         max_rule_size=args.max_rule_size,
-        kernel=getattr(args, "kernel", "auto"),
     )
     result = translator.fit(dataset)
     print(
@@ -972,17 +967,10 @@ def build_parser() -> argparse.ArgumentParser:
     method_options.add_argument("--max-iterations", type=int, default=None)
     method_options.add_argument("--max-rule-size", type=int, default=None)
     method_options.add_argument(
-        "--kernel",
-        choices=("auto", "bool", "bitset"),
-        default="auto",
-        help="support-set kernel: packed uint64 bitsets (default) or the "
-        "boolean-array reference path (both produce identical models)",
-    )
-    method_options.add_argument(
         "--backend",
         choices=("auto", "numpy", "native"),
         default="auto",
-        help="bitset-kernel arithmetic backend: the fused C popcount kernel "
+        help="exact-search arithmetic backend: the fused C popcount kernel "
         "(compiled on demand; auto falls back to numpy without a C "
         "toolchain) or the numpy reference (both produce identical models)",
     )

@@ -12,8 +12,8 @@
   (bitwise set algebra, popcounts, weighted popcounts) shared by the
   search and the miners.
 * :mod:`~repro.core.search` — exact best-rule search with the paper's
-  ``tub`` / ``rub`` / ``qub`` pruning (Section 5.2), on a boolean or a
-  packed-bitset kernel.
+  ``tub`` / ``rub`` / ``qub`` pruning (Section 5.2) over packed bitsets,
+  on the numpy or the native backend.
 * :mod:`~repro.core.translator` — TRANSLATOR-EXACT, TRANSLATOR-SELECT(k)
   and TRANSLATOR-GREEDY (Algorithms 2-3).
 * :mod:`~repro.core.refined` — the "optimal" refined encoding used to

@@ -33,8 +33,6 @@ from repro.core.translator import IterationRecord, TranslatorResult, _record
 
 __all__ = ["TranslatorBeam"]
 
-_KERNELS = ("auto", "bool", "bitset")
-
 
 class TranslatorBeam:
     """Greedy table construction with per-rule beam search.
@@ -49,11 +47,6 @@ class TranslatorBeam:
         Optional cap on the number of rules.
     n_seeds:
         Number of top single-item pairs seeding each beam.
-    kernel:
-        Support-tracking kernel for the co-occurrence tests that gate
-        extensions: ``"bitset"`` (packed uint64 masks, the ``"auto"``
-        default) or ``"bool"`` (plain Boolean arrays).  Both kernels
-        produce identical models — the test is an exact set predicate.
     n_jobs:
         Worker count for beam expansion (``None``/``-1`` = all CPUs).
         Each round's beam entries are scored on separate workers (thread
@@ -78,20 +71,16 @@ class TranslatorBeam:
         max_rule_size: int = 6,
         max_iterations: int | None = None,
         n_seeds: int = 16,
-        kernel: str = "auto",
         n_jobs: int | None = 1,
     ) -> None:
         if beam_width < 1 or n_seeds < 1:
             raise ValueError("beam_width and n_seeds must be positive")
         if max_rule_size < 2:
             raise ValueError("max_rule_size must allow one item per side")
-        if kernel not in _KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}; expected one of {_KERNELS}")
         self.beam_width = beam_width
         self.max_rule_size = max_rule_size
         self.max_iterations = max_iterations
         self.n_seeds = n_seeds
-        self.kernel = "bitset" if kernel == "auto" else kernel
         self.n_jobs = n_jobs
         self._executor = None
         self._left_bits: BitMatrix | None = None
@@ -117,12 +106,9 @@ class TranslatorBeam:
         history: list[IterationRecord] = []
         # Packed per-item transaction sets, built once per fit: the beam's
         # extension loop tests joint support emptiness for every candidate
-        # extension, and the packed AND touches 64x less memory than the
-        # Boolean-mask path.
-        if self.kernel != "bitset":
-            self._left_bits = None
-            self._right_bits = None
-        elif bits is not None:
+        # extension, and the packed AND touches 64x less memory than
+        # Boolean masks would.
+        if bits is not None:
             left_bits, right_bits = bits
             for matrix, view, what in (
                 (left_bits, dataset.left, "left"),
@@ -234,19 +220,15 @@ class TranslatorBeam:
                 if key in seen_snapshot or key in local_seen:
                     continue
                 local_seen.add(key)
-                if not self._cooccurs(dataset, lhs, rhs):
+                if not self._cooccurs(lhs, rhs):
                     output.append((key, None, 0.0))
                     continue
                 extended, gain = state.best_direction(lhs, rhs)
                 output.append((key, extended, gain))
         return output
 
-    def _cooccurs(
-        self, dataset: TwoViewDataset, lhs: tuple[int, ...], rhs: tuple[int, ...]
-    ) -> bool:
+    def _cooccurs(self, lhs: tuple[int, ...], rhs: tuple[int, ...]) -> bool:
         """Exact test: does some transaction contain ``lhs`` and ``rhs``?"""
-        if self._left_bits is None:
-            return bool(dataset.joint_support_mask(lhs, rhs).any())
         joint = self._left_bits.support(lhs) & self._right_bits.support(rhs)
         return bool(joint.any())
 

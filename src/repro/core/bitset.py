@@ -48,8 +48,7 @@ The batch primitives that dominate the large-``n`` regimes —
 :func:`child_metrics_rows`, :func:`subset_match_rows`,
 :func:`or_union_rows`, :func:`match_union_rows`, :func:`and_reduce_rows`
 — run on one of two interchangeable backends, selected per call (or per
-consumer) with ``backend="numpy"|"native"|"auto"``, mirroring the
-search's ``kernel=`` selector:
+consumer) with ``backend="numpy"|"native"|"auto"``:
 
 * ``"numpy"`` — the reference vectorised paths in this module; always
   available.

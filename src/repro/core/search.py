@@ -18,21 +18,17 @@ found early and pruning bites sooner.  The search is *anytime*: an optional
 node budget stops it early, returning the best rule found so far with
 ``complete=False`` (used for the large-dataset benchmarks).
 
-Kernels
--------
-The traversal runs on one of two interchangeable support kernels:
+Child metrics and backends
+--------------------------
+Supports are packed uint64 bitsets (:mod:`repro.core.bitset`), and the
+per-child metrics of a search node (co-occurrence, support counts,
+``rub`` sums, directional gains) are computed in a few *batched* vector
+operations over all remaining extension items at once.  The ``backend``
+picks how: dense numpy GEMMs over 0/1 item matrices
+(:class:`_BitsetChildSet`) or fused AND+popcounts in the C kernel of
+:mod:`repro.native` (:class:`_NativeChildSet`).
 
-* ``kernel="bool"`` — the reference path: supports are
-  ``n_transactions``-length Boolean arrays and every bound is one dot
-  product per node (the seed implementation's representation).
-* ``kernel="bitset"`` (the ``"auto"`` default) — supports are packed
-  uint64 bitsets (:mod:`repro.core.bitset`), and the per-child metrics of
-  a search node (co-occurrence, support counts, ``rub`` sums, directional
-  gains) are computed in a few *batched* vector operations over all
-  remaining extension items at once, which replaces per-child numpy calls
-  with per-node ones and shrinks the bitwise traffic 64-fold.
-
-Both kernels return **bit-identical** rules, gains and
+Both backends return **bit-identical** rules, gains and
 :class:`SearchStats`.  This is guaranteed structurally, not by luck: all
 code lengths are quantized once per search to fixed-point integers
 (:class:`_Quantized`), so every bound and gain is an exact integer sum —
@@ -43,7 +39,7 @@ where float64 arithmetic is exact) because BLAS dot products over float64
 are several times faster than numpy's int64 paths; the arithmetic is
 nevertheless *integer* arithmetic, just in a wider register.  On the test
 datasets the step is ``2^-39`` or finer, so reported gains differ from the
-real-valued ones by far less than the ``1e-9`` tolerance the equivalence
+real-valued ones by far less than the ``1e-9`` tolerance the brute-force
 tests use, while the paper's ``rub``/``qub`` soundness proofs carry over
 verbatim because the quantized weights obey the same inequalities the
 real weights do.
@@ -94,7 +90,6 @@ from repro import obs as _obs
 
 from repro.data.dataset import Side, TwoViewDataset
 from repro.core.bitset import (
-    BACKENDS,
     WORD_BITS,
     BitMatrix,
     fixed_weight_table,
@@ -106,7 +101,6 @@ from repro.core.state import CoverState
 
 __all__ = ["SearchStats", "SearchCheckpoint", "SearchCache", "ExactRuleSearch"]
 
-_KERNELS = ("auto", "bool", "bitset")
 _MAX_FRACTION_BITS = 42
 #: Transaction count below which ``backend="auto"`` keeps the numpy GEMM
 #: even when the native kernel is available: small operands live in
@@ -138,7 +132,6 @@ class SearchStats:
     evaluations: int = 0
     evaluations_skipped_qub: int = 0
     complete: bool = True
-    kernel: str = ""
     backend: str = ""
     shards: int = 1
     gap_bound: float = 0.0
@@ -146,7 +139,7 @@ class SearchStats:
 
 @dataclasses.dataclass(frozen=True)
 class SearchCheckpoint:
-    """Resumable state of a budget-interrupted ``bitset``-kernel search.
+    """Resumable state of a budget-interrupted search.
 
     Captured on :class:`ExactRuleSearch` (``search.last_checkpoint``)
     when a ``max_nodes`` budget interrupts the traversal, and accepted
@@ -160,8 +153,10 @@ class SearchCheckpoint:
     are bit-identical (statistics accumulate across the legs).
 
     Checkpoints are only valid against a search over the same cover
-    state, options and kernel; ``universe_size`` guards the obvious
-    mismatches.  Use :meth:`to_dict` / :meth:`from_dict` to persist.
+    state and options; ``universe_size`` guards the obvious mismatches,
+    and a malformed path or cursor list is rejected with ``ValueError``
+    before any traversal.  Use :meth:`to_dict` / :meth:`from_dict` to
+    persist.
     """
 
     path: tuple[int, ...]
@@ -220,13 +215,47 @@ class SearchCheckpoint:
         )
 
 
+def _validate_checkpoint(checkpoint: SearchCheckpoint) -> None:
+    """Reject a checkpoint whose path and cursors cannot be a DFS stack.
+
+    A captured stack is a root over a non-empty range of root subtrees
+    plus one frame per path entry, each created by a strictly later
+    universe index, with a non-negative cursor per frame.  Anything else
+    was tampered with or truncated and would otherwise resume into a
+    silently different traversal.  Whether each cursor really points
+    past its path entry needs the frames' child lists, so
+    ``_rebuild_checkpoint_stack`` checks that while replaying the path.
+    """
+    path, cursors = checkpoint.path, checkpoint.cursors
+    root_lo, root_hi = checkpoint.root_lo, checkpoint.root_hi
+    if not 0 <= root_lo < root_hi <= checkpoint.universe_size:
+        raise ValueError(
+            f"checkpoint root range [{root_lo}, {root_hi}) is not a non-empty "
+            f"range of [0, {checkpoint.universe_size})"
+        )
+    if len(cursors) != len(path) + 1:
+        raise ValueError(
+            f"checkpoint has {len(cursors)} cursors for a path of "
+            f"{len(path)} frames (expected {len(path) + 1})"
+        )
+    if any(cursor < 0 for cursor in cursors):
+        raise ValueError(f"checkpoint cursors {list(cursors)} include a negative one")
+    if any(later <= earlier for earlier, later in zip(path, path[1:])):
+        raise ValueError(f"checkpoint path {list(path)} is not strictly increasing")
+    if path and not (root_lo <= path[0] < root_hi and path[-1] < checkpoint.universe_size):
+        raise ValueError(
+            f"checkpoint path {list(path)} leaves the universe range "
+            f"[{root_lo}, {checkpoint.universe_size}) or starts past the "
+            f"root range end {root_hi}"
+        )
+
+
 @dataclasses.dataclass(frozen=True)
 class _Item:
     """One search-universe entry: an item of either view."""
 
     side: Side
     column: int
-    mask: np.ndarray  # Boolean transaction mask (a column view of the data)
     length_q: float  # fixed-point (integer-valued) code length
 
 
@@ -363,10 +392,11 @@ class _Quantized:
 class _Frame:
     """One node of the explicit DFS stack.
 
-    ``s_left``/``s_right`` (0/1 float views of the supports) and the
-    ``net_*_vals`` products are bitset-kernel caches: a child created by
-    extending one side shares the other side's vectors with its parent by
-    reference, so only genuinely new quantities are ever recomputed.
+    ``s_left``/``s_right`` (0/1 float views of the supports, numpy
+    backend only) and the ``net_*_vals`` products are caches: a child
+    created by extending one side shares the other side's vectors with its
+    parent by reference, so only genuinely new quantities are ever
+    recomputed.
     """
 
     __slots__ = (
@@ -403,63 +433,6 @@ class _Frame:
         self.net_left_start = 0
         self.net_right_vals = None
         self.net_right_start = 0
-
-
-class _BoolChildSet:
-    """Per-child metrics of one frame, computed lazily (reference kernel).
-
-    Mirrors the seed implementation: every metric is one numpy call on
-    ``n_transactions``-length Boolean arrays, evaluated on demand in the
-    exact order the driver asks for it.
-    """
-
-    __slots__ = ("quantized", "frame", "_new", "_fwd_base", "_bwd_base")
-
-    def __init__(self, quantized: _Quantized, frame: _Frame) -> None:
-        self.quantized = quantized
-        self.frame = frame
-        self._new = None
-        self._fwd_base = None
-        self._bwd_base = None
-
-    def advance(self, entry: _Item) -> bool:
-        frame = self.frame
-        if entry.side is Side.LEFT:
-            self._new = frame.supp_left & entry.mask
-            joint = self._new & frame.supp_right
-        else:
-            self._new = frame.supp_right & entry.mask
-            joint = frame.supp_left & self._new
-        return bool(joint.any())
-
-    def wsum_new(self, entry: _Item) -> float:
-        if entry.side is Side.LEFT:
-            return float(np.dot(self.quantized.tubq_right, self._new))
-        return float(np.dot(self.quantized.tubq_left, self._new))
-
-    def count_new(self, entry: _Item) -> int:
-        return int(self._new.sum())
-
-    def forward(self, entry: _Item) -> float:
-        frame = self.frame
-        if entry.side is Side.LEFT:
-            return float(np.dot(frame.gain_right, self._new))
-        if self._fwd_base is None:
-            self._fwd_base = float(np.dot(frame.gain_right, frame.supp_left))
-        column = self.quantized.netq_right_T[entry.column]
-        return self._fwd_base + float(np.dot(column, frame.supp_left))
-
-    def backward(self, entry: _Item) -> float:
-        frame = self.frame
-        if entry.side is Side.RIGHT:
-            return float(np.dot(frame.gain_left, self._new))
-        if self._bwd_base is None:
-            self._bwd_base = float(np.dot(frame.gain_left, frame.supp_right))
-        column = self.quantized.netq_left_T[entry.column]
-        return self._bwd_base + float(np.dot(column, frame.supp_right))
-
-    def child_support(self, entry: _Item) -> np.ndarray:
-        return self._new
 
 
 class _BitsetContext:
@@ -597,7 +570,7 @@ class _BitsetChildSet:
     weights[support]``): every discarded column contributes an exact zero,
     so — because all sums here are exact integers carried in float64 —
     the projection changes cost, never values, and the results stay equal
-    to the boolean kernel's per-child dot products bit for bit.
+    to the unprojected products bit for bit.
     """
 
     __slots__ = (
@@ -736,7 +709,7 @@ class _NativeChildSet:
     """Per-child metrics of one frame via the fused C kernel.
 
     Exposes exactly the attribute surface of :class:`_BitsetChildSet`,
-    so the bitset driver runs unchanged on either.  One
+    so the traversal runs unchanged on either.  One
     ``child_metrics`` call per side replaces the dense four-column GEMM
     — each candidate's co-occurrence, new support count, ``rub``
     weighted sum and directional gain come out of a single pass over its
@@ -863,12 +836,8 @@ class ExactRuleSearch:
         Optional node budget for anytime behaviour.
     use_rub, use_qub, order_items:
         Toggles for the pruning components (ablation A1).
-    kernel:
-        ``"bitset"`` (packed, batched), ``"bool"`` (reference), or
-        ``"auto"`` (currently ``"bitset"``).  Both kernels return
-        bit-identical results; see the module docstring.
     backend:
-        Arithmetic backend of the bitset kernel's batched child metrics:
+        Arithmetic backend of the batched child metrics:
         ``"native"`` (the fused C popcount kernel of
         :mod:`repro.native`), ``"numpy"`` (the dense GEMM formulation),
         or ``"auto"`` — native when a C toolchain is available *and*
@@ -876,8 +845,7 @@ class ExactRuleSearch:
         (``n_transactions >= 2048``, the measured crossover below which
         cache-resident BLAS wins), numpy otherwise; resolution never
         fails.  Both backends compute the same exact fixed-point
-        integers, so rules, gains and statistics are bit-identical; the
-        ``bool`` kernel ignores this knob.
+        integers, so rules, gains and statistics are bit-identical.
     cache:
         Optional :class:`SearchCache` reused across searches over the same
         dataset (``TranslatorExact`` passes one per fit).
@@ -893,9 +861,10 @@ class ExactRuleSearch:
     checkpoint:
         Optional :class:`SearchCheckpoint` from a previous
         budget-interrupted search over the same state and options; the
-        traversal resumes exactly where it stopped (``bitset`` kernel
-        only).  After an interrupted run the new checkpoint is exposed
-        as ``search.last_checkpoint``.
+        traversal resumes exactly where it stopped.  A checkpoint whose
+        path or cursors cannot describe a DFS stack raises
+        ``ValueError``.  After an interrupted run the new checkpoint is
+        exposed as ``search.last_checkpoint``.
     """
 
     def __init__(
@@ -907,15 +876,12 @@ class ExactRuleSearch:
         use_qub: bool = True,
         order_items: bool = True,
         seed_pairs: bool = True,
-        kernel: str = "auto",
         backend: str = "auto",
         cache: SearchCache | None = None,
         n_jobs: int | None = 1,
         executor=None,
         checkpoint: SearchCheckpoint | None = None,
     ) -> None:
-        if kernel not in _KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}; expected one of {_KERNELS}")
         if cache is not None and cache.dataset is not state.dataset:
             raise ValueError("cache was built for a different dataset")
         from repro.runtime.executor import effective_n_jobs
@@ -927,31 +893,18 @@ class ExactRuleSearch:
         self.use_qub = use_qub
         self.order_items = order_items
         self.seed_pairs = seed_pairs
-        self.kernel = "bitset" if kernel == "auto" else kernel
-        # Decide the bool-kernel / small-input cases BEFORE resolving, so
-        # a search that could never use the native kernel does not probe
-        # (and possibly compile, or fail on) the C toolchain just to
-        # discard the result.
-        if self.kernel == "bool":
-            # The bool kernel has no batched child metrics to dispatch;
-            # it ignores the knob entirely (spec typos still rejected).
-            if backend not in BACKENDS:
-                raise ValueError(
-                    f"unknown backend {backend!r}; expected one of {BACKENDS}"
-                )
-            self.backend = "numpy"
-        elif (
-            backend == "auto"
-            and state.dataset.n_transactions < _NATIVE_AUTO_MIN_N
-        ):
+        # Decide the small-input case BEFORE resolving, so a search that
+        # would never use the native kernel does not probe (and possibly
+        # compile, or fail on) the C toolchain just to discard the result.
+        if backend == "auto" and state.dataset.n_transactions < _NATIVE_AUTO_MIN_N:
             self.backend = "numpy"
         else:
             self.backend = resolve_backend(backend)
         self.cache = cache if cache is not None else SearchCache(state.dataset)
         self.n_jobs = executor.n_jobs if executor is not None else effective_n_jobs(n_jobs)
         self.executor = executor
-        if checkpoint is not None and self.kernel != "bitset":
-            raise ValueError("checkpoint resume requires the bitset kernel")
+        if checkpoint is not None:
+            _validate_checkpoint(checkpoint)
         self.resume_from = checkpoint
         #: Populated by :meth:`find_best_rule` when a ``max_nodes``
         #: budget interrupts the traversal; ``None`` on complete runs.
@@ -982,7 +935,7 @@ class ExactRuleSearch:
     ) -> tuple[TranslationRule | None, float, SearchStats]:
         state = self.state
         dataset = state.dataset
-        stats = SearchStats(kernel=self.kernel, backend=self.backend)
+        stats = SearchStats(backend=self.backend)
         quantized = _Quantized(state, keep_sign_masks=self.backend == "native")
         universe = self._build_universe(quantized)
 
@@ -1024,7 +977,7 @@ class ExactRuleSearch:
             )
         else:
             best_rule, best_q = self._traverse(
-                quantized, universe, stats, best_rule, best_q
+                quantized, universe, stats, best_rule, best_q, resume=resume
             )
         if best_q <= 0.0:
             return None, 0.0, stats
@@ -1065,7 +1018,7 @@ class ExactRuleSearch:
 
     # ------------------------------------------------------------------
     def _make_root(
-        self, quantized: _Quantized, context, lo: int = 0, hi: int | None = None
+        self, quantized: _Quantized, context: _BitsetContext, lo: int, hi: int
     ) -> _Frame:
         n = self.state.dataset.n_transactions
         root = _Frame()
@@ -1075,26 +1028,20 @@ class ExactRuleSearch:
         root.rhs = ()
         root.len_lhs = 0.0
         root.len_rhs = 0.0
-        if context is not None:
-            root.supp_left = context.full_words
-            root.supp_right = context.full_words
-            if context.kernel is None:
-                ones = np.ones(n, dtype=np.float64)
-                root.s_left = ones
-                root.s_right = ones
-        else:
-            all_rows = np.ones(n, dtype=bool)
-            root.supp_left = all_rows
-            root.supp_right = all_rows
+        root.supp_left = context.full_words
+        root.supp_right = context.full_words
         root.wsum_left = float(quantized.tubq_right.sum())
         root.wsum_right = float(quantized.tubq_left.sum())
         root.count_left = n
         root.count_right = n
-        if context is not None and context.kernel is not None:
+        if context.kernel is not None:
             # Native frames accumulate gains as padded int64 tables (the
             # layout the fused weighted popcounts consume directly).
             zero_gain = np.zeros(context.padded_len, dtype=np.int64)
         else:
+            ones = np.ones(n, dtype=np.float64)
+            root.s_left = ones
+            root.s_right = ones
             zero_gain = np.zeros(n, dtype=np.float64)
         root.gain_left = zero_gain
         root.gain_right = zero_gain
@@ -1103,38 +1050,6 @@ class ExactRuleSearch:
     # ------------------------------------------------------------------
     # Anytime support: gap bounds, checkpoint capture, checkpoint replay
     # ------------------------------------------------------------------
-    def _frame_gap_bound(self, quantized: _Quantized, stack, best_q: float) -> float:
-        """Gap bound from frame-level ``rub`` masses (bool kernel, loose).
-
-        Sound because every descendant of a stacked frame has
-        ``rub <= wsum_left + wsum_right - (len_lhs + len_rhs + one)`` of
-        that frame (supports only shrink, lengths only grow).  Without
-        ``use_rub`` the per-frame masses are not maintained, so only the
-        root's total-mass bound is available.
-        """
-        one = quantized.one
-        if not self.use_rub:
-            root = stack[0]
-            bound = root.wsum_left + root.wsum_right - one
-        else:
-            bound = -math.inf
-            for depth, frame in enumerate(stack):
-                # Exhausted mid-stack frames have no unexplored children
-                # of their own; their one live descendant is a deeper
-                # frame, which bounds itself.  The top frame is always
-                # included — it owns the interrupted, unprocessed node.
-                if depth + 1 < len(stack) and frame.position >= frame.limit:
-                    continue
-                bound = max(
-                    bound,
-                    frame.wsum_left
-                    + frame.wsum_right
-                    - (frame.len_lhs + frame.len_rhs + one),
-                )
-        if bound == -math.inf:
-            return 0.0
-        return max(0.0, quantized.to_float(bound - best_q))
-
     def _capture_interrupt(
         self,
         quantized: _Quantized,
@@ -1231,9 +1146,13 @@ class ExactRuleSearch:
 
         Re-creates each frame on the path exactly the way the original
         traversal created it (same childset construction, same metric
-        lookups), then restores the saved cursors.  The top frame's
-        childset is deliberately left unbuilt — the driver reconstructs
-        it on the first iteration, just as the original run did.
+        lookups) and restores the saved cursors.  Every frame's childset
+        is rebuilt, the top one included, so each cursor is checked
+        against the child list it indexes: a lower frame's cursor must
+        point just past the child that created the next frame, and the
+        top frame's cursor at the unvisited child the budget stopped on.
+        A cursor that fails either raises ``ValueError`` before any node
+        is visited.
         """
         size = len(universe)
         native = context.kernel is not None
@@ -1252,12 +1171,13 @@ class ExactRuleSearch:
             netq_left_rows = quantized.netq_left_T
             netq_right_rows = quantized.netq_right_T
 
+        path = checkpoint.path
         stack = [
             self._make_root(
                 quantized, context, checkpoint.root_lo, checkpoint.root_hi
             )
         ]
-        for index in checkpoint.path:
+        for depth, cursor in enumerate(checkpoint.cursors):
             frame = stack[-1]
             childset = childset_class(
                 context, quantized, frame, frame.position, use_rub
@@ -1266,6 +1186,21 @@ class ExactRuleSearch:
                 cut = bisect.bisect_left(childset.alive_list, frame.limit)
                 childset.alive_list = childset.alive_list[:cut]
             frame.childset = childset
+            frame.cursor = cursor
+            alive_list = childset.alive_list
+            if depth == len(path):
+                if cursor >= len(alive_list):
+                    raise ValueError(
+                        f"checkpoint cursor {cursor} of the top frame is past "
+                        f"its {len(alive_list)} children"
+                    )
+                break
+            index = path[depth]
+            if not 0 < cursor <= len(alive_list) or alive_list[cursor - 1] != index:
+                raise ValueError(
+                    f"checkpoint cursor {cursor} of frame {depth} does not point "
+                    f"just past path index {index}"
+                )
             left_side = entry_is_left[index]
             column = entry_column[index]
             side_offset = side_position[index] - (
@@ -1327,33 +1262,7 @@ class ExactRuleSearch:
                 child.net_right_vals = childset.net_right_vals
                 child.net_right_start = childset.start_right
             stack.append(child)
-        for frame, cursor in zip(stack, checkpoint.cursors):
-            frame.cursor = cursor
         return stack
-
-    def _traverse(
-        self,
-        quantized: _Quantized,
-        universe: list[_Item],
-        stats: SearchStats,
-        best_rule: TranslationRule | None,
-        best_q: float,
-    ) -> tuple[TranslationRule | None, float]:
-        """Depth-first branch-and-bound over the universe (explicit stack).
-
-        Dispatches to the kernel-specific driver; both drivers make the
-        exact same sequence of decisions (same traversal order, the same
-        integer-valued bounds compared against the same incumbent), so the
-        returned rule, gain and statistics are identical.
-        """
-        if self.max_rule_size is not None and self.max_rule_size <= 0:
-            return best_rule, best_q
-        if self.kernel == "bitset":
-            return self._traverse_bitset(
-                quantized, universe, stats, best_rule, best_q,
-                resume=self.resume_from,
-            )
-        return self._traverse_bool(quantized, universe, stats, best_rule, best_q)
 
     def _traverse_parallel(
         self,
@@ -1392,25 +1301,15 @@ class ExactRuleSearch:
         ranges = [
             (int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
         ]
-        context = (
-            _BitsetContext(universe, quantized, self.cache, self.backend)
-            if self.kernel == "bitset"
-            else None
-        )
+        context = _BitsetContext(universe, quantized, self.cache, self.backend)
 
         def run_shard(root_range: tuple[int, int]):
             lo, hi = root_range
-            shard_stats = SearchStats(kernel=self.kernel, backend=self.backend)
-            if self.kernel == "bitset":
-                rule, gain_q = self._traverse_bitset(
-                    quantized, universe, shard_stats, seed_rule, seed_q,
-                    context=context, root_lo=lo, root_hi=hi,
-                )
-            else:
-                rule, gain_q = self._traverse_bool(
-                    quantized, universe, shard_stats, seed_rule, seed_q,
-                    root_lo=lo, root_hi=hi,
-                )
+            shard_stats = SearchStats(backend=self.backend)
+            rule, gain_q = self._traverse(
+                quantized, universe, shard_stats, seed_rule, seed_q,
+                context=context, root_lo=lo, root_hi=hi,
+            )
             return rule, gain_q, shard_stats
 
         best_rule, best_q = seed_rule, seed_q
@@ -1424,149 +1323,7 @@ class ExactRuleSearch:
         stats.shards = len(ranges)
         return best_rule, best_q
 
-    def _traverse_bool(
-        self,
-        quantized: _Quantized,
-        universe: list[_Item],
-        stats: SearchStats,
-        best_rule: TranslationRule | None,
-        best_q: float,
-        root_lo: int = 0,
-        root_hi: int | None = None,
-    ) -> tuple[TranslationRule | None, float]:
-        one = quantized.one
-        two = 2.0 * one
-        size = len(universe)
-        use_rub, use_qub = self.use_rub, self.use_qub
-        max_rule_size, max_nodes = self.max_rule_size, self.max_nodes
-        netq_left_T = quantized.netq_left_T
-        netq_right_T = quantized.netq_right_T
-        # Hot-loop views of the universe (list indexing beats attribute
-        # access on frozen dataclasses by a wide margin here).
-        entry_is_left = [entry.side is Side.LEFT for entry in universe]
-        entry_column = [entry.column for entry in universe]
-        entry_length = [entry.length_q for entry in universe]
-
-        nodes_visited = stats.nodes_visited
-        stack = [
-            self._make_root(
-                quantized, None, root_lo, size if root_hi is None else root_hi
-            )
-        ]
-        while stack:
-            frame = stack[-1]
-            index = frame.position
-            if index >= frame.limit:
-                stack.pop()
-                continue
-            frame.position = index + 1
-            childset = frame.childset
-            if childset is None:
-                childset = _BoolChildSet(quantized, frame)
-                frame.childset = childset
-            entry = universe[index]
-            if not childset.advance(entry):
-                # X u Y must occur in the data (Section 5.2).
-                continue
-            nodes_visited += 1
-            if max_nodes is not None and nodes_visited > max_nodes:
-                # The over-budget node was never processed — do not count
-                # it, and report how much gain the unexplored frontier
-                # could still hold (loose frame-level bounds here; the
-                # bitset kernel reports the tight per-child bounds).
-                nodes_visited -= 1
-                stats.complete = False
-                stats.gap_bound = self._frame_gap_bound(quantized, stack, best_q)
-                break
-            left_side = entry_is_left[index]
-            column = entry_column[index]
-            if left_side:
-                new_len_lhs = frame.len_lhs + entry_length[index]
-                new_len_rhs = frame.len_rhs
-            else:
-                new_len_lhs = frame.len_lhs
-                new_len_rhs = frame.len_rhs + entry_length[index]
-            length_cost = new_len_lhs + new_len_rhs + one
-            wsum_new = 0.0
-            if use_rub:
-                wsum_new = childset.wsum_new(entry)
-                if left_side:
-                    rub = wsum_new + frame.wsum_right - length_cost
-                else:
-                    rub = frame.wsum_left + wsum_new - length_cost
-                if rub <= best_q:
-                    stats.nodes_pruned_rub += 1
-                    continue
-            count_new = childset.count_new(entry)
-            if left_side:
-                new_lhs = frame.lhs + (column,)
-                new_rhs = frame.rhs
-                count_left, count_right = count_new, frame.count_right
-            else:
-                new_lhs = frame.lhs
-                new_rhs = frame.rhs + (column,)
-                count_left, count_right = frame.count_left, count_new
-            if new_lhs and new_rhs:
-                qub_passed = True
-                if use_qub:
-                    qub = (
-                        count_left * new_len_rhs
-                        + count_right * new_len_lhs
-                        - length_cost
-                    )
-                    if qub <= best_q:
-                        stats.evaluations_skipped_qub += 1
-                        qub_passed = False
-                if qub_passed:
-                    stats.evaluations += 1
-                    forward = childset.forward(entry)
-                    backward = childset.backward(entry)
-                    base = new_len_lhs + new_len_rhs
-                    gain = forward - base - two
-                    if gain > best_q:
-                        best_q = gain
-                        best_rule = TranslationRule(new_lhs, new_rhs, "->")
-                    gain = backward - base - two
-                    if gain > best_q:
-                        best_q = gain
-                        best_rule = TranslationRule(new_lhs, new_rhs, "<-")
-                    gain = forward + backward - base - one
-                    if gain > best_q:
-                        best_q = gain
-                        best_rule = TranslationRule(new_lhs, new_rhs, "<->")
-            if max_rule_size is not None and len(new_lhs) + len(new_rhs) >= max_rule_size:
-                continue
-            child = _Frame()
-            child.position = frame.position
-            child.limit = size
-            child.lhs = new_lhs
-            child.rhs = new_rhs
-            child.len_lhs = new_len_lhs
-            child.len_rhs = new_len_rhs
-            support = childset.child_support(entry)
-            if left_side:
-                child.supp_left = support
-                child.supp_right = frame.supp_right
-                child.wsum_left = wsum_new
-                child.wsum_right = frame.wsum_right
-                child.count_left = count_new
-                child.count_right = frame.count_right
-                child.gain_left = frame.gain_left + netq_left_T[column]
-                child.gain_right = frame.gain_right
-            else:
-                child.supp_left = frame.supp_left
-                child.supp_right = support
-                child.wsum_left = frame.wsum_left
-                child.wsum_right = wsum_new
-                child.count_left = frame.count_left
-                child.count_right = count_new
-                child.gain_left = frame.gain_left
-                child.gain_right = frame.gain_right + netq_right_T[column]
-            stack.append(child)
-        stats.nodes_visited = nodes_visited
-        return best_rule, best_q
-
-    def _traverse_bitset(
+    def _traverse(
         self,
         quantized: _Quantized,
         universe: list[_Item],
@@ -1578,9 +1335,16 @@ class ExactRuleSearch:
         root_hi: int | None = None,
         resume: SearchCheckpoint | None = None,
     ) -> tuple[TranslationRule | None, float]:
-        # Same decision sequence as _traverse_bool — child metrics come
-        # from the frame's batched childset, and only co-occurring
-        # (alive) children are iterated at all.
+        """Depth-first branch-and-bound over the universe (explicit stack).
+
+        Child metrics come from the frame's batched childset, and only
+        co-occurring (alive) children are iterated at all.  Shards of a
+        parallel search pass their shared ``context`` and their root range
+        ``[root_lo, root_hi)``; a resumed search replays ``resume``'s stack
+        instead of starting at the root.
+        """
+        if self.max_rule_size is not None and self.max_rule_size <= 0:
+            return best_rule, best_q
         one = quantized.one
         two = 2.0 * one
         size = len(universe)
@@ -1777,7 +1541,7 @@ class ExactRuleSearch:
         ordering, which front-loads promising rules and boosts pruning.
         Items that never occur are excluded (they cannot appear in any
         co-occurring pair).  Potentials are fixed-point integers, so the
-        ordering is identical under both kernels.
+        ordering is identical under both backends.
         """
         dataset = self.state.dataset
         cache = self.cache
@@ -1791,12 +1555,7 @@ class ExactRuleSearch:
             entries.append(
                 (
                     float(potentials_left[column]),
-                    _Item(
-                        Side.LEFT,
-                        column,
-                        dataset.left[:, column],
-                        float(quantized.wq_left[column]),
-                    ),
+                    _Item(Side.LEFT, column, float(quantized.wq_left[column])),
                 )
             )
         for column in range(dataset.n_right):
@@ -1805,12 +1564,7 @@ class ExactRuleSearch:
             entries.append(
                 (
                     float(potentials_right[column]),
-                    _Item(
-                        Side.RIGHT,
-                        column,
-                        dataset.right[:, column],
-                        float(quantized.wq_right[column]),
-                    ),
+                    _Item(Side.RIGHT, column, float(quantized.wq_right[column])),
                 )
             )
         if self.order_items:

@@ -168,10 +168,6 @@ class TranslatorExact:
         Optional anytime budget per best-rule search.  When hit, the best
         rule found so far is used and ``result.converged`` reports whether
         every search ran to completion.
-    kernel:
-        Support kernel forwarded to :class:`ExactRuleSearch`:
-        ``"bitset"`` (packed, batched), ``"bool"`` (reference) or
-        ``"auto"``.  Both return bit-identical models.
     backend:
         Arithmetic backend forwarded to :class:`ExactRuleSearch`:
         ``"native"`` (fused C popcount kernel), ``"numpy"`` (dense
@@ -191,9 +187,9 @@ class TranslatorExact:
         :class:`repro.corpus.anytime.AnytimeSearch` — deterministic
         node-budget slices with the clock checked between slices — so
         the *decisions* within each slice stay bit-reproducible even
-        though how many slices fit is machine-dependent.  Requires the
-        (default) bitset kernel.  ``result.gap_bound`` reports how much
-        gain the interrupted searches could have left unexplored.
+        though how many slices fit is machine-dependent.
+        ``result.gap_bound`` reports how much gain the interrupted
+        searches could have left unexplored.
 
     Example
     -------
@@ -211,7 +207,6 @@ class TranslatorExact:
         max_iterations: int | None = None,
         max_rule_size: int | None = None,
         max_nodes_per_search: int | None = None,
-        kernel: str = "auto",
         backend: str = "auto",
         n_jobs: int | None = 1,
         time_budget_per_search: float | None = None,
@@ -219,15 +214,9 @@ class TranslatorExact:
         self.max_iterations = max_iterations
         self.max_rule_size = max_rule_size
         self.max_nodes_per_search = max_nodes_per_search
-        self.kernel = kernel
         self.backend = backend
         self.n_jobs = n_jobs
         self.time_budget_per_search = time_budget_per_search
-        if time_budget_per_search is not None and kernel == "bool":
-            raise ValueError(
-                "time_budget_per_search requires the bitset kernel "
-                "(checkpointed slices)"
-            )
 
     def fit(
         self,
@@ -282,7 +271,6 @@ class TranslatorExact:
                     max_nodes=self.max_nodes_per_search,
                     time_budget=self.time_budget_per_search,
                     max_rule_size=self.max_rule_size,
-                    kernel=self.kernel,
                     backend=self.backend,
                     cache=cache,
                 ).run()
@@ -292,7 +280,6 @@ class TranslatorExact:
                     state,
                     max_rule_size=self.max_rule_size,
                     max_nodes=self.max_nodes_per_search,
-                    kernel=self.kernel,
                     backend=self.backend,
                     cache=cache,
                     n_jobs=self.n_jobs,
@@ -338,14 +325,12 @@ class _CandidateBased:
         candidates: list[TwoViewCandidate] | None = None,
         closed: bool = True,
         max_candidates: int = 10_000,
-        kernel: str = "auto",
         joint_bits=None,
     ) -> None:
         self.minsup = minsup
         self.candidates = candidates
         self.closed = closed
         self.max_candidates = max_candidates
-        self.kernel = kernel
         #: Optional pre-packed joint-matrix columns (left items first),
         #: forwarded to the candidate miner so it skips its internal
         #: repack; candidates are bit-identical either way.  Set by the
@@ -370,7 +355,6 @@ class _CandidateBased:
                         minsup,
                         closed=self.closed,
                         max_candidates=20 * self.max_candidates,
-                        kernel=self.kernel,
                         bits=self.joint_bits,
                     )
                     break
@@ -383,7 +367,6 @@ class _CandidateBased:
             dataset,
             target_candidates=self.max_candidates,
             closed=self.closed,
-            kernel=self.kernel,
             bits=self.joint_bits,
         )
         return candidates
@@ -414,10 +397,9 @@ class TranslatorSelect(_CandidateBased):
         closed: bool = True,
         max_candidates: int = 10_000,
         max_iterations: int | None = None,
-        kernel: str = "auto",
         joint_bits=None,
     ) -> None:
-        super().__init__(minsup, candidates, closed, max_candidates, kernel, joint_bits)
+        super().__init__(minsup, candidates, closed, max_candidates, joint_bits)
         if k < 1:
             raise ValueError("k must be at least 1")
         self.k = k

@@ -84,11 +84,10 @@ class AnytimeSearch:
         budget more tightly at the cost of more checkpoint
         rebuild/capture overhead; the value never affects *which* rule
         a node-budget stop returns, only the time-budget granularity.
-    max_rule_size, kernel, backend, cache:
-        Forwarded to :class:`ExactRuleSearch` (``kernel="bool"`` is
-        rejected — slicing needs the bitset checkpoint machinery).
-        Slices always run serially (``n_jobs=1``): a node budget is
-        traversal-order dependent, so sharding could change the answer.
+    max_rule_size, backend, cache:
+        Forwarded to :class:`ExactRuleSearch`.  Slices always run
+        serially (``n_jobs=1``): a node budget is traversal-order
+        dependent, so sharding could change the answer.
     """
 
     def __init__(
@@ -98,14 +97,9 @@ class AnytimeSearch:
         time_budget: float | None = None,
         slice_nodes: int = 4096,
         max_rule_size: int | None = None,
-        kernel: str = "auto",
         backend: str = "auto",
         cache: SearchCache | None = None,
     ) -> None:
-        if kernel == "bool":
-            raise ValueError(
-                "AnytimeSearch requires the bitset kernel (checkpointed slices)"
-            )
         if slice_nodes <= 0:
             raise ValueError("slice_nodes must be positive")
         if max_nodes is not None and max_nodes <= 0:
@@ -117,7 +111,6 @@ class AnytimeSearch:
         self.time_budget = time_budget
         self.slice_nodes = int(slice_nodes)
         self.max_rule_size = max_rule_size
-        self.kernel = kernel
         self.backend = backend
         self.cache = cache
 
@@ -128,7 +121,6 @@ class AnytimeSearch:
             self.state,
             max_rule_size=self.max_rule_size,
             max_nodes=budget,
-            kernel=self.kernel,
             backend=self.backend,
             cache=self.cache,
             n_jobs=1,

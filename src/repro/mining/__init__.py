@@ -6,9 +6,6 @@ baselines are built on:
 * :mod:`~repro.mining.eclat` — frequent itemset mining with tidset
   intersection (Zaki et al., 1997), the search backbone the paper's exact
   rule search is modelled on.
-* :mod:`~repro.mining.apriori` / :mod:`~repro.mining.fpgrowth` —
-  interchangeable level-wise and pattern-growth backends (test-verified
-  to agree with ECLAT).
 * :mod:`~repro.mining.closed` — closed frequent itemset mining via
   prefix-preserving closure extension (LCM-style).
 * :mod:`~repro.mining.twoview` — closed frequent *two-view* itemsets, the
@@ -19,9 +16,7 @@ baselines are built on:
   against mined candidates in ablation A2b).
 """
 
-from repro.mining.apriori import apriori
 from repro.mining.eclat import eclat, frequent_items
-from repro.mining.fpgrowth import fpgrowth
 from repro.mining.closed import closed_itemsets
 from repro.mining.sampling import sample_candidates, sample_pattern
 from repro.mining.twoview import (
@@ -31,9 +26,7 @@ from repro.mining.twoview import (
 )
 
 __all__ = [
-    "apriori",
     "eclat",
-    "fpgrowth",
     "frequent_items",
     "closed_itemsets",
     "sample_candidates",

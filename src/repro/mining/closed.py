@@ -10,12 +10,9 @@ LCM / CHARM descendants): every closed set is generated exactly once, from
 its unique parent, so no duplicate-detection hash table over all results
 is needed and memory stays linear in the recursion depth.
 
-Like :mod:`repro.mining.eclat`, the miner runs on one of two tidset
-kernels (``kernel`` parameter): packed uint64 bitsets (the ``"auto"``
-default), where a closure test over all items is one vectorised
-``tids & ~item_words`` against the packed item matrix, or plain Boolean
-arrays (the seed representation, kept as a reference).  Supports and
-closures are exact either way, so the mined itemsets are identical.
+Like :mod:`repro.mining.eclat`, the miner keeps its tidsets as packed
+uint64 bitsets, so a closure test over all items is one vectorised
+``tids & ~item_words`` against the packed item matrix.
 """
 
 from __future__ import annotations
@@ -27,29 +24,19 @@ import numpy as np
 from repro.core.bitset import BitMatrix, popcount
 from repro.mining.eclat import _resolve_packed
 
-__all__ = ["closed_itemsets", "closure"]
+__all__ = ["closed_itemsets"]
 
 Itemset = tuple[int, ...]
 
-_KERNELS = ("auto", "bool", "bitset")
 
+def _closure(packed: BitMatrix, tid_words: np.ndarray, support: int) -> np.ndarray:
+    """Closure of a transaction set as a Boolean item mask.
 
-def closure(matrix: np.ndarray, tid_mask: np.ndarray) -> np.ndarray:
-    """Return the closure of a transaction set as a Boolean item mask.
-
-    The closure is the set of items contained in *every* transaction of
-    ``tid_mask``.  For an empty transaction set the closure is the full
-    item universe by convention.
+    Item ``i`` is in the closure iff its transaction set covers
+    ``tid_words`` (no bit of ``tids`` survives ``& ~item``).  For an
+    empty transaction set the closure is the full item universe by
+    convention.
     """
-    if not tid_mask.any():
-        return np.ones(matrix.shape[1], dtype=bool)
-    return matrix[tid_mask].all(axis=0)
-
-
-def _closure_packed(packed: BitMatrix, tid_words: np.ndarray, support: int) -> np.ndarray:
-    """Packed-kernel closure: item ``i`` is in the closure iff its
-    transaction set covers ``tid_words`` (no bit of ``tids`` survives
-    ``& ~item``)."""
     if support == 0:
         return np.ones(packed.n_items, dtype=bool)
     uncovered = tid_words[None, :] & ~packed.words
@@ -62,21 +49,18 @@ def closed_itemsets(
     max_size: int | None = None,
     items: Sequence[int] | None = None,
     max_itemsets: int | None = None,
-    kernel: str = "auto",
     bits: BitMatrix | None = None,
 ) -> list[tuple[Itemset, int]]:
     """Mine all closed frequent itemsets of ``matrix``.
 
     Parameters mirror :func:`repro.mining.eclat.eclat` (including the
-    ``kernel`` selector and the optional pre-packed ``bits`` injection).
+    optional pre-packed ``bits`` injection).
     The empty itemset is reported only when it is closed (i.e. no item
     occurs in every transaction) — callers interested in rules ignore it
     anyway.
 
     Returns ``(itemset, support)`` pairs; itemsets are sorted index tuples.
     """
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {_KERNELS}")
     array = np.asarray(matrix)
     if array.dtype != bool:
         array = array.astype(bool)
@@ -87,8 +71,7 @@ def closed_itemsets(
     n_transactions, n_items = array.shape
     universe = np.zeros(n_items, dtype=bool)
     universe[list(range(n_items)) if items is None else list(items)] = True
-    bitset = kernel != "bool"
-    packed = _resolve_packed(array, bitset, bits)
+    packed = _resolve_packed(array, bits)
 
     results: list[tuple[Itemset, int]] = []
 
@@ -98,10 +81,7 @@ def closed_itemsets(
                 f"closed_itemsets exceeded max_itemsets={max_itemsets}; raise minsup"
             )
 
-    if bitset:
-        item_masks = [packed.row(item) for item in range(n_items)]
-    else:
-        item_masks = [array[:, item] for item in range(n_items)]
+    item_masks = [packed.row(item) for item in range(n_items)]
     supports = array.sum(axis=0)
 
     def expand(closure_mask: np.ndarray, tid_mask: np.ndarray, support: int, core_item: int) -> None:
@@ -118,13 +98,10 @@ def closed_itemsets(
             if supports[item] < minsup:
                 continue
             new_tids = tid_mask & item_masks[item]
-            new_support = popcount(new_tids) if bitset else int(new_tids.sum())
+            new_support = popcount(new_tids)
             if new_support < minsup:
                 continue
-            if bitset:
-                new_closure = _closure_packed(packed, new_tids, new_support) & universe
-            else:
-                new_closure = closure(array, new_tids) & universe
+            new_closure = _closure(packed, new_tids, new_support) & universe
             # Prefix-preserving test: the closure must not add any item
             # smaller than the extension item that was not already present.
             prefix_items = new_closure[:item] & ~closure_mask[:item]
@@ -134,13 +111,8 @@ def closed_itemsets(
 
     if n_transactions < minsup:
         return []
-    if bitset:
-        all_tids = packed.support(())
-        root_support = popcount(all_tids)
-        root_closure = _closure_packed(packed, all_tids, root_support) & universe
-    else:
-        all_tids = np.ones(n_transactions, dtype=bool)
-        root_support = int(all_tids.sum())
-        root_closure = closure(array, all_tids) & universe
+    all_tids = packed.support(())
+    root_support = popcount(all_tids)
+    root_closure = _closure(packed, all_tids, root_support) & universe
     expand(root_closure, all_tids, root_support, -1)
     return results

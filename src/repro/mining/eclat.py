@@ -8,16 +8,8 @@ KDD 1997).  The paper's exact rule search (Section 5.2) is built on the
 same traversal; this module provides the plain frequent/condensed variants
 used by the baselines and candidate generators.
 
-Two interchangeable kernels hold the tidsets (``kernel`` parameter):
-
-* ``"bitset"`` (the ``"auto"`` default) — packed uint64 words
-  (:mod:`repro.core.bitset`); an intersection touches ``n/64`` words and a
-  support count is a popcount.
-* ``"bool"`` — plain Boolean arrays, the seed implementation's
-  representation, kept as a differentially-testable reference.
-
-Supports are exact integers either way, so both kernels return the same
-itemsets in the same order.
+Tidsets are packed uint64 words (:mod:`repro.core.bitset`): an
+intersection touches ``n/64`` words and a support count is a popcount.
 """
 
 from __future__ import annotations
@@ -32,12 +24,8 @@ __all__ = ["frequent_items", "eclat"]
 
 Itemset = tuple[int, ...]
 
-_KERNELS = ("auto", "bool", "bitset")
 
-
-def _validate(matrix: np.ndarray, minsup: int, kernel: str) -> np.ndarray:
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {_KERNELS}")
+def _validate(matrix: np.ndarray, minsup: int) -> np.ndarray:
     array = np.asarray(matrix)
     if array.ndim != 2:
         raise ValueError("matrix must be 2-dimensional")
@@ -48,14 +36,10 @@ def _validate(matrix: np.ndarray, minsup: int, kernel: str) -> np.ndarray:
     return array
 
 
-def _resolve_packed(
-    array: np.ndarray, bitset: bool, bits: BitMatrix | None
-) -> BitMatrix | None:
+def _resolve_packed(array: np.ndarray, bits: BitMatrix | None) -> BitMatrix:
     """Validate injected pre-packed columns or pack fresh ones."""
     if bits is None:
-        return BitMatrix.from_bool_columns(array) if bitset else None
-    if not bitset:
-        raise ValueError("pre-packed bits require a bitset kernel")
+        return BitMatrix.from_bool_columns(array)
     if bits.n_bits != array.shape[0] or bits.n_items != array.shape[1]:
         raise ValueError(
             f"bits shape ({bits.n_items} items, {bits.n_bits} bits) does not "
@@ -69,7 +53,7 @@ def frequent_items(matrix: np.ndarray, minsup: int) -> list[tuple[int, int]]:
 
     ``minsup`` is an absolute transaction count.
     """
-    array = _validate(matrix, minsup, "auto")
+    array = _validate(matrix, minsup)
     counts = array.sum(axis=0)
     return [
         (int(item), int(count))
@@ -84,7 +68,6 @@ def eclat(
     max_size: int | None = None,
     items: Sequence[int] | None = None,
     max_itemsets: int | None = None,
-    kernel: str = "auto",
     bits: BitMatrix | None = None,
 ) -> list[tuple[Itemset, int]]:
     """Mine all frequent itemsets of ``matrix``.
@@ -102,27 +85,21 @@ def eclat(
     max_itemsets:
         Optional safety cap; a ``RuntimeError`` is raised when the output
         would exceed it (guards against pattern explosion in test code).
-    kernel:
-        Tidset representation: ``"bitset"`` (packed words), ``"bool"``
-        (plain Boolean arrays) or ``"auto"``.  The mined itemsets are
-        identical either way.
     bits:
         Optional pre-packed :class:`BitMatrix` of ``matrix``'s columns,
         skipping the internal repack (the multi-view translator packs
         each view once and shares the columns across all pairs).  Must
-        match ``matrix``'s shape; requires a bitset kernel.  Packing is
-        deterministic, so injected bits are bit-identical to a fresh
-        pack.
+        match ``matrix``'s shape.  Packing is deterministic, so injected
+        bits are bit-identical to a fresh pack.
 
     Returns
     -------
     list of ``(itemset, support)`` with itemsets as sorted index tuples.
     The empty itemset is not reported.
     """
-    array = _validate(matrix, minsup, kernel)
+    array = _validate(matrix, minsup)
     universe = list(range(array.shape[1])) if items is None else sorted(items)
-    bitset = kernel != "bool"
-    packed = _resolve_packed(array, bitset, bits)
+    packed = _resolve_packed(array, bits)
     results: list[tuple[Itemset, int]] = []
 
     def check_budget() -> None:
@@ -134,8 +111,8 @@ def eclat(
     # Seed nodes: frequent single items with their tid masks.
     seeds: list[tuple[int, np.ndarray]] = []
     for item in universe:
-        mask = packed.row(item) if bitset else array[:, item]
-        support = popcount(mask) if bitset else int(mask.sum())
+        mask = packed.row(item)
+        support = popcount(mask)
         if support >= minsup:
             seeds.append((item, mask))
             results.append(((item,), support))
@@ -147,7 +124,7 @@ def eclat(
         for position in range(start, len(seeds)):
             item, item_mask = seeds[position]
             new_mask = mask & item_mask
-            support = popcount(new_mask) if bitset else int(new_mask.sum())
+            support = popcount(new_mask)
             if support < minsup:
                 continue
             itemset = prefix + (item,)

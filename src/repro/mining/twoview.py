@@ -66,7 +66,6 @@ def two_view_candidates(
     closed: bool = True,
     max_size: int | None = None,
     max_candidates: int | None = None,
-    kernel: str = "auto",
     bits: BitMatrix | None = None,
 ) -> list[TwoViewCandidate]:
     """Mine frequent two-view itemsets of ``dataset``.
@@ -86,9 +85,6 @@ def two_view_candidates(
         Safety cap forwarded to the underlying miner; note it bounds the
         number of *mined* itemsets, of which only the spanning ones are
         returned.
-    kernel:
-        Tidset kernel forwarded to the miner (``"auto"``/``"bitset"``/
-        ``"bool"``); the candidates are identical either way.
     bits:
         Optional pre-packed columns of the *joint* matrix (left items
         first; see :func:`joint_bits`), forwarded to the miner so it
@@ -106,7 +102,6 @@ def two_view_candidates(
         minsup,
         max_size=max_size,
         max_itemsets=max_candidates,
-        kernel=kernel,
         bits=bits,
     )
     n_left = dataset.n_left
@@ -126,7 +121,6 @@ def auto_minsup(
     closed: bool = True,
     max_size: int | None = None,
     start_fraction: float = 0.5,
-    kernel: str = "auto",
     bits: BitMatrix | None = None,
 ) -> tuple[int, list[TwoViewCandidate]]:
     """Find a ``minsup`` yielding at most ``target_candidates`` candidates.
@@ -151,7 +145,6 @@ def auto_minsup(
                 closed=closed,
                 max_size=max_size,
                 max_candidates=max(10 * target_candidates, 100_000),
-                kernel=kernel,
                 bits=bits,
             )
         except RuntimeError:
@@ -169,7 +162,7 @@ def auto_minsup(
         # starting threshold and truncate to the most supported candidates.
         minsup = max(1, int(round(start_fraction * n)))
         candidates = two_view_candidates(
-            dataset, minsup, closed=closed, max_size=max_size, kernel=kernel, bits=bits
+            dataset, minsup, closed=closed, max_size=max_size, bits=bits
         )
         return minsup, candidates[:target_candidates]
     return best

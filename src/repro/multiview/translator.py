@@ -136,10 +136,6 @@ class MultiViewTranslator:
         Optional per-pair cap on the number of selection/search rounds.
     max_rule_size:
         Rule-size cap forwarded to the exact search (``method="exact"``).
-    kernel:
-        Support kernel forwarded to the per-pair algorithm; with
-        ``"bool"`` the shared packed columns are not used (the reference
-        kernel packs nothing).
     """
 
     def __init__(
@@ -151,7 +147,6 @@ class MultiViewTranslator:
         conditional: bool = False,
         max_iterations: int | None = None,
         max_rule_size: int | None = None,
-        kernel: str = "auto",
     ) -> None:
         if method not in _METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
@@ -162,7 +157,6 @@ class MultiViewTranslator:
         self.conditional = conditional
         self.max_iterations = max_iterations
         self.max_rule_size = max_rule_size
-        self.kernel = kernel
 
     # ------------------------------------------------------------------
     def _fit_pair(self, pair_data, left_bits, right_bits) -> TranslatorResult:
@@ -171,23 +165,21 @@ class MultiViewTranslator:
             translator = TranslatorExact(
                 max_iterations=self.max_iterations,
                 max_rule_size=self.max_rule_size,
-                kernel=self.kernel,
             )
             cache = None
-            if left_bits is not None and self.kernel != "bool":
+            if left_bits is not None:
                 cache = SearchCache(
                     pair_data, left_bits=left_bits, right_bits=right_bits
                 )
             return translator.fit(pair_data, cache=cache)
         bits = None
-        if left_bits is not None and self.kernel != "bool":
+        if left_bits is not None:
             bits = joint_bits(left_bits, right_bits)
         translator = TranslatorSelect(
             k=self.k,
             minsup=self.minsup,
             max_candidates=self.max_candidates,
             max_iterations=self.max_iterations,
-            kernel=self.kernel,
             joint_bits=bits,
         )
         return translator.fit(pair_data)
@@ -200,12 +192,7 @@ class MultiViewTranslator:
         two-view fit of that pair.
         """
         start = time.perf_counter()
-        pack = self.kernel != "bool"
-        view_bits = (
-            [BitMatrix.from_bool_columns(view) for view in dataset.views]
-            if pack
-            else [None] * dataset.n_views
-        )
+        view_bits = [BitMatrix.from_bool_columns(view) for view in dataset.views]
         covered = np.zeros(dataset.n_transactions, dtype=bool)
         pair_results: dict[tuple[int, int], TranslatorResult] = {}
         pair_rows: dict[tuple[int, int], int] = {}

@@ -21,7 +21,7 @@ the build fails *softly* — :func:`available` returns ``False``,
 silently keeps using the numpy paths, which remain bit-identical.
 Backend selection is threaded through
 :func:`repro.core.bitset.resolve_backend` (``backend="numpy"|"native"|
-"auto"``), mirroring the search's ``kernel=`` selector.
+"auto"``), the only engine switch.
 """
 
 from __future__ import annotations

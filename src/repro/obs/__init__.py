@@ -103,7 +103,7 @@ class EngineInstruments:
         self._search_runs = r.counter(
             "repro_search_runs_total",
             "Completed find_best_rule invocations.",
-            labelnames=("kernel", "backend"),
+            labelnames=("backend",),
         )
         self._search_nodes = r.counter(
             "repro_search_nodes_total",
@@ -118,7 +118,6 @@ class EngineInstruments:
         self._search_seconds = r.histogram(
             "repro_search_seconds",
             "Wall-clock seconds per find_best_rule invocation.",
-            labelnames=("kernel",),
         )
         self._fit_seconds = r.histogram(
             "repro_fit_seconds",
@@ -183,10 +182,9 @@ class EngineInstruments:
     # -- recording helpers (one call each on instrumented hot paths) ----
     def observe_search(self, stats, seconds: float) -> None:
         """Record one completed search run from its ``SearchStats``."""
-        kernel = str(getattr(stats, "kernel", "unknown"))
         backend = str(getattr(stats, "backend", "unknown"))
-        self._search_runs.labels(kernel=kernel, backend=backend).inc()
-        self._search_seconds.labels(kernel=kernel).observe(seconds)
+        self._search_runs.labels(backend=backend).inc()
+        self._search_seconds.observe(seconds)
         visited = getattr(stats, "nodes_visited", 0)
         pruned = getattr(stats, "nodes_pruned_rub", 0)
         evaluated = getattr(stats, "evaluations", 0)

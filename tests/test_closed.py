@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mining.closed import closed_itemsets, closure
+from repro.mining.closed import closed_itemsets
 from tests.test_eclat import brute_force_frequent
 
 
@@ -25,34 +25,24 @@ def brute_force_closed(matrix: np.ndarray, minsup: int):
     return closed
 
 
-class TestClosure:
-    def test_closure_of_all_transactions(self):
-        matrix = np.array([[1, 1, 0], [1, 0, 0]], dtype=bool)
-        mask = np.ones(2, dtype=bool)
-        result = closure(matrix, mask)
-        assert result.tolist() == [True, False, False]
-
-    def test_closure_of_empty_tidset_is_universe(self):
-        matrix = np.array([[1, 0]], dtype=bool)
-        result = closure(matrix, np.zeros(1, dtype=bool))
-        assert result.all()
-
-    def test_closure_is_idempotent(self, rng):
-        matrix = rng.random((20, 6)) < 0.4
-        tids = matrix[:, 2]
-        closed_items = closure(matrix, tids)
-        # Transactions containing the closure are exactly `tids`' superset
-        # relation: re-closing changes nothing.
-        again = closure(matrix, matrix[:, np.flatnonzero(closed_items)].all(axis=1))
-        np.testing.assert_array_equal(closed_items, again)
-
-
 class TestAgainstBruteForce:
-    @pytest.mark.parametrize("minsup", [1, 2, 4])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_brute_force(self, minsup, seed):
+    # 67 rows span two 64-bit words, so the packed tidsets carry padding
+    # bits into the closure test.
+    @pytest.mark.parametrize("seed, minsup, n_rows, density", [
+        *(
+            pytest.param(seed, minsup, 25, 0.45, id=f"{seed}-{minsup}")
+            for seed in (0, 1, 2)
+            for minsup in (1, 2, 4)
+        ),
+        *(
+            pytest.param(seed, minsup, 67, 0.4, id=f"67rows-{seed}-{minsup}")
+            for seed in (0, 1)
+            for minsup in (1, 5)
+        ),
+    ])
+    def test_matches_brute_force(self, seed, minsup, n_rows, density):
         rng = np.random.default_rng(seed)
-        matrix = rng.random((25, 7)) < 0.45
+        matrix = rng.random((n_rows, 7)) < density
         expected = brute_force_closed(matrix, minsup)
         mined = {
             itemset: support

@@ -14,6 +14,7 @@ The contracts pinned here (see ``docs/corpus.md``):
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -331,24 +332,61 @@ class TestAnytimeBudgets:
         )
         assert rebuilt == checkpoint
 
-    def test_checkpoint_requires_bitset(self, planted):
-        search = ExactRuleSearch(CoverState(planted), max_nodes=10)
+    @pytest.mark.parametrize("tamper", [
+        "dropped_cursor",
+        "extra_cursor",
+        "reversed_path",
+        "repeated_path_index",
+        "path_index_below_root",
+        "path_index_past_universe",
+        "negative_cursor",
+        "cursor_off_path",
+        "cursor_past_children",
+        "top_cursor_past_children",
+        "negative_root_lo",
+        "root_hi_past_universe",
+        "path_past_root_range",
+    ])
+    def test_malformed_checkpoint_is_rejected(self, tamper):
+        # A stack of depth d has d strictly increasing path entries inside
+        # [root_lo, universe_size), the first below root_hi, and d + 1
+        # non-negative cursors; each lower frame's cursor points just past
+        # the path entry it created, and the top one at an unvisited
+        # child.  Each tampering breaks one of those conditions and must
+        # fail before any traversal.
+        dataset = random_two_view(
+            np.random.default_rng(0), n=60, n_left=7, n_right=7, density=0.4
+        )
+        search = ExactRuleSearch(CoverState(dataset), max_rule_size=4, max_nodes=40)
         search.find_best_rule()
-        with pytest.raises(ValueError, match="bitset"):
+        checkpoint = search.last_checkpoint
+        path, cursors = checkpoint.path, checkpoint.cursors
+        assert len(path) >= 2 and checkpoint.root_lo == 0
+        changes = {
+            "dropped_cursor": {"cursors": cursors[:-1]},
+            "extra_cursor": {"cursors": cursors + (0,)},
+            "reversed_path": {"path": path[::-1]},
+            "repeated_path_index": {"path": (path[0],) + path[:-1]},
+            "path_index_below_root": {"path": (-1,) + path[1:]},
+            "path_index_past_universe": {
+                "path": path[:-1] + (checkpoint.universe_size,)
+            },
+            "negative_cursor": {"cursors": (-1,) + cursors[1:]},
+            "cursor_off_path": {"cursors": (cursors[0] + 1,) + cursors[1:]},
+            "cursor_past_children": {"cursors": (10**6,) + cursors[1:]},
+            "top_cursor_past_children": {"cursors": cursors[:-1] + (10**6,)},
+            "negative_root_lo": {"root_lo": -1},
+            "root_hi_past_universe": {"root_hi": checkpoint.universe_size + 1},
+            "path_past_root_range": {
+                "root_hi": path[0] + 1,
+                "path": tuple(index + 1 for index in path),
+            },
+        }[tamper]
+        tampered = dataclasses.replace(checkpoint, **changes)
+        with pytest.raises(ValueError, match="checkpoint"):
             ExactRuleSearch(
-                CoverState(planted), kernel="bool",
-                checkpoint=search.last_checkpoint,
-            )
-
-    def test_bool_kernel_budget_reports_gap(self, planted):
-        __, gain, stats = ExactRuleSearch(
-            CoverState(planted), kernel="bool", max_rule_size=3, max_nodes=30
-        ).find_best_rule()
-        full = ExactRuleSearch(
-            CoverState(planted), kernel="bool", max_rule_size=3
-        ).find_best_rule()
-        assert not stats.complete and stats.nodes_visited == 30
-        assert gain + stats.gap_bound >= full[1] - 1e-9
+                CoverState(dataset), max_rule_size=4, checkpoint=tampered
+            ).find_best_rule()
 
     def test_n_jobs_budget_warning(self, planted):
         with pytest.warns(UserWarning, match="n_jobs=3 is ignored"):
@@ -373,10 +411,6 @@ class TestAnytimeBudgets:
         assert result.checkpoint is not None
         assert result.stats.gap_bound >= 0.0
 
-    def test_anytime_rejects_bool_kernel(self, planted):
-        with pytest.raises(ValueError, match="bitset"):
-            AnytimeSearch(CoverState(planted), kernel="bool")
-
 
 class TestTranslatorIntegration:
     def test_fit_from_store_matches_dense(self, planted, store_path):
@@ -396,10 +430,6 @@ class TestTranslatorIntegration:
                 TranslatorExact().fit(planted, store=store)
         with pytest.raises(ValueError, match="dataset or a store"):
             TranslatorExact().fit()
-
-    def test_time_budget_requires_bitset(self):
-        with pytest.raises(ValueError, match="bitset"):
-            TranslatorExact(kernel="bool", time_budget_per_search=1.0)
 
     def test_budgeted_fit_reports_gap(self, planted):
         result = TranslatorExact(

@@ -23,10 +23,23 @@ def brute_force_frequent(matrix: np.ndarray, minsup: int, max_size=None):
     return results
 
 
+# Packed-tidset edge shapes: no rows, no columns, one row, and 65 rows so
+# the tidsets cross a 64-bit word boundary.
+EDGE_SHAPES = {
+    "0rows": np.zeros((0, 3), dtype=bool),
+    "0cols": np.zeros((1, 0), dtype=bool),
+    "1row": np.ones((1, 3), dtype=bool),
+    "65rows": np.ones((65, 2), dtype=bool),
+}
+
+
 class TestAgainstBruteForce:
-    @pytest.mark.parametrize("minsup", [1, 2, 5, 10])
-    def test_matches_brute_force(self, rng, minsup):
-        matrix = rng.random((40, 7)) < 0.4
+    @pytest.mark.parametrize("shape, minsup", [
+        *(pytest.param(None, minsup, id=str(minsup)) for minsup in (1, 2, 5, 10)),
+        *(pytest.param(shape, 1, id=shape) for shape in EDGE_SHAPES),
+    ])
+    def test_matches_brute_force(self, rng, shape, minsup):
+        matrix = rng.random((40, 7)) < 0.4 if shape is None else EDGE_SHAPES[shape]
         expected = brute_force_frequent(matrix, minsup)
         mined = dict(eclat(matrix, minsup))
         assert mined == expected

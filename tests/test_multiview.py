@@ -147,18 +147,6 @@ class TestSharedBitsets:
             assert set(result.table) == set(fresh.table)
             assert result.total_bits == fresh.total_bits
 
-    def test_bool_kernel_matches_bitset_kernel(self, three_view_dataset):
-        packed = MultiViewTranslator(k=1, minsup=3, kernel="bitset").fit(
-            three_view_dataset
-        )
-        reference = MultiViewTranslator(k=1, minsup=3, kernel="bool").fit(
-            three_view_dataset
-        )
-        for pair in three_view_dataset.view_pairs():
-            assert set(packed.pair_results[pair].table) == set(
-                reference.pair_results[pair].table
-            )
-
     def test_joint_bits_equals_fresh_joint_pack(self, three_view_dataset):
         from repro.core.bitset import BitMatrix
         from repro.mining.twoview import joint_bits

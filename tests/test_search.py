@@ -3,7 +3,8 @@
 The reference implementation enumerates *all* co-occurring cross-view
 itemset pairs by brute force and evaluates all three directions with the
 cover state's gain function; the DFS search must return a rule achieving
-the same maximum gain.
+the same maximum gain.  This independent oracle is what every fast path
+of the search is checked against.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import pytest
 
 from repro.data.dataset import Side, TwoViewDataset
 from repro.core.rules import Direction, TranslationRule
-from repro.core.search import ExactRuleSearch
+from repro.core.search import ExactRuleSearch, SearchCache
 from repro.core.state import CoverState
+from repro.core.translator import TranslatorExact
 from tests.conftest import random_two_view
 
 
@@ -50,33 +52,107 @@ def brute_force_best(state: CoverState, max_size: int | None = None):
     return best_rule, best_gain
 
 
-class TestExactnessSmall:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_brute_force_empty_table(self, seed):
-        rng = np.random.default_rng(seed)
-        dataset = random_two_view(rng, n=25, n_left=5, n_right=5, density=0.35)
-        state = CoverState(dataset)
-        rule, gain, stats = ExactRuleSearch(state).find_best_rule()
-        __, expected_gain = brute_force_best(state)
-        assert gain == pytest.approx(expected_gain, abs=1e-9)
-        if expected_gain > 0:
-            assert rule is not None
-            assert state.gain(rule) == pytest.approx(expected_gain, abs=1e-9)
+def case_dataset(request, source) -> TwoViewDataset:
+    """A fixture by name, or a random dataset from ``(seed, n, items, density)``."""
+    if isinstance(source, str):
+        return request.getfixturevalue(source)
+    seed, n, n_items, density = source
+    return random_two_view(
+        np.random.default_rng(seed),
+        n=n,
+        n_left=n_items,
+        n_right=n_items,
+        density=density,
+    )
 
-    @pytest.mark.parametrize("seed", [10, 11])
-    def test_matches_brute_force_after_rules(self, seed):
-        rng = np.random.default_rng(seed)
-        dataset = random_two_view(rng, n=25, n_left=5, n_right=5, density=0.4)
-        state = CoverState(dataset)
-        # Add the first two exact rules, then compare the third search.
-        for __ in range(2):
-            rule, gain, stats = ExactRuleSearch(state).find_best_rule()
+
+def assert_matches_oracle(
+    state, rule, gain, stats, expected_gain, budgeted=False
+) -> None:
+    """Check a search outcome against the brute-force optimum.
+
+    An unbudgeted search completes and attains the optimum exactly.  A
+    budgeted one is interrupted and need not, but its gap bound must be
+    honest: ``gain + gap_bound`` dominates the optimum.
+    """
+    if budgeted:
+        assert not stats.complete
+        assert gain + stats.gap_bound >= expected_gain - 1e-9
+    else:
+        assert stats.complete
+        assert stats.gap_bound == 0.0
+        assert gain == pytest.approx(expected_gain, abs=1e-9)
+    if gain > 0:
+        assert rule is not None
+        assert state.gain(rule) == pytest.approx(gain, abs=1e-9)
+
+
+# Random datasets are ``(seed, n, items per view, density)``; the planted
+# fixture's 10x10 views are searched up to size 3 to keep the oracle fast.
+_FLAG_DATA = (123, 35, 5, 0.4)
+EMPTY_TABLE_CASES = [
+    *(pytest.param((seed, 25, 5, 0.35), {}, id=str(seed)) for seed in range(4)),
+    *(pytest.param((seed, 40, 6, 0.35), {}, id=f"n40-{seed}") for seed in range(6)),
+    pytest.param("toy_dataset", {}, id="toy"),
+    pytest.param("planted_dataset", {"max_rule_size": 3}, id="planted"),
+    pytest.param(_FLAG_DATA, {"use_rub": False}, id="no-rub"),
+    pytest.param(_FLAG_DATA, {"use_qub": False}, id="no-qub"),
+    pytest.param(_FLAG_DATA, {"order_items": False}, id="unordered"),
+    pytest.param(_FLAG_DATA, {"seed_pairs": False}, id="no-seed"),
+    pytest.param(
+        _FLAG_DATA,
+        {"use_rub": False, "use_qub": False, "order_items": False, "seed_pairs": False},
+        id="no-pruning",
+    ),
+    pytest.param(_FLAG_DATA, {"max_rule_size": 2}, id="size2"),
+    pytest.param(_FLAG_DATA, {"max_rule_size": 3}, id="size3"),
+    pytest.param(_FLAG_DATA, {"max_nodes": 25}, id="budget25"),
+]
+
+
+class TestExactnessSmall:
+    @pytest.mark.parametrize("source, options", EMPTY_TABLE_CASES)
+    def test_matches_brute_force_empty_table(self, request, source, options):
+        state = CoverState(case_dataset(request, source))
+        rule, gain, stats = ExactRuleSearch(state, **options).find_best_rule()
+        __, expected_gain = brute_force_best(
+            state, max_size=options.get("max_rule_size")
+        )
+        assert_matches_oracle(
+            state, rule, gain, stats, expected_gain,
+            budgeted="max_nodes" in options,
+        )
+
+    @pytest.mark.parametrize("source, max_size, n_rules", [
+        pytest.param((10, 25, 5, 0.4), None, 2, id="10"),
+        pytest.param((11, 25, 5, 0.4), None, 2, id="11"),
+        pytest.param("planted_dataset", 3, 3, id="planted"),
+    ])
+    def test_matches_brute_force_after_rules(self, request, source, max_size, n_rules):
+        state = CoverState(case_dataset(request, source))
+        # Compare every search of a greedy run of n_rules exact rules.
+        for __ in range(n_rules + 1):
+            rule, gain, stats = ExactRuleSearch(
+                state, max_rule_size=max_size
+            ).find_best_rule()
+            __, expected_gain = brute_force_best(state, max_size=max_size)
+            assert_matches_oracle(state, rule, gain, stats, expected_gain)
             if rule is None:
                 break
             state.add_rule(rule)
-        rule, gain, __ = ExactRuleSearch(state).find_best_rule()
-        __, expected_gain = brute_force_best(state)
-        assert gain == pytest.approx(expected_gain, abs=1e-9)
+
+    def test_exact_fit_gains_match_brute_force(self):
+        rng = np.random.default_rng(3)
+        dataset = random_two_view(rng, n=40, n_left=6, n_right=6, density=0.35)
+        result = TranslatorExact().fit(dataset)
+        assert result.converged and result.history
+        state = CoverState(dataset)
+        for record in result.history:
+            __, expected_gain = brute_force_best(state)
+            assert record.gain == pytest.approx(expected_gain, abs=1e-9)
+            state.add_rule(record.rule)
+        # The fit stopped because no rule with positive gain was left.
+        assert brute_force_best(state)[1] == 0.0
 
     def test_structured_data_finds_planted_pattern(self, toy_dataset):
         state = CoverState(toy_dataset)
@@ -144,6 +220,21 @@ class TestPruning:
         rule, gain, __ = ExactRuleSearch(state).find_best_rule()
         __, expected = brute_force_best(state)
         assert gain == pytest.approx(expected, abs=1e-9)
+
+
+class TestSearchCache:
+    def test_shared_cache_matches_private_cache(self, planted_dataset):
+        state = CoverState(planted_dataset)
+        cache = SearchCache(planted_dataset)
+        with_cache = ExactRuleSearch(state, cache=cache).find_best_rule()
+        without = ExactRuleSearch(state).find_best_rule()
+        assert with_cache == without
+
+    def test_cache_dataset_mismatch_rejected(self, toy_dataset, planted_dataset):
+        cache = SearchCache(toy_dataset)
+        state = CoverState(planted_dataset)
+        with pytest.raises(ValueError):
+            ExactRuleSearch(state, cache=cache)
 
 
 class TestStatsReporting:

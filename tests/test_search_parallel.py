@@ -1,12 +1,12 @@
 """Bit-identity of the sharded (``n_jobs > 1``) search and beam paths.
 
-Companion to ``tests/test_search_kernels.py``: where that file pins the
-``bool``/``bitset`` kernel equivalence, this one pins the serial /
-sharded equivalence.  The contract (see :mod:`repro.core.search`) is
-that the *returned rule and gain* — and therefore every fitted model —
-are bit-identical to ``n_jobs=1`` on both kernels; pruning statistics
-may legitimately differ (shards explore with weaker incumbents), so
-they are not compared.
+Companion to the brute-force tests in ``tests/test_search.py``: where
+those pin the serial search to the independent oracle, this file pins
+the serial / sharded equivalence.  The contract (see
+:mod:`repro.core.search`) is that the *returned rule and gain* — and
+therefore every fitted model — are bit-identical to ``n_jobs=1``;
+pruning statistics may legitimately differ (shards explore with weaker
+incumbents), so they are not compared.
 """
 
 from __future__ import annotations
@@ -23,33 +23,28 @@ from repro.runtime.executor import ParallelExecutor
 from tests.conftest import random_two_view
 from tests.test_properties import SETTINGS, datasets
 
-KERNELS = ("bool", "bitset")
 
-
-def best_rule(state, kernel, **kwargs):
-    rule, gain, stats = ExactRuleSearch(state, kernel=kernel, **kwargs).find_best_rule()
-    return rule, gain, stats
+def best_rule(state, **kwargs):
+    return ExactRuleSearch(state, **kwargs).find_best_rule()
 
 
 class TestShardedSearchIdentity:
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("seed", range(5))
-    def test_random_datasets(self, kernel, seed):
+    def test_random_datasets(self, seed):
         rng = np.random.default_rng(seed)
         dataset = random_two_view(rng, n=45, n_left=6, n_right=6, density=0.35)
         state = CoverState(dataset)
-        serial_rule, serial_gain, __ = best_rule(state, kernel)
+        serial_rule, serial_gain, __ = best_rule(state)
         for n_jobs in (2, 3):
-            rule, gain, stats = best_rule(state, kernel, n_jobs=n_jobs)
+            rule, gain, stats = best_rule(state, n_jobs=n_jobs)
             assert (rule, gain) == (serial_rule, serial_gain)
             assert stats.shards > 1
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_after_rules_added(self, planted_dataset, kernel):
+    def test_after_rules_added(self, planted_dataset):
         state = CoverState(planted_dataset)
         for __ in range(3):
-            serial_rule, serial_gain, __stats = best_rule(state, kernel)
-            rule, gain, __stats = best_rule(state, kernel, n_jobs=4)
+            serial_rule, serial_gain, __stats = best_rule(state)
+            rule, gain, __stats = best_rule(state, n_jobs=4)
             assert (rule, gain) == (serial_rule, serial_gain)
             if serial_rule is None:
                 break
@@ -67,25 +62,23 @@ class TestShardedSearchIdentity:
         rng = np.random.default_rng(77)
         dataset = random_two_view(rng, n=40, n_left=5, n_right=5, density=0.4)
         state = CoverState(dataset)
-        for kernel in KERNELS:
-            serial = best_rule(state, kernel, **flags)[:2]
-            sharded = best_rule(state, kernel, n_jobs=3, **flags)[:2]
-            assert serial == sharded
+        serial = best_rule(state, **flags)[:2]
+        sharded = best_rule(state, n_jobs=3, **flags)[:2]
+        assert serial == sharded
 
     @SETTINGS
     @given(datasets(max_n=15, max_items=4))
     def test_hypothesis_datasets(self, dataset):
         state = CoverState(dataset)
-        for kernel in KERNELS:
-            serial = best_rule(state, kernel)[:2]
-            sharded = best_rule(state, kernel, n_jobs=2)[:2]
-            assert serial == sharded
+        serial = best_rule(state)[:2]
+        sharded = best_rule(state, n_jobs=2)[:2]
+        assert serial == sharded
 
     def test_node_budget_forces_serial(self, planted_dataset):
         state = CoverState(planted_dataset)
-        serial = best_rule(state, "bitset", max_nodes=100)
+        serial = best_rule(state, max_nodes=100)
         with pytest.warns(UserWarning, match="n_jobs=4 is ignored"):
-            budgeted = best_rule(state, "bitset", max_nodes=100, n_jobs=4)
+            budgeted = best_rule(state, max_nodes=100, n_jobs=4)
         # Anytime budgets are order-dependent: the sharded path must
         # refuse to engage, returning the serial outcome exactly,
         # statistics included.
@@ -96,8 +89,8 @@ class TestShardedSearchIdentity:
     def test_explicit_executor_is_used(self, planted_dataset):
         state = CoverState(planted_dataset)
         executor = ParallelExecutor(n_jobs=2, backend="thread", chunk_size=1)
-        serial = best_rule(state, "bitset")[:2]
-        via_executor = best_rule(state, "bitset", executor=executor)[:2]
+        serial = best_rule(state)[:2]
+        via_executor = best_rule(state, executor=executor)[:2]
         assert via_executor == serial
 
 
@@ -111,13 +104,12 @@ class TestTranslatorParallelIdentity:
         assert serial.total_bits == sharded.total_bits
         assert all(stats.shards > 1 for stats in sharded.search_stats)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_beam_fit_identical(self, planted_dataset, kernel):
-        serial = TranslatorBeam(max_iterations=3, kernel=kernel).fit(planted_dataset)
+    def test_beam_fit_identical(self, planted_dataset):
+        serial = TranslatorBeam(max_iterations=3).fit(planted_dataset)
         for n_jobs in (2, 4):
-            parallel = TranslatorBeam(
-                max_iterations=3, kernel=kernel, n_jobs=n_jobs
-            ).fit(planted_dataset)
+            parallel = TranslatorBeam(max_iterations=3, n_jobs=n_jobs).fit(
+                planted_dataset
+            )
             assert list(serial.table) == list(parallel.table)
             assert [r.gain for r in serial.history] == [
                 r.gain for r in parallel.history
