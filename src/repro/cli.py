@@ -309,7 +309,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "max_batch": args.max_batch,
                 "max_delay_ms": args.max_delay_ms,
                 "cache_size": args.cache_size,
-                "engine": args.engine,
                 "backend": args.backend,
             },
             server_config={
@@ -343,7 +342,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_delay_ms=args.max_delay_ms,
         cache_size=args.cache_size,
-        engine=args.engine,
         backend=args.backend,
         tracer=tracer,
     )
@@ -425,7 +423,6 @@ def _cmd_predict_batch(args: argparse.Namespace) -> int:
         registry,
         max_delay_ms=0.0,
         cache_size=0,
-        engine=args.engine,
         backend=args.backend,
     )
     rows = json.loads(Path(args.input).read_text(encoding="utf-8"))
@@ -1280,12 +1277,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU response-cache capacity (0 disables caching)",
     )
     serve.add_argument(
-        "--engine",
-        choices=("compiled", "loop"),
-        default="compiled",
-        help="prediction engine (loop = per-rule reference path)",
-    )
-    serve.add_argument(
         "--backend",
         choices=("auto", "numpy", "native"),
         default="auto",
@@ -1374,9 +1365,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     predict_batch.add_argument(
         "--output", type=Path, default=None, help="write the JSON response here"
-    )
-    predict_batch.add_argument(
-        "--engine", choices=("compiled", "loop"), default="compiled"
     )
     predict_batch.add_argument(
         "--backend", choices=("auto", "numpy", "native"), default="auto"

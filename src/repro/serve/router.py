@@ -2,11 +2,13 @@
 
 One :class:`~repro.serve.server.PredictionServer` is a single asyncio
 process; the ROADMAP's "heavy traffic" story needs N of them behind one
-address.  :class:`ReplicaRouter` is that address — a thin asyncio
-HTTP/1.1 front that owns a pool of :class:`Replica` workers (in-process
-servers for tests, spawned OS processes for deployments; both just
-``host:port`` to the router) and gives them the collective behaviours a
-single worker cannot have:
+address.  :class:`ReplicaRouter` is that address — the same
+:class:`~repro.serve.server.HttpFront` as a worker (so malformed, slow
+and oversized requests and the drain are answered exactly alike) over
+a pool of :class:`Replica` workers (in-process servers for tests,
+spawned OS processes for deployments; both just ``host:port`` to the
+router), giving them the collective behaviours a single worker cannot
+have:
 
 * **Least-loaded fan-out** — ``POST /predict`` (JSON *and* packed
   bodies: the body is forwarded verbatim, the router never parses it)
@@ -59,13 +61,7 @@ from collections.abc import Awaitable, Callable
 from repro import obs as _obs
 from repro.resilience.policy import CircuitBreaker, Deadline
 from repro.serve.registry import ModelRegistry
-from repro.serve.server import (
-    PredictionServer,
-    PredictionService,
-    _RequestError,
-    http_response_bytes,
-    read_http_request,
-)
+from repro.serve.server import HttpFront, PredictionServer, PredictionService
 
 __all__ = [
     "Replica",
@@ -85,10 +81,6 @@ _TRANSPORT_ERRORS = (
     OSError,
 )
 
-#: Paths with their own router latency series; everything else shares
-#: one ``other`` series so path spam cannot mint unbounded series.
-_TIMED_ENDPOINTS = ("/healthz", "/readyz", "/statz", "/metrics", "/models", "/predict")
-
 
 class Replica:
     """One prediction worker as the router sees it.
@@ -97,7 +89,9 @@ class Replica:
     server, forked process, remote box — only that it answers HTTP on
     ``host:port`` and can be stopped via the optional async ``stop``
     callback (used by drain-and-swap).  Health is tracked by a
-    dedicated :class:`~repro.resilience.policy.CircuitBreaker`:
+    dedicated :class:`~repro.resilience.policy.CircuitBreaker` that
+    ejects after 2 consecutive failures and begins probing for
+    re-admission 0.5s later; a factory may replace :attr:`breaker`:
 
     ========== =====================================================
     state      meaning
@@ -115,15 +109,12 @@ class Replica:
         host: str,
         port: int,
         stop: Callable[[], Awaitable[object]] | None = None,
-        breaker: CircuitBreaker | None = None,
     ) -> None:
         self.name = name
         self.host = host
         self.port = port
         self.stop = stop
-        self.breaker = breaker or CircuitBreaker(
-            failure_threshold=2, reset_timeout=0.5
-        )
+        self.breaker = CircuitBreaker(failure_threshold=2, reset_timeout=0.5)
         self.inflight = 0
         self.requests = 0
         self.errors = 0
@@ -159,7 +150,7 @@ class Replica:
 ReplicaFactory = Callable[[str], Awaitable[Replica]]
 
 
-class ReplicaRouter:
+class ReplicaRouter(HttpFront):
     """Fan ``/predict`` traffic across a pool of worker replicas.
 
     Args:
@@ -176,9 +167,6 @@ class ReplicaRouter:
         request_timeout: Per-attempt budget for one replica to answer
             a forwarded request.
         read_timeout: Client-side budget for receiving a request.
-        breaker_factory: Per-replica breaker recipe; the default
-            ejects after 2 consecutive failures and begins probing
-            for re-admission 0.5s later.
         metrics: The :class:`repro.obs.MetricsRegistry` backing the
             router's counters; ``GET /metrics`` serves it merged with
             every admitted replica's own scrape (each replica's series
@@ -187,9 +175,11 @@ class ReplicaRouter:
             ``/predict`` requests then open a ``router.predict`` root
             span (or continue the client's ``X-Repro-Trace``) and
             propagate the header to the worker.
-    """
 
-    MAX_BODY_BYTES = PredictionServer.MAX_BODY_BYTES
+    The router's front is named ``router``: its chaos hook is
+    ``serve.router.request`` and :meth:`stop` drains it for 5 seconds
+    by default.
+    """
 
     def __init__(
         self,
@@ -201,7 +191,6 @@ class ReplicaRouter:
         probe_interval: float = 0.5,
         request_timeout: float = 30.0,
         read_timeout: float = 30.0,
-        breaker_factory: Callable[[], CircuitBreaker] | None = None,
         metrics: "_obs.MetricsRegistry | None" = None,
         tracer: "_obs.Tracer | None" = None,
     ) -> None:
@@ -210,14 +199,8 @@ class ReplicaRouter:
         self.factory = factory
         self.workers = workers
         self.registry = registry
-        self.host = host
-        self.port = port
         self.probe_interval = probe_interval
         self.request_timeout = request_timeout
-        self.read_timeout = read_timeout
-        self.breaker_factory = breaker_factory or (
-            lambda: CircuitBreaker(failure_threshold=2, reset_timeout=0.5)
-        )
         self.replicas: list[Replica] = []
         self.started_unix = time.time()
         self.metrics = metrics if metrics is not None else _obs.MetricsRegistry()
@@ -244,18 +227,22 @@ class ReplicaRouter:
             "repro_router_admitted",
             "Replicas currently eligible for traffic.",
         ).set_function(lambda: len(self.admitted()))
-        self._request_seconds = self.metrics.histogram(
-            "repro_router_request_seconds",
-            "Wall-clock seconds per routed request, by endpoint.",
-            labelnames=("endpoint",),
+        super().__init__(
+            self.metrics.histogram(
+                "repro_router_request_seconds",
+                "Wall-clock seconds per routed request, by endpoint.",
+                labelnames=("endpoint",),
+            ),
+            host,
+            port,
+            read_timeout,
+            drain_timeout=5.0,
+            name="router",
         )
-        self._server: asyncio.AbstractServer | None = None
-        self._inflight: set[asyncio.Task] = set()
         self._probe_task: asyncio.Task | None = None
         self._spawned = 0
         self._seen_latest: dict[str, int] = {}
         self._swap_lock = asyncio.Lock()
-        self._draining = False
 
     # ------------------------------------------------------------------
     # Registry-backed counters (attribute API preserved)
@@ -297,8 +284,6 @@ class ReplicaRouter:
     async def spawn_replica(self) -> Replica:
         """Build, admit and return one new worker via the factory."""
         replica = await self.factory(self._next_name())
-        if replica.breaker is None:  # factory left health tracking to us
-            replica.breaker = self.breaker_factory()
         self.replicas.append(replica)
         logger.info(
             "spawned replica %s at %s:%d",
@@ -310,22 +295,22 @@ class ReplicaRouter:
         return replica
 
     async def start(self) -> None:
-        """Spawn the worker pool and bind the router's own listener."""
-        self._draining = False
+        """Spawn the worker pool, bind the router's own listener and
+        start the probe loop."""
         while len(self.replicas) < self.workers:
             await self.spawn_replica()
         if self.registry is not None:
             self._seen_latest = self._registry_latest()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await super().start()
         if self.probe_interval > 0:
             self._probe_task = asyncio.ensure_future(self._probe_loop())
 
-    async def stop(self, drain_timeout: float = 5.0) -> dict:
-        """Drain the router, then stop every worker it owns."""
-        self._draining = True
+    async def stop(self, drain_timeout: float | None = None) -> dict:
+        """Drain the router's front, then stop every worker it owns.
+
+        Returns the front's drain summary (:meth:`HttpFront.stop`) plus
+        ``stopped`` (workers stopped) and ``rerouted``.
+        """
         if self._probe_task is not None:
             self._probe_task.cancel()
             try:
@@ -333,20 +318,7 @@ class ReplicaRouter:
             except asyncio.CancelledError:
                 pass
             self._probe_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        deadline = Deadline(drain_timeout)
-        while self._inflight and not deadline.expired():
-            await asyncio.wait(
-                set(self._inflight),
-                timeout=deadline.remaining() or 0.001,
-            )
-        for task in list(self._inflight):
-            task.cancel()
-        if self._inflight:
-            await asyncio.gather(*self._inflight, return_exceptions=True)
+        summary = await super().stop(drain_timeout)
         stopped = 0
         for replica in list(self.replicas):
             if replica.stop is not None:
@@ -356,39 +328,7 @@ class ReplicaRouter:
                     pass
             stopped += 1
         self.replicas.clear()
-        return {"stopped": stopped, "rerouted": self.rerouted}
-
-    async def _serve_until_signalled(self) -> None:
-        import signal
-
-        await self.start()
-        stop_requested = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        registered = []
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop_requested.set)
-                registered.append(signum)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass  # pragma: no cover - platform without signal support
-        try:
-            if registered:
-                await stop_requested.wait()
-                await self.stop()
-            else:  # pragma: no cover - platform without signal support
-                assert self._server is not None
-                async with self._server:
-                    await self._server.serve_forever()
-        finally:
-            for signum in registered:
-                loop.remove_signal_handler(signum)
-
-    def run(self) -> None:
-        """Blocking entry point for ``repro-translator serve --workers N``."""
-        try:
-            asyncio.run(self._serve_until_signalled())
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
-            pass
+        return {**summary, "stopped": stopped, "rerouted": self.rerouted}
 
     # ------------------------------------------------------------------
     # Replica selection + forwarding
@@ -421,10 +361,11 @@ class ReplicaRouter:
         path: str,
         body: bytes,
         trace: "_obs.TraceContext | None" = None,
-    ) -> tuple[int, bytes]:
+    ) -> tuple[int, dict | bytes]:
         """Send one request to the pool; reroute until someone answers.
 
-        Returns ``(status, response body bytes)``.  Transport failures
+        Returns ``(status, payload)``: the answering replica's response
+        body bytes, or the router's own 503 document.  Transport failures
         (refused/reset connections, timeouts, short reads) and 503s
         from draining workers count against the replica's breaker and
         move the request to the next candidate; every replica
@@ -446,7 +387,7 @@ class ReplicaRouter:
 
     async def _forward_attempts(
         self, method: str, path: str, body: bytes, span
-    ) -> tuple[int, bytes]:
+    ) -> tuple[int, dict | bytes]:
         trace = span.context if span is not None else None
         tried: set[Replica] = set()
         first = True
@@ -464,9 +405,7 @@ class ReplicaRouter:
                     len(tried),
                     extra={"path": path, "attempts": len(tried)},
                 )
-                return 503, json.dumps(
-                    {"error": "no replica available", "router": True}
-                ).encode("utf-8")
+                return 503, {"error": "no replica available", "router": True}
             if not first:
                 self.rerouted += 1
                 reroutes += 1
@@ -802,109 +741,30 @@ class ReplicaRouter:
                 continue
         return _obs.merge_expositions(documents)
 
-    async def handle(
-        self,
-        method: str,
-        path: str,
-        body: bytes,
-        headers: dict[str, str] | None = None,
-    ) -> tuple[int, bytes, str]:
-        """Route one request; returns ``(status, body bytes, content type)``."""
-        started = time.perf_counter()
-        endpoint = path if path in _TIMED_ENDPOINTS else "other"
-        try:
-            return await self._handle_routed(method, path, body, headers)
-        finally:
-            self._request_seconds.labels(endpoint=endpoint).observe(
-                time.perf_counter() - started
-            )
-
     async def _handle_routed(
         self,
         method: str,
         path: str,
         body: bytes,
-        headers: dict[str, str] | None,
-    ) -> tuple[int, bytes, str]:
-        json_type = "application/json"
+        headers: dict[str, str],
+    ) -> tuple[int, dict | str | bytes]:
+        """Route one request; returns ``(status, payload)``."""
         if method == "GET" and path == "/healthz":
-            payload = self.healthz_payload()
-            return 200, json.dumps(payload).encode("utf-8"), json_type
+            return 200, self.healthz_payload()
         if method == "GET" and path == "/readyz":
-            code, payload = self.readyz_payload()
-            return code, json.dumps(payload).encode("utf-8"), json_type
+            return self.readyz_payload()
         if method == "GET" and path == "/statz":
-            payload = await self.statz_payload()
-            return 200, json.dumps(payload).encode("utf-8"), json_type
+            return 200, await self.statz_payload()
         if method == "GET" and path == "/metrics":
-            text = await self.metrics_text()
-            return 200, text.encode("utf-8"), _obs.METRICS_CONTENT_TYPE
+            return 200, await self.metrics_text()
         if (method == "POST" and path == "/predict") or (
             method == "GET" and path == "/models"
         ):
-            trace = None
-            if headers:
-                trace = _obs.parse_trace_header(
-                    headers.get(_obs.TRACE_HEADER.lower())
-                )
-            status, payload_bytes = await self.forward(
-                method, path, body, trace=trace
+            trace = _obs.parse_trace_header(
+                headers.get(_obs.TRACE_HEADER.lower())
             )
-            return status, payload_bytes, json_type
-        return (
-            404,
-            json.dumps({"error": f"no route {method} {path}"}).encode("utf-8"),
-            json_type,
-        )
-
-    # ------------------------------------------------------------------
-    # Socket front (mirrors PredictionServer's shape)
-    # ------------------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._inflight.add(task)
-        content_type = "application/json"
-        try:
-            if self._draining:
-                status, body = 503, json.dumps(
-                    {"error": "router is draining"}
-                ).encode("utf-8")
-            else:
-                try:
-                    method, path, request_body, headers = await asyncio.wait_for(
-                        read_http_request(reader, self.MAX_BODY_BYTES),
-                        self.read_timeout,
-                    )
-                except asyncio.TimeoutError:
-                    status, body = 408, json.dumps(
-                        {"error": "request not received in time"}
-                    ).encode("utf-8")
-                except _RequestError as error:
-                    status = error.status
-                    body = json.dumps(error.payload).encode("utf-8")
-                except (asyncio.IncompleteReadError, ConnectionError, ValueError):
-                    status, body = 400, json.dumps(
-                        {"error": "malformed HTTP request"}
-                    ).encode("utf-8")
-                else:
-                    status, body, content_type = await self.handle(
-                        method, path, request_body, headers
-                    )
-            writer.write(http_response_bytes(status, body, content_type))
-            try:
-                await writer.drain()
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except ConnectionError:  # pragma: no cover - client gone
-                    pass
-        finally:
-            if task is not None:
-                self._inflight.discard(task)
+            return await self.forward(method, path, body, trace=trace)
+        return 404, {"error": f"no route {method} {path}"}
 
 
 # ----------------------------------------------------------------------

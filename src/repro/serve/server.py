@@ -17,7 +17,9 @@ the standard library only (``asyncio`` + a minimal HTTP/1.1 codec):
   (request validation, model/predictor caches, stats) — this is what
   tests drive directly — wrapped by :class:`PredictionServer`, the
   socket layer, for real deployments and the
-  ``repro-translator serve`` CLI.
+  ``repro-translator serve`` CLI.  The socket layer itself is
+  :class:`HttpFront`, which the replica router
+  (:mod:`repro.serve.router`) shares.
 
 Endpoints::
 
@@ -60,7 +62,6 @@ import numpy as np
 
 from repro import obs as _obs
 from repro.core.bitset import resolve_backend
-from repro.core.predict import predict_view
 from repro.data.dataset import Side
 from repro.resilience.faults import CrashPoint, fault_point
 from repro.resilience.policy import CircuitBreaker, CircuitOpenError, Deadline
@@ -393,9 +394,6 @@ class PredictionService:
         registry: Where models come from.
         max_batch, max_delay_ms: Micro-batcher knobs.
         cache_size: Response-cache capacity (``0`` disables it).
-        engine: ``"compiled"`` (default) or ``"loop"`` — the reference
-            per-rule path, kept selectable for benchmarking and
-            bit-identity spot checks.
         max_predictors: How many compiled predictors (and, at twice
             this, loaded artifacts) stay resident, evicted LRU.  A
             long-running server behind a streaming maintenance loop
@@ -409,13 +407,6 @@ class PredictionService:
         backend: Word-op backend forwarded to every compiled predictor
             (``"numpy"``, ``"native"`` or ``"auto"``); affects the
             packed strategy only and is bit-identical either way.
-        prefer_mapped: When the registry version has a binary
-            ``compiled.bin`` sidecar (:mod:`repro.serve.binfmt`),
-            build predictors as zero-copy ``mmap`` views over it
-            instead of re-packing the JSON table — every worker
-            process on the machine then shares one page-cache copy of
-            the model.  A missing or damaged sidecar silently falls
-            back to the JSON path; the answers are bit-identical.
         breaker_factory: Builds the per-model
             :class:`~repro.resilience.policy.CircuitBreaker` guarding
             registry artifact loads — after repeated load failures the
@@ -437,26 +428,20 @@ class PredictionService:
         max_batch: int = 256,
         max_delay_ms: float = 2.0,
         cache_size: int = 1024,
-        engine: str = "compiled",
         max_predictors: int = 32,
         latest_ttl_seconds: float = 1.0,
         backend: str = "auto",
         breaker_factory: Callable[[], CircuitBreaker] | None = None,
-        prefer_mapped: bool = True,
         metrics: "_obs.MetricsRegistry | None" = None,
         tracer: "_obs.Tracer | None" = None,
     ) -> None:
-        if engine not in ("compiled", "loop"):
-            raise ValueError(f"unknown serving engine {engine!r}")
         if max_predictors < 1:
             raise ValueError("max_predictors must be positive")
         self.registry = registry
-        self.engine = engine
         # Resolve eagerly so a misconfigured backend (e.g. "native" on a
         # compiler-less machine) fails at service construction, not as a
         # 500 on the first /predict that compiles a predictor.
         self.backend = resolve_backend(backend)
-        self.prefer_mapped = prefer_mapped
         #: How many resident predictors were built from mmap sidecars
         #: vs recompiled from JSON (operator visibility via /statz).
         self.mapped_loads = 0
@@ -599,12 +584,15 @@ class PredictionService:
     ) -> CompiledPredictor | None:
         """Try the zero-copy mmap path; ``None`` means fall back to JSON.
 
-        The sidecar must verify (hash over every payload byte) *and*
-        name the exact JSON artifact being served — a sidecar from a
-        different publish can never answer for this version.
+        A predictor mapped from the version's ``compiled.bin`` sidecar
+        (:mod:`repro.serve.binfmt`) skips re-packing the JSON table, and
+        every worker process on the machine shares one page-cache copy
+        of the model.  The sidecar must verify (hash over every payload
+        byte) *and* name the exact JSON artifact being served — a
+        sidecar from a different publish can never answer for this
+        version.  A missing or damaged sidecar falls back silently; the
+        answers are bit-identical either way.
         """
-        if not self.prefer_mapped:
-            return None
         from repro.serve.binfmt import map_artifact
 
         path = self.registry.sidecar_path(name, version)
@@ -674,75 +662,25 @@ class PredictionService:
         """
         if not isinstance(request, dict):
             raise ValueError("request body must be a JSON object")
-        name = request.get("model")
-        if not isinstance(name, str) or not name:
-            raise ValueError("request must name a 'model'")
-        target = Side(str(request.get("target", "R")).upper())
+        name, target, render = self._request_fields(request)
         rows = request.get("rows")
         if not isinstance(rows, list) or not all(
             isinstance(row, list) for row in rows
         ):
             raise ValueError("'rows' must be a list of item-index lists")
-        render = request.get("render", False)
-        if not isinstance(render, bool):
-            raise ValueError("'render' must be a boolean")
-        version, stale = self._resolve_version(name, request.get("version"))
-        stats = self._stats_for(name)
-        stats.requests += 1
-        stats.rows += len(rows)
-        span = None
-        if self.tracer is not None and trace is not None:
-            span = self.tracer.span(
-                "serve.predict",
-                parent=trace,
-                attributes={"model": name, "rows": len(rows)},
-            )
-        try:
-            artifact, version, load_stale = self._serving_artifact(name, version)
-            stale = stale or load_stale
-            self._note_degraded(name, stale, stats)
-            cache_key = (
-                name,
-                version,
-                content_key({"target": target.value, "rows": rows}),
-            )
-            cached = self._cached_response(cache_key, stats)
-            if cached is not None:
-                if stale:
-                    cached["stale"] = True
-                if render:
-                    self._attach_rendered(cached, artifact, target)
-                return cached
+
+        def matrix(n_source: int) -> np.ndarray:
             # Lazy import: repro.stream's package init reaches back into
             # repro.serve, so a module-level import here would cycle.
             from repro.stream.source import rows_to_matrix
 
-            n_source = artifact.n_left if target is Side.RIGHT else artifact.n_right
-            matrix = rows_to_matrix(rows, n_source)
-            response = await self._predict_matrix(
-                name,
-                version,
-                target,
-                matrix,
-                stats,
-                cache_key,
-                trace=span.context if span is not None else None,
-            )
-            if stale:
-                response["stale"] = True
-            if render:
-                self._attach_rendered(response, artifact, target)
-            return response
-        except asyncio.CancelledError:
-            # Shutdown, not a model failure: propagate untouched and
-            # uncounted (re-wrapping it would break task cancellation).
-            raise
-        except BaseException:
-            stats.errors += 1
-            raise
-        finally:
-            if span is not None:
-                span.finish()
+            return rows_to_matrix(rows, n_source)
+
+        key = (content_key({"target": target.value, "rows": rows}),)
+        return await self._answer(
+            name, request.get("version"), target, render, len(rows), key,
+            matrix, trace,
+        )
 
     async def predict_packed(
         self, body: bytes, trace: "_obs.TraceContext | None" = None
@@ -751,75 +689,110 @@ class PredictionService:
 
         The body is a single-view frame from
         :func:`repro.stream.codec.encode_packed_rows` whose header
-        carries the request fields (``model``, optional ``version`` and
-        ``target``); the payload bytes become the source matrix without
-        any per-row Python work.  Responses are the same JSON documents
-        the JSON path produces.
+        carries the request fields (``model``, optional ``version``,
+        ``target`` and ``render``, validated exactly like a JSON body);
+        the payload bytes become the source matrix without any per-row
+        Python work.  Responses are the same JSON documents the JSON
+        path produces.
         """
         from repro.stream.codec import decode_packed_rows, frame_payload
 
-        meta, matrix, right = decode_packed_rows(body)
+        meta, packed, right = decode_packed_rows(body)
         if right is not None:
             raise ValueError("/predict expects a single-view packed frame")
-        name = meta.get("model")
+        name, target, render = self._request_fields(meta)
+
+        def matrix(n_source: int) -> np.ndarray:
+            if packed.shape[1] != n_source:
+                raise ValueError(
+                    f"packed frame carries {packed.shape[1]} items, the "
+                    f"source vocabulary has {n_source}"
+                )
+            return packed
+
+        # Hash the wire payload (canonical packed words, 8x fewer bytes
+        # than the unpacked matrix); the shape disambiguates frames whose
+        # payloads happen to coincide.
+        key = (
+            "packed",
+            target.value,
+            packed.shape,
+            hashlib.sha256(frame_payload(body)).hexdigest(),
+        )
+        return await self._answer(
+            name, meta.get("version"), target, render, int(packed.shape[0]),
+            key, matrix, trace,
+        )
+
+    @staticmethod
+    def _request_fields(fields: dict) -> tuple[str, Side, bool]:
+        """``(model, target, render)`` of a JSON body or packed-frame header."""
+        name = fields.get("model")
         if not isinstance(name, str) or not name:
-            raise ValueError("packed frame header must name a 'model'")
-        target = Side(str(meta.get("target", "R")).upper())
-        render = bool(meta.get("render", False))
-        version, stale = self._resolve_version(name, meta.get("version"))
+            raise ValueError("request must name a 'model'")
+        render = fields.get("render", False)
+        if not isinstance(render, bool):
+            raise ValueError("'render' must be a boolean")
+        return name, Side(str(fields.get("target", "R")).upper()), render
+
+    async def _answer(
+        self,
+        name: str,
+        version: object,
+        target: Side,
+        render: bool,
+        n_rows: int,
+        key: tuple,
+        matrix: Callable[[int], np.ndarray],
+        trace: "_obs.TraceContext | None",
+    ) -> dict:
+        """The ``/predict`` steps shared by JSON bodies and packed frames.
+
+        ``key`` completes the response-cache key after ``(name,
+        version)``; ``matrix(n_source)`` builds and validates the source
+        matrix, and runs only on a cache miss.
+        """
+        version, stale = self._resolve_version(name, version)
         stats = self._stats_for(name)
         stats.requests += 1
-        stats.rows += matrix.shape[0]
+        stats.rows += n_rows
         span = None
         if self.tracer is not None and trace is not None:
             span = self.tracer.span(
                 "serve.predict",
                 parent=trace,
-                attributes={"model": name, "rows": int(matrix.shape[0])},
+                attributes={"model": name, "rows": n_rows},
             )
         try:
             artifact, version, load_stale = self._serving_artifact(name, version)
             stale = stale or load_stale
             self._note_degraded(name, stale, stats)
-            # Hash the wire payload (canonical packed words, 8x fewer
-            # bytes than the unpacked matrix); the shape disambiguates
-            # frames whose payloads happen to coincide.
-            cache_key = (
-                name,
-                version,
-                "packed",
-                target.value,
-                matrix.shape,
-                hashlib.sha256(frame_payload(body)).hexdigest(),
-            )
-            cached = self._cached_response(cache_key, stats)
+            cache_key = (name, version, *key)
+            cached = self.response_cache.get(cache_key)
             if cached is not None:
-                if stale:
-                    cached["stale"] = True
-                if render:
-                    self._attach_rendered(cached, artifact, target)
-                return cached
-            n_source = artifact.n_left if target is Side.RIGHT else artifact.n_right
-            if matrix.shape[1] != n_source:
-                raise ValueError(
-                    f"packed frame carries {matrix.shape[1]} items, the "
-                    f"source vocabulary has {n_source}"
+                stats.cache_hits += 1
+                response = {**cached, "cached": True}  # type: ignore[dict-item]
+            else:
+                n_source = (
+                    artifact.n_left if target is Side.RIGHT else artifact.n_right
                 )
-            response = await self._predict_matrix(
-                name,
-                version,
-                target,
-                matrix,
-                stats,
-                cache_key,
-                trace=span.context if span is not None else None,
-            )
+                response = await self._predict_matrix(
+                    name,
+                    version,
+                    target,
+                    matrix(n_source),
+                    stats,
+                    cache_key,
+                    trace=span.context if span is not None else None,
+                )
             if stale:
                 response["stale"] = True
             if render:
                 self._attach_rendered(response, artifact, target)
             return response
         except asyncio.CancelledError:
+            # Shutdown, not a model failure: propagate untouched and
+            # uncounted (re-wrapping it would break task cancellation).
             raise
         except BaseException:
             stats.errors += 1
@@ -853,16 +826,6 @@ class PredictionService:
             for row in response["predictions"]
         ]
 
-    def _cached_response(self, cache_key: object, stats: ModelStats) -> dict | None:
-        """Response-cache lookup shared by the JSON and packed paths."""
-        cached = self.response_cache.get(cache_key)
-        if cached is None:
-            return None
-        stats.cache_hits += 1
-        response = dict(cached)  # type: ignore[arg-type]
-        response["cached"] = True
-        return response
-
     async def _predict_matrix(
         self,
         name: str,
@@ -874,7 +837,7 @@ class PredictionService:
         trace: "_obs.TraceContext | None" = None,
     ) -> dict:
         if matrix.shape[0]:
-            run = self._runner(name, version, target)
+            run = self.predictor(name, version, target).predict
 
             def counted_run(batch: np.ndarray) -> np.ndarray:
                 # Runs once per physical flush of this model's lane, so
@@ -900,21 +863,6 @@ class PredictionService:
         self.response_cache.put(cache_key, dict(response))
         return response
 
-    def _runner(
-        self, name: str, version: int, target: Side
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        if self.engine == "compiled":
-            return self.predictor(name, version, target).predict
-        artifact = self.artifact(name, version)
-        n_target = artifact.n_right if target is Side.RIGHT else artifact.n_left
-
-        def run(matrix: np.ndarray) -> np.ndarray:
-            return predict_view(
-                matrix, artifact.table, target, n_target, engine="loop"
-            )
-
-        return run
-
     # ------------------------------------------------------------------
     # Introspection payloads
     # ------------------------------------------------------------------
@@ -922,7 +870,6 @@ class PredictionService:
         """Liveness document for ``GET /healthz``."""
         return {
             "status": "ok",
-            "engine": self.engine,
             "models": len(self.registry.models()),
             "uptime_seconds": round(time.time() - self.started_unix, 3),
         }
@@ -1010,23 +957,9 @@ class PredictionService:
         The payload is a JSON-able dict for every route except
         ``GET /metrics``, whose payload is the Prometheus text document
         (a ``str`` — the transport picks the content type off that).
+        Every exception maps to a status here, so a client always gets
+        a reply.
         """
-        started = time.perf_counter()
-        endpoint = path if path in ENDPOINTS else "other"
-        try:
-            return await self._handle_routed(method, path, body, headers)
-        finally:
-            self._request_seconds.labels(endpoint=endpoint).observe(
-                time.perf_counter() - started
-            )
-
-    async def _handle_routed(
-        self,
-        method: str,
-        path: str,
-        body: bytes | None,
-        headers: dict[str, str] | None,
-    ) -> tuple[int, dict | str]:
         try:
             if method == "GET" and path == "/healthz":
                 return 200, self.healthz_payload()
@@ -1046,16 +979,14 @@ class PredictionService:
                         headers.get(_obs.TRACE_HEADER.lower())
                     )
                 if (body or b"").startswith(PACKED_MAGIC):
-                    if trace is not None:
-                        return 200, await self.predict_packed(body, trace=trace)
-                    return 200, await self.predict_packed(body)
+                    return 200, await self.predict_packed(body, trace=trace)
                 try:
                     request = json.loads((body or b"").decode("utf-8") or "null")
                 except ValueError:
                     return 400, {"error": "request body is not valid JSON"}
-                # Untraced requests call predict(request) exactly as
-                # before — callers wrap/replace predict with
-                # single-argument callables.
+                # Untraced requests call predict(request) with one
+                # argument: callers may replace predict with a
+                # single-argument callable.
                 if trace is not None:
                     return 200, await self.predict(request, trace=trace)
                 return 200, await self.predict(request)
@@ -1115,11 +1046,22 @@ def http_response_bytes(
     )
 
 
-class PredictionServer:
-    """Socket layer: a minimal asyncio HTTP/1.1 front for the service.
+class HttpFront:
+    """The asyncio HTTP/1.1 socket layer of the server and the router.
+
+    Each connection carries one request (``Connection: close``).  The
+    front reads it under ``read_timeout``, hands it to
+    :meth:`_handle_routed`, times that dispatch (not the socket I/O
+    around it) into ``request_seconds`` by endpoint, and writes the
+    reply: a ``dict`` as JSON, a ``str`` as the Prometheus text
+    exposition, ``bytes`` (a replica's JSON body) unchanged.  Malformed
+    requests get 400, oversized bodies 413, stalled senders 408 and
+    requests arriving during a drain 503 before the application sees
+    them.  :class:`PredictionServer` and
+    :class:`~repro.serve.router.ReplicaRouter` are its applications.
 
     Args:
-        service: The :class:`PredictionService` to expose.
+        request_seconds: Histogram labelled by ``endpoint``.
         host, port: Bind address; ``port=0`` picks a free port (read it
             back from :attr:`port` after :meth:`start`).
         read_timeout: Per-connection budget (seconds) for receiving the
@@ -1128,56 +1070,63 @@ class PredictionServer:
             pin a handler task forever.
         drain_timeout: Default grace period :meth:`stop` gives
             in-flight requests before cancelling the stragglers.
-
-    Example::
-
-        server = PredictionServer(PredictionService(registry), port=8100)
-        server.run()   # blocks; SIGINT/SIGTERM drain gracefully
+        name: Identity in logs and the drain answer; chaos tests aim
+            fault plans at ``serve.<name>.request``.
     """
 
-    #: Largest accepted request body; protects the server from a client
+    #: Largest accepted request body; protects the front from a client
     #: declaring an absurd Content-Length and streaming it.
     MAX_BODY_BYTES = 16 * 1024 * 1024
 
     def __init__(
         self,
-        service: PredictionService,
-        host: str = "127.0.0.1",
-        port: int = 8100,
-        read_timeout: float = 30.0,
-        drain_timeout: float = 5.0,
-        name: str = "server",
+        request_seconds: "_obs.Histogram",
+        host: str,
+        port: int,
+        read_timeout: float,
+        drain_timeout: float,
+        name: str,
     ) -> None:
         if read_timeout <= 0:
             raise ValueError("read_timeout must be positive")
         if drain_timeout < 0:
             raise ValueError("drain_timeout must be non-negative")
-        self.service = service
         self.host = host
         self.port = port
         self.read_timeout = read_timeout
         self.drain_timeout = drain_timeout
-        #: Replica identity: the router names its workers ``w1..wN`` and
-        #: chaos tests aim fault plans at ``serve.<name>.request``.
         self.name = name
+        self._request_seconds = request_seconds
         self._server: asyncio.AbstractServer | None = None
         self._inflight: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
         self._draining = False
         self._crashed = False
 
+    async def _handle_routed(
+        self,
+        method: str,
+        path: str,
+        body: bytes,
+        headers: dict[str, str],
+    ) -> tuple[int, dict | str | bytes]:
+        """Answer one parsed request: ``(status, payload)``."""
+        raise NotImplementedError
+
+    def _set_draining(self, draining: bool) -> None:
+        self._draining = draining
+
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind and start accepting connections (non-blocking)."""
-        self._draining = False
+        self._set_draining(False)
         self._crashed = False
-        self.service.draining = False
         self._server = await asyncio.start_server(
             self._handle_client, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         logger.info(
-            "replica %s listening on %s:%d",
+            "%s listening on %s:%d",
             self.name,
             self.host,
             self.port,
@@ -1191,19 +1140,17 @@ class PredictionServer:
 
     @property
     def crashed(self) -> bool:
-        """Whether an injected :class:`CrashPoint` killed this replica."""
+        """Whether an injected :class:`CrashPoint` killed this front."""
         return self._crashed
 
     async def stop(self, drain_timeout: float | None = None) -> dict:
-        """Gracefully drain and stop the server.
+        """Gracefully drain and close the listener.
 
         The listener closes first (no new connections), then every
         in-flight request gets up to ``drain_timeout`` seconds (default:
         the constructor's) to finish normally — their responses are
         written and their connections closed cleanly, never reset.
-        Only stragglers still running at the deadline are cancelled,
-        and outstanding micro-batcher flushes are shut down last so no
-        waiter hangs on a dead event loop.
+        Only stragglers still running at the deadline are cancelled.
 
         Returns a summary: ``{"inflight_at_stop", "completed",
         "cancelled"}``.
@@ -1216,8 +1163,7 @@ class PredictionServer:
         # Flag the drain only after the listener is fully closed: every
         # task in _inflight was accepted before the drain and is owed a
         # real response; anything arriving later sees 503.
-        self._draining = True
-        self.service.draining = True
+        self._set_draining(True)
         inflight_at_stop = len(self._inflight)
         deadline = Deadline(timeout)
         while self._inflight and not deadline.expired():
@@ -1231,14 +1177,13 @@ class PredictionServer:
             task.cancel()
         if stragglers:
             await asyncio.gather(*stragglers, return_exceptions=True)
-        await self.service.batcher.shutdown()
         summary = {
             "inflight_at_stop": inflight_at_stop,
             "completed": inflight_at_stop - len(stragglers),
             "cancelled": len(stragglers),
         }
         logger.info(
-            "replica %s drained: %d in flight, %d completed, %d cancelled",
+            "%s drained: %d in flight, %d completed, %d cancelled",
             self.name,
             inflight_at_stop,
             summary["completed"],
@@ -1307,11 +1252,14 @@ class PredictionServer:
                 # An injected crash models kill -9 at replica scope: no
                 # response, no goodbye — every open connection is reset
                 # and the listener vanishes.  The exception stops here
-                # (the "process" that died is this server, not the test
+                # (the "process" that died is this front, not the test
                 # harness hosting it).
                 self._die()
                 return
-            if isinstance(payload, str):
+            if isinstance(payload, bytes):
+                # A replica's JSON body, relayed by the router unchanged.
+                body, content_type = payload, "application/json"
+            elif isinstance(payload, str):
                 # /metrics: the payload already is the wire document.
                 body = payload.encode("utf-8")
                 content_type = _obs.METRICS_CONTENT_TYPE
@@ -1357,18 +1305,18 @@ class PredictionServer:
 
     async def _handle_one(
         self, reader: asyncio.StreamReader
-    ) -> tuple[int, dict]:
+    ) -> tuple[int, dict | str | bytes]:
         if self._draining:
             # Connections are normally all accepted before stop() closes
             # the listener; this guard covers the pathological handler
             # task that first runs after the drain flag went up.
-            return 503, {"error": "server is draining"}
-        # Chaos hook: fault plans target one replica by name, e.g.
+            return 503, {"error": f"{self.name} is draining"}
+        # Chaos hook: fault plans target one front by name, e.g.
         # plan("serve.w2.request", kind="crash") kills w2 mid-batch.
         fault_point(f"serve.{self.name}.request")
         try:
             method, path, body, headers = await asyncio.wait_for(
-                self._read_request(reader), self.read_timeout
+                read_http_request(reader, self.MAX_BODY_BYTES), self.read_timeout
             )
         except asyncio.TimeoutError:
             return 408, {
@@ -1380,13 +1328,66 @@ class PredictionServer:
             return error.status, error.payload
         except (asyncio.IncompleteReadError, ConnectionError, ValueError):
             return 400, {"error": "malformed HTTP request"}
-        return await self.service.handle(method, path, body, headers)
+        endpoint = path if path in ENDPOINTS else "other"
+        started = time.perf_counter()
+        try:
+            return await self._handle_routed(method, path, body, headers)
+        finally:
+            self._request_seconds.labels(endpoint=endpoint).observe(
+                time.perf_counter() - started
+            )
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, bytes, dict[str, str]]:
-        """Read one request; the caller bounds this with ``read_timeout``."""
-        return await read_http_request(reader, self.MAX_BODY_BYTES)
+
+class PredictionServer(HttpFront):
+    """Socket layer: the :class:`HttpFront` of a :class:`PredictionService`.
+
+    Args:
+        service: The :class:`PredictionService` to expose; its
+            ``repro_serve_request_seconds`` histogram times the requests.
+        host, port, read_timeout, drain_timeout, name: As for
+            :class:`HttpFront`; the router names its workers ``w1..wN``.
+
+    Example::
+
+        server = PredictionServer(PredictionService(registry), port=8100)
+        server.run()   # blocks; SIGINT/SIGTERM drain gracefully
+    """
+
+    def __init__(
+        self,
+        service: PredictionService,
+        host: str = "127.0.0.1",
+        port: int = 8100,
+        read_timeout: float = 30.0,
+        drain_timeout: float = 5.0,
+        name: str = "server",
+    ) -> None:
+        super().__init__(
+            service._request_seconds, host, port, read_timeout, drain_timeout, name
+        )
+        self.service = service
+
+    def _set_draining(self, draining: bool) -> None:
+        # /readyz reports the drain with a 503, so load balancers stop
+        # routing here while in-flight requests finish.
+        self._draining = self.service.draining = draining
+
+    async def stop(self, drain_timeout: float | None = None) -> dict:
+        """Drain as :meth:`HttpFront.stop` does, then shut down the
+        micro-batcher's outstanding flushes so no waiter hangs on a dead
+        event loop."""
+        summary = await super().stop(drain_timeout)
+        await self.service.batcher.shutdown()
+        return summary
+
+    async def _handle_routed(
+        self,
+        method: str,
+        path: str,
+        body: bytes,
+        headers: dict[str, str],
+    ) -> tuple[int, dict | str]:
+        return await self.service.handle(method, path, body, headers)
 
 
 async def read_http_request(
@@ -1394,11 +1395,9 @@ async def read_http_request(
 ) -> tuple[str, str, bytes, dict[str, str]]:
     """Parse one HTTP/1.1 request: ``(method, path, body, headers)``.
 
-    Header names come back lower-cased (last value wins).  Shared by
-    :class:`PredictionServer` and the replica router
-    (:mod:`repro.serve.router`) so both fronts reject malformed input
-    identically.  Raises :class:`_RequestError` carrying the HTTP
-    response for protocol violations; the caller bounds the read time.
+    Header names come back lower-cased (last value wins).  Raises
+    :class:`_RequestError` carrying the HTTP response for protocol
+    violations; :class:`HttpFront` bounds the read time.
     """
     request_line = (await reader.readline()).decode("ascii", "replace").strip()
     parts = request_line.split()

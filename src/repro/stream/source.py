@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import operator
 import os
 from pathlib import Path
 
@@ -34,13 +35,22 @@ __all__ = ["FeedSource", "JsonlSource", "PackedSource", "rows_to_matrix"]
 def rows_to_matrix(rows, n_items: int) -> np.ndarray:
     """Sparse item-index lists to a dense ``(len(rows), n_items)`` matrix.
 
-    Raises ``ValueError`` on out-of-range indices — the shared
-    validation of every ingestion path.
+    Raises ``ValueError`` naming the row on an item that is not a
+    Python or numpy integer (``bool``, ``float``, ``str``, ``None`` and
+    containers are all rejected, never coerced) or that lies outside
+    the vocabulary — the shared validation of every ingestion path.
     """
     matrix = np.zeros((len(rows), n_items), dtype=bool)
     for index, row in enumerate(rows):
         for item in row:
-            item = int(item)
+            try:
+                if isinstance(item, bool):
+                    raise TypeError
+                item = operator.index(item)
+            except TypeError:
+                raise ValueError(
+                    f"row {index}: item {item!r} is not an integer item index"
+                ) from None
             if not 0 <= item < n_items:
                 raise ValueError(
                     f"row {index}: item index {item} outside the vocabulary "

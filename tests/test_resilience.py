@@ -43,6 +43,8 @@ from repro.serve import (
     ModelRegistry,
     PredictionServer,
     PredictionService,
+    ReplicaRouter,
+    local_replica_factory,
 )
 from repro.stream import MaintenanceLoop, RefitPolicy, StreamBuffer
 from repro.stream.source import JsonlSource
@@ -607,23 +609,45 @@ def predict_request() -> bytes:
     )
 
 
+def slow_down(service: PredictionService) -> None:
+    """Keep each of the service's ``/predict`` requests in flight 50ms."""
+    inner_predict = service.predict
+
+    async def slow_predict(request):
+        await asyncio.sleep(0.05)
+        return await inner_predict(request)
+
+    service.predict = slow_predict
+
+
 class TestServerChaos:
     def test_drain_completes_all_inflight_requests(self, tmp_path):
+        """A bare server and the router (same front) drain alike."""
         registry = ModelRegistry(tmp_path / "registry")
         registry.publish(tiny_artifact(seed=1))
         n_clients = 64
+        service_config = {"max_delay_ms": 0.0, "cache_size": 0}
 
-        async def scenario():
-            service = PredictionService(registry, max_delay_ms=0.0, cache_size=0)
-            inner_predict = service.predict
-
-            async def slow_predict(request):
-                await asyncio.sleep(0.05)  # keep requests in flight
-                return await inner_predict(request)
-
-            service.predict = slow_predict
+        async def bare_server():
+            service = PredictionService(registry, **service_config)
+            slow_down(service)
             server = PredictionServer(service, port=0)
             await server.start()
+            return server
+
+        async def router():
+            router = ReplicaRouter(
+                local_replica_factory(registry, service_config=service_config),
+                workers=2,
+                probe_interval=0,
+            )
+            await router.start()
+            for replica in router.replicas:
+                slow_down(replica.server.service)  # type: ignore[attr-defined]
+            return router
+
+        async def scenario(start_front):
+            server = await start_front()
             clients = [
                 asyncio.ensure_future(http_call(server.port, predict_request()))
                 for _ in range(n_clients)
@@ -639,21 +663,20 @@ class TestServerChaos:
                 await http_call(server.port, predict_request())
             return summary, responses
 
-        summary, responses = asyncio.run(scenario())
-        assert summary["inflight_at_stop"] == n_clients
-        assert summary["cancelled"] == 0, "drain must never reset a request"
-        assert summary["completed"] == n_clients
-        statuses = [status for status, _ in responses]
-        assert statuses == [200] * n_clients
-        assert all(payload["model"] == "live" for _, payload in responses)
+        for start_front in (bare_server, router):
+            summary, responses = asyncio.run(scenario(start_front))
+            assert summary["inflight_at_stop"] == n_clients
+            assert summary["cancelled"] == 0, "drain must never reset a request"
+            assert summary["completed"] == n_clients
+            statuses = [status for status, _ in responses]
+            assert statuses == [200] * n_clients
+            assert all(payload["model"] == "live" for _, payload in responses)
 
     def test_slow_loris_gets_408_not_a_pinned_task(self, tmp_path):
         registry = ModelRegistry(tmp_path / "registry")
         registry.publish(tiny_artifact(seed=1))
 
-        async def scenario():
-            service = PredictionService(registry, max_delay_ms=0.0)
-            server = PredictionServer(service, port=0, read_timeout=0.05)
+        async def scenario(server):
             await server.start()
             try:
                 reader, writer = await asyncio.open_connection(
@@ -669,9 +692,23 @@ class TestServerChaos:
             finally:
                 await server.stop(drain_timeout=0.1)
 
-        status, payload = asyncio.run(scenario())
-        assert status == 408
-        assert "not received" in payload["error"]
+        fronts = (
+            PredictionServer(
+                PredictionService(registry, max_delay_ms=0.0),
+                port=0,
+                read_timeout=0.05,
+            ),
+            ReplicaRouter(
+                local_replica_factory(registry),
+                workers=1,
+                probe_interval=0,
+                read_timeout=0.05,
+            ),
+        )
+        for front in fronts:
+            status, payload = asyncio.run(scenario(front))
+            assert status == 408
+            assert "not received within" in payload["error"]
 
     def test_readyz_transitions(self, tmp_path):
         registry = ModelRegistry(tmp_path / "registry")

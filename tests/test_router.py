@@ -83,16 +83,15 @@ def fast_breaker() -> CircuitBreaker:
 
 def make_router(registry, workers=2, **kwargs) -> ReplicaRouter:
     kwargs.setdefault("probe_interval", 0)  # probes driven explicitly
-    kwargs.setdefault("breaker_factory", fast_breaker)
     factory = local_replica_factory(registry)
 
-    async def breaker_factory_wrapper(name):
+    async def fast_breaker_factory(name):
         replica = await factory(name)
-        replica.breaker = kwargs["breaker_factory"]()
+        replica.breaker = fast_breaker()
         return replica
 
     return ReplicaRouter(
-        breaker_factory_wrapper,
+        fast_breaker_factory,
         workers=workers,
         registry=registry,
         **kwargs,

@@ -33,6 +33,7 @@ from repro.serve.artifact import ModelArtifact
 from repro.serve.binfmt import map_artifact, write_compiled
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import PredictionService
+from repro.stream.codec import encode_packed_rows
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "scripts"))
@@ -277,3 +278,9 @@ class TestServerRendering:
             asyncio.run(
                 service.predict({"model": "mixed", "rows": [[0]], "render": "yes"})
             )
+        # A packed frame's header follows the same rule as a JSON body.
+        frame = encode_packed_rows(
+            mixed_dataset.left[:1], {"model": "mixed", "render": "yes"}
+        )
+        with pytest.raises(ValueError, match="render"):
+            asyncio.run(service.predict_packed(frame))

@@ -32,7 +32,9 @@ from repro.serve import (
     ModelRegistry,
     PredictionServer,
     PredictionService,
+    ReplicaRouter,
     load_artifact,
+    local_replica_factory,
     save_artifact,
 )
 
@@ -488,22 +490,18 @@ class TestPredictionService:
 
     def test_predictions_match_loop_engine(self, registry, car_model):
         dataset, result = car_model
-        rows = [sorted(np.flatnonzero(row).tolist()) for row in dataset.left[:16]]
-        compiled_service = PredictionService(registry, max_delay_ms=0.0)
-        loop_service = PredictionService(registry, max_delay_ms=0.0, engine="loop")
-
-        async def both():
-            return (
-                await compiled_service.predict(
-                    {"model": "car", "target": "R", "rows": rows}
-                ),
-                await loop_service.predict(
-                    {"model": "car", "target": "R", "rows": rows}
-                ),
-            )
-
-        compiled_response, loop_response = asyncio.run(both())
-        assert compiled_response["predictions"] == loop_response["predictions"]
+        batch = dataset.left[:16]
+        rows = [sorted(np.flatnonzero(row).tolist()) for row in batch]
+        service = PredictionService(registry, max_delay_ms=0.0)
+        response = asyncio.run(
+            service.predict({"model": "car", "target": "R", "rows": rows})
+        )
+        loop = predict_view(
+            batch, result.table, Side.RIGHT, dataset.n_right, engine="loop"
+        )
+        assert response["predictions"] == [
+            np.flatnonzero(row).tolist() for row in loop
+        ]
 
     def test_request_validation(self, registry):
         service = PredictionService(registry, max_delay_ms=0.0)
@@ -523,6 +521,11 @@ class TestPredictionService:
         assert (
             asyncio.run(status_of({"model": "car", "rows": [[99999]]})) == 400
         )
+        # Items must be integers: nothing is coerced, nothing is a 500.
+        for rows in (
+            [[None]], [[[1]]], [[{}]], [[0, 1.9]], [[0, "1"]], [[0, True]],
+        ):
+            assert asyncio.run(status_of({"model": "car", "rows": rows})) == 400
 
     def test_corrupt_artifact_maps_to_500(self, registry):
         path = registry.artifact_path("car", 1)
@@ -575,9 +578,9 @@ class TestPredictionService:
 
 class TestPredictionServer:
     def test_http_round_trip(self, registry):
-        async def scenario():
-            service = PredictionService(registry, max_delay_ms=0.0)
-            server = PredictionServer(service, port=0)
+        """The bare server and the router share one HTTP front."""
+
+        async def scenario(server):
             await server.start()
             try:
                 async def call(raw: bytes) -> tuple[int, dict]:
@@ -610,11 +613,18 @@ class TestPredictionServer:
             finally:
                 await server.stop()
 
-        health, predict, bad, huge = asyncio.run(scenario())
-        assert health == (200, health[1]) and health[1]["status"] == "ok"
-        assert predict[0] == 200 and predict[1]["model"] == "car"
-        assert bad[0] == 400
-        assert huge[0] == 413, "absurd Content-Length must be rejected"
+        fronts = (
+            PredictionServer(PredictionService(registry, max_delay_ms=0.0), port=0),
+            ReplicaRouter(
+                local_replica_factory(registry), workers=1, probe_interval=0
+            ),
+        )
+        for front in fronts:
+            health, predict, bad, huge = asyncio.run(scenario(front))
+            assert health == (200, health[1]) and health[1]["status"] == "ok"
+            assert predict[0] == 200 and predict[1]["model"] == "car"
+            assert bad[0] == 400
+            assert huge[0] == 413, "absurd Content-Length must be rejected"
 
 
 class TestServeCli:
