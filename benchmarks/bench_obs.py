@@ -48,7 +48,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import obs  # noqa: E402
 from repro.core.rules import TranslationRule  # noqa: E402
-from repro.core.search import CoverState, ExactRuleSearch  # noqa: E402
+from repro.core.search import ExactRuleSearch  # noqa: E402
+from repro.core.state import CoverState  # noqa: E402
 from repro.core.table import TranslationTable  # noqa: E402
 from repro.data.dataset import TwoViewDataset  # noqa: E402
 from repro.serve import (  # noqa: E402

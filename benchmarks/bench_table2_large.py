@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.search import SearchCache
 from repro.core.translator import TranslatorGreedy, TranslatorSelect
 from repro.data.registry import make_dataset, paper_stats
 from repro.eval.tables import format_table
@@ -49,7 +50,7 @@ def run_dataset(name: str, bench_scale: float) -> list[dict[str, object]]:
         try:
             candidates = TranslatorSelect(
                 minsup=minsup, max_candidates=5_000
-            )._get_candidates(dataset)
+            )._get_candidates(SearchCache(dataset))
             break
         except RuntimeError:
             minsup *= 2

@@ -6,8 +6,8 @@
   tables providing lossless translation (Algorithm 1).
 * :mod:`~repro.core.encoding` — MDL encoded lengths: per-item Shannon
   codes, ``L(X|D)``, ``L(T)``, ``L(C|T)`` (Section 4).
-* :mod:`~repro.core.state` — incremental cover state with vectorised rule
-  gains Δ (Section 5.1).
+* :mod:`~repro.core.state` — incremental cover state on packed rows with
+  popcount rule gains Δ (Section 5.1).
 * :mod:`~repro.core.bitset` — packed uint64 transaction-set kernel
   (bitwise set algebra, popcounts, weighted popcounts) shared by the
   search and the miners.

@@ -25,9 +25,9 @@ import time
 import numpy as np
 
 from repro.data.dataset import Side, TwoViewDataset
-from repro.core.bitset import BitMatrix
 from repro.core.encoding import CodeLengthModel
 from repro.core.rules import TranslationRule
+from repro.core.search import SearchCache
 from repro.core.state import CoverState
 from repro.core.translator import IterationRecord, TranslatorResult, _record
 
@@ -83,50 +83,25 @@ class TranslatorBeam:
         self.n_seeds = n_seeds
         self.n_jobs = n_jobs
         self._executor = None
-        self._left_bits: BitMatrix | None = None
-        self._right_bits: BitMatrix | None = None
 
     # ------------------------------------------------------------------
     def fit(
         self,
         dataset: TwoViewDataset,
         codes: CodeLengthModel | None = None,
-        bits: tuple[BitMatrix, BitMatrix] | None = None,
+        cache: SearchCache | None = None,
     ) -> TranslatorResult:
         """Induce a translation table for ``dataset``.
 
-        ``bits`` optionally injects pre-packed ``(left, right)``
-        :class:`BitMatrix` columns of the views (the streaming buffer
-        maintains them incrementally), skipping the per-fit repack;
-        incremental packing is bit-identical, so the fitted model is
-        unchanged.
+        ``cache`` optionally injects a pre-built :class:`SearchCache` for
+        ``dataset`` (the streaming buffer builds one from its
+        incrementally maintained packed columns), skipping the per-fit
+        repack; incremental packing is bit-identical, so the fitted model
+        is unchanged.
         """
         start = time.perf_counter()
-        state = CoverState(dataset, codes)
+        state = CoverState(dataset, codes, cache)
         history: list[IterationRecord] = []
-        # Packed per-item transaction sets, built once per fit: the beam's
-        # extension loop tests joint support emptiness for every candidate
-        # extension, and the packed AND touches 64x less memory than
-        # Boolean masks would.
-        if bits is not None:
-            left_bits, right_bits = bits
-            for matrix, view, what in (
-                (left_bits, dataset.left, "left"),
-                (right_bits, dataset.right, "right"),
-            ):
-                if (
-                    matrix.n_bits != view.shape[0]
-                    or matrix.n_items != view.shape[1]
-                ):
-                    raise ValueError(
-                        f"injected {what} bits ({matrix.n_items} items x "
-                        f"{matrix.n_bits} bits) do not match the dataset "
-                        f"view {view.shape}"
-                    )
-            self._left_bits, self._right_bits = left_bits, right_bits
-        else:
-            self._left_bits = BitMatrix.from_bool_columns(dataset.left)
-            self._right_bits = BitMatrix.from_bool_columns(dataset.right)
         from repro.runtime.executor import ParallelExecutor, effective_n_jobs
 
         if effective_n_jobs(self.n_jobs) > 1:
@@ -156,26 +131,21 @@ class TranslatorBeam:
     ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Top single-item pairs by bidirectional gain potential."""
         dataset = state.dataset
-        weights_right = state._weights_right
-        weights_left = state._weights_left
-        net_right = (
-            state.uncovered_right.astype(float)
-            - (~(dataset.right | state.translated_right)).astype(float)
-        ) * weights_right
-        net_left = (
-            state.uncovered_left.astype(float)
-            - (~(dataset.left | state.translated_left)).astype(float)
-        ) * weights_left
+        # Per-cell net weights, transactions by items.  BLAS sums these
+        # real-valued products in an order that depends on the operands'
+        # memory layout, so the layouts below are fixed: C-ordered net
+        # weights, and the Boolean views cast as they are.
+        net_left, net_right = (
+            np.ascontiguousarray(state.net_signs(side).T) * state.cover(side).weights
+            for side in (Side.LEFT, Side.RIGHT)
+        )
         forward = dataset.left.T.astype(float) @ net_right
         backward = net_left.T @ dataset.right.astype(float)
         length_grid = (
             state.codes.lengths_left[:, None] + state.codes.lengths_right[None, :]
         )
         score = forward + backward - length_grid
-        cooccur = (
-            dataset.left.T.astype(np.int32) @ dataset.right.astype(np.int32)
-        ) > 0
-        score = np.where(cooccur & np.isfinite(score), score, -np.inf)
+        score = np.where(state.cache.cooccur & np.isfinite(score), score, -np.inf)
         flat_order = np.argsort(score, axis=None)[::-1][: self.n_seeds]
         pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for index in flat_order:
@@ -203,6 +173,7 @@ class TranslatorBeam:
         first and the result is unchanged.
         """
         dataset = state.dataset
+        left_bits, right_bits = state.cache.left_bits, state.cache.right_bits
         output: list[tuple[tuple, TranslationRule | None, float]] = []
         local_seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
         for side in (Side.LEFT, Side.RIGHT):
@@ -220,17 +191,17 @@ class TranslatorBeam:
                 if key in seen_snapshot or key in local_seen:
                     continue
                 local_seen.add(key)
-                if not self._cooccurs(lhs, rhs):
+                support_left = left_bits.support(lhs)
+                support_right = right_bits.support(rhs)
+                # Exact co-occurrence test on the packed supports.
+                if not (support_left & support_right).any():
                     output.append((key, None, 0.0))
                     continue
-                extended, gain = state.best_direction(lhs, rhs)
+                extended, gain = state.best_direction(
+                    lhs, rhs, support_left=support_left, support_right=support_right
+                )
                 output.append((key, extended, gain))
         return output
-
-    def _cooccurs(self, lhs: tuple[int, ...], rhs: tuple[int, ...]) -> bool:
-        """Exact test: does some transaction contain ``lhs`` and ``rhs``?"""
-        joint = self._left_bits.support(lhs) & self._right_bits.support(rhs)
-        return bool(joint.any())
 
     def _best_rule(
         self, state: CoverState

@@ -72,8 +72,9 @@ Packed masks and :class:`BitMatrix` instances are immutable once built
 are safe to share across the worker threads of the sharded search and
 beam expansion (``n_jobs > 1``): every operation here allocates its
 result instead of writing into an operand.  Build them once per fit —
-:class:`repro.core.search.SearchCache` and ``TranslatorBeam.fit`` do —
-and hand the same instance to every shard.
+the fit's :class:`repro.core.search.SearchCache`, owned by its
+:class:`repro.core.state.CoverState`, holds them — and hand the same
+instance to every shard.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ __all__ = [
     "shift_rows",
     "subset_match_rows",
     "unpack_mask",
+    "unpack_rows",
     "popcount",
     "popcount_rows",
     "weight_table",
@@ -204,12 +206,14 @@ def shift_rows(words: np.ndarray, shift: int) -> np.ndarray:
 
 def unpack_mask(words: np.ndarray, n_bits: int) -> np.ndarray:
     """Inverse of :func:`pack_mask`: words back to a Boolean mask."""
-    if n_bits == 0:
-        return np.zeros(0, dtype=bool)
-    bits = np.unpackbits(
-        np.ascontiguousarray(words).view(np.uint8), bitorder="little"
-    )
-    return bits[:n_bits].astype(bool)
+    return unpack_rows(np.asarray(words)[None, :], n_bits)[0]
+
+
+def unpack_rows(words: np.ndarray, n_bits: int) -> np.ndarray:
+    """Inverse of :meth:`BitMatrix.from_bool_rows`: a ``(n_rows, n_bits)`` Boolean matrix."""
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=n_bits, bitorder="little")
+    return bits.view(bool)
 
 
 def popcount(words: np.ndarray) -> int:
@@ -329,15 +333,6 @@ def native_kernel(backend: str = "auto"):
     return native.load_kernel()
 
 
-def _row_bits(words: np.ndarray) -> np.ndarray:
-    """Little-endian bit expansion of a 2-D word array (reference path)."""
-    if words.shape[1] == 0:
-        return np.zeros((words.shape[0], 0), dtype=np.uint8)
-    return np.unpackbits(
-        np.ascontiguousarray(words).view(np.uint8), axis=1, bitorder="little"
-    )
-
-
 def fixed_weight_table(weights: np.ndarray) -> np.ndarray:
     """Lay integer-valued weights out as a flat padded ``int64`` table.
 
@@ -426,7 +421,7 @@ def child_metrics_rows(
     joints = popcount_rows(new & supp_other)
     # Integer sums < 2**51 are exact in float64, so riding BLAS here is
     # still bit-identical to the int64 accumulation of the C kernel.
-    bits = _row_bits(new).astype(np.float64)
+    bits = unpack_rows(new, new.shape[1] * WORD_BITS).astype(np.float64)
     gains = np.rint(bits @ gain_table.astype(np.float64)).astype(np.int64)
     wsums = None
     if wsum_table is not None:
@@ -636,10 +631,7 @@ class BitMatrix:
 
     def to_bool_columns(self) -> np.ndarray:
         """Unpack back to a ``(n_transactions, n_items)`` Boolean matrix."""
-        out = np.zeros((self.n_bits, self.n_items), dtype=bool)
-        for item in range(self.n_items):
-            out[:, item] = unpack_mask(self.words[item], self.n_bits)
-        return out
+        return np.ascontiguousarray(unpack_rows(self.words, self.n_bits).T)
 
     # ------------------------------------------------------------------
     # Vectorized set algebra

@@ -50,10 +50,12 @@ Python's recursion limit.  Directional gain vectors are maintained
 incrementally — extending a rule by one item adds one weight column
 instead of re-slicing the full net-weight matrix per evaluation.
 
-A :class:`SearchCache` carries the dataset-static state (packed item
-masks, 0/1 item matrices, the co-occurrence grid) across the greedy
-iterations of ``TranslatorExact`` so it is built once per fit rather than
-once per ``find_best_rule`` call.
+A :class:`SearchCache` holds the dataset-static state: the packed data
+columns, packed once per fit, and the dense operands only a search reads
+(0/1 item matrices, the co-occurrence grid), built when a search first
+needs them.  The fit's :class:`~repro.core.state.CoverState` owns the
+cache, so every search of a fit, and the state's own gains, share one
+set of packed columns.
 
 Parallel sharding (``n_jobs``)
 ------------------------------
@@ -80,9 +82,11 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import math
 import time
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -95,9 +99,12 @@ from repro.core.bitset import (
     fixed_weight_table,
     pack_mask,
     resolve_backend,
+    unpack_rows,
 )
 from repro.core.rules import TranslationRule
-from repro.core.state import CoverState
+
+if TYPE_CHECKING:
+    from repro.core.state import CoverState
 
 __all__ = ["SearchStats", "SearchCheckpoint", "SearchCache", "ExactRuleSearch"]
 
@@ -260,19 +267,25 @@ class _Item:
 
 
 class SearchCache:
-    """Dataset-static structures shared by every search over one dataset.
+    """Dataset-static structures shared by a fit's cover state and searches.
 
-    ``TranslatorExact`` builds one cache per ``fit`` and threads it through
-    its greedy iterations; standalone searches build a private one.  The
-    cache never depends on the cover state, only on the dataset.
+    :class:`~repro.core.state.CoverState` builds one (or receives one
+    through ``CoverState(cache=)``) and every search over that state uses
+    it, so it is built once per fit rather than once per
+    ``find_best_rule`` call.  The cache never depends on the cover state,
+    only on the dataset.
 
     ``left_bits`` / ``right_bits`` optionally inject pre-packed
     :class:`BitMatrix` columns for the two views — the streaming buffer
     (:class:`repro.stream.StreamBuffer`) maintains them incrementally
-    and hands them in so a windowed refit skips the full repack.  They
-    must describe exactly ``dataset``'s views; since incremental packing
-    is bit-identical to packing from scratch, the search behaves
-    identically either way.
+    and the column store keeps them on disk, so a refit skips the full
+    repack.  They must describe exactly ``dataset``'s views; since
+    incremental packing is bit-identical to packing from scratch, every
+    fit behaves identically either way.
+
+    Construction packs only.  The dense operands a search reads
+    (``left_T``, ``right_T``, ``cooccur``) are built on first use, so
+    states that only replay rules never pay for them.
     """
 
     def __init__(
@@ -303,14 +316,24 @@ class SearchCache:
         )
         self.left_counts = self.left_bits.counts()
         self.right_counts = self.right_bits.counts()
-        # 0/1 item masks, one row per item, in float64 so the fixed-point
-        # matrix products downstream run on the BLAS dot kernels.
-        self.left_T = np.ascontiguousarray(dataset.left.T, dtype=np.float64)
-        self.right_T = np.ascontiguousarray(dataset.right.T, dtype=np.float64)
-        self.cooccur = (
-            dataset.left.T.astype(np.int32) @ dataset.right.astype(np.int32)
-        ) > 0
         self.full_words = pack_mask(np.ones(dataset.n_transactions, dtype=bool))
+
+    # 0/1 item masks, one row per item, in float64 so the fixed-point
+    # matrix products downstream run on the BLAS dot kernels.
+    @functools.cached_property
+    def left_T(self) -> np.ndarray:
+        return np.ascontiguousarray(self.dataset.left.T, dtype=np.float64)
+
+    @functools.cached_property
+    def right_T(self) -> np.ndarray:
+        return np.ascontiguousarray(self.dataset.right.T, dtype=np.float64)
+
+    @functools.cached_property
+    def cooccur(self) -> np.ndarray:
+        """``(n_left, n_right)`` grid: do the two items ever co-occur?"""
+        # Joint counts are integers far below 2^53, so the float64 BLAS
+        # product is exact (numpy runs integer matmuls without BLAS).
+        return (self.left_T @ self.right_T.T) > 0
 
 
 class _Quantized:
@@ -340,11 +363,10 @@ class _Quantized:
         "neg_right",
     )
 
-    def __init__(self, state: CoverState, keep_sign_masks: bool = False) -> None:
-        dataset = state.dataset
-        n = dataset.n_transactions
-        weights_left = state._weights_left
-        weights_right = state._weights_right
+    def __init__(self, state: CoverState) -> None:
+        n = state.dataset.n_transactions
+        weights_left = state.cover(Side.LEFT).weights
+        weights_right = state.cover(Side.RIGHT).weights
         tub_left = state.transaction_upper_bounds(Side.LEFT)
         tub_right = state.transaction_upper_bounds(Side.RIGHT)
         tub_max = 0.0
@@ -359,31 +381,19 @@ class _Quantized:
         self.one = float(1 << self.bits)
         self.wq_left = np.rint(weights_left * self.one)
         self.wq_right = np.rint(weights_right * self.one)
-        # tub in fixed point, recomputed from the quantized weights so the
-        # rub bound provably dominates the quantized gains.
-        self.tubq_left = state.uncovered_left @ self.wq_left
-        self.tubq_right = state.uncovered_right @ self.wq_right
         # Net per-cell weight sign: covering an uncovered cell gains its
         # code length, introducing a new error loses it, anything else 0.
-        # With ``keep_sign_masks`` the positive/negative cell masks stay
-        # alive (the native search backend expresses net sums as two
-        # fused AND+popcounts on their packed columns instead of a dense
-        # GEMM); otherwise they are temporaries as before, so a numpy
-        # fit never pins two extra dense (n x items) masks.
-        pos_left = state.uncovered_left
-        neg_left = ~(dataset.left | state.translated_left)
-        pos_right = state.uncovered_right
-        neg_right = ~(dataset.right | state.translated_right)
-        sign_left = pos_left.astype(np.float64) - neg_left.astype(np.float64)
-        sign_right = pos_right.astype(np.float64) - neg_right.astype(np.float64)
-        self.netq_left_T = np.ascontiguousarray(sign_left.T) * self.wq_left[:, None]
-        self.netq_right_T = np.ascontiguousarray(sign_right.T) * self.wq_right[:, None]
-        if keep_sign_masks:
-            self.pos_left, self.neg_left = pos_left, neg_left
-            self.pos_right, self.neg_right = pos_right, neg_right
-        else:
-            self.pos_left = self.neg_left = None
-            self.pos_right = self.neg_right = None
+        # The native backend sums the packed sign rows as fused
+        # AND+popcounts; both backends read the dense fixed-point rows.
+        self.pos_left, self.neg_left = state.sign_rows(Side.LEFT)
+        self.pos_right, self.neg_right = state.sign_rows(Side.RIGHT)
+        # tub in fixed point, recomputed from the quantized weights (the
+        # positive rows are U) so the rub bound provably dominates the
+        # quantized gains.
+        self.tubq_left = unpack_rows(self.pos_left, n).T @ self.wq_left
+        self.tubq_right = unpack_rows(self.pos_right, n).T @ self.wq_right
+        self.netq_left_T = state.net_signs(Side.LEFT) * self.wq_left[:, None]
+        self.netq_right_T = state.net_signs(Side.RIGHT) * self.wq_right[:, None]
 
     def to_float(self, value: float) -> float:
         return float(value) / self.one
@@ -436,12 +446,14 @@ class _Frame:
 
 
 class _BitsetContext:
-    """Universe-ordered packed masks and 0/1 matrices of one search.
+    """Universe-ordered packed masks and per-backend operands of one search.
 
     The per-side matrices are *compact*: row ``p`` of ``mask_left`` is the
     ``p``-th left-view entry of the universe (in universe order), so the
     batched products below never touch rows of the other side.
     ``side_position[u]`` maps a universe index to its side-local row.
+    The dense 0/1 and net rows (``mask_*``, ``net_*``) exist for the numpy
+    backend only; the native backend gets packed and int64 tables instead.
     """
 
     __slots__ = (
@@ -462,8 +474,8 @@ class _BitsetContext:
         "words_right",
         "tub_table_left",
         "tub_table_right",
-        "netq_left_i64",
-        "netq_right_i64",
+        "gain_rows_left",
+        "gain_rows_right",
         "pos_left_words",
         "neg_left_words",
         "pos_right_words",
@@ -504,13 +516,19 @@ class _BitsetContext:
                 self.words_all[index] = cache.right_bits.row(entry.column)
         self.left_index = np.asarray(left_index, dtype=np.int64)
         self.right_index = np.asarray(right_index, dtype=np.int64)
-        self.mask_left = cache.left_T[left_columns]
-        self.mask_right = cache.right_T[right_columns]
-        self.net_left = quantized.netq_left_T[left_columns]
-        self.net_right = quantized.netq_right_T[right_columns]
         self.full_words = cache.full_words
         self.kernel = None
-        if backend == "native":
+        if backend != "native":
+            # Dense operands of the numpy childset and frame supports;
+            # frame gains accumulate whole fixed-point net rows.
+            self.mask_left = cache.left_T[left_columns]
+            self.mask_right = cache.right_T[right_columns]
+            self.net_left = quantized.netq_left_T[left_columns]
+            self.net_right = quantized.netq_right_T[right_columns]
+            self.gain_rows_left = quantized.netq_left_T
+            self.gain_rows_right = quantized.netq_right_T
+        else:
+            self.mask_left = self.mask_right = None
             from repro import native
 
             self.kernel = native.load_kernel()
@@ -525,22 +543,14 @@ class _BitsetContext:
             # int64 net-weight rows the drivers accumulate frame gains from.
             self.tub_table_left = fixed_weight_table(quantized.tubq_left)
             self.tub_table_right = fixed_weight_table(quantized.tubq_right)
-            self.netq_left_i64 = self._padded_i64(quantized.netq_left_T)
-            self.netq_right_i64 = self._padded_i64(quantized.netq_right_T)
-            # Packed positive/negative net-sign columns, universe-ordered:
+            self.gain_rows_left = self._padded_i64(quantized.netq_left_T)
+            self.gain_rows_right = self._padded_i64(quantized.netq_right_T)
+            # Packed positive/negative net-sign rows, universe-ordered:
             # net sums become wq * (|pos & supp| - |neg & supp|).
-            self.pos_left_words = BitMatrix.from_bool_columns(
-                quantized.pos_left[:, left_columns]
-            ).words
-            self.neg_left_words = BitMatrix.from_bool_columns(
-                quantized.neg_left[:, left_columns]
-            ).words
-            self.pos_right_words = BitMatrix.from_bool_columns(
-                quantized.pos_right[:, right_columns]
-            ).words
-            self.neg_right_words = BitMatrix.from_bool_columns(
-                quantized.neg_right[:, right_columns]
-            ).words
+            self.pos_left_words = quantized.pos_left[left_columns]
+            self.neg_left_words = quantized.neg_left[left_columns]
+            self.pos_right_words = quantized.pos_right[right_columns]
+            self.neg_right_words = quantized.neg_right[right_columns]
             self.wq_left_univ = quantized.wq_left[left_columns]
             self.wq_right_univ = quantized.wq_right[right_columns]
 
@@ -846,9 +856,6 @@ class ExactRuleSearch:
         cache-resident BLAS wins), numpy otherwise; resolution never
         fails.  Both backends compute the same exact fixed-point
         integers, so rules, gains and statistics are bit-identical.
-    cache:
-        Optional :class:`SearchCache` reused across searches over the same
-        dataset (``TranslatorExact`` passes one per fit).
     n_jobs:
         Worker count for root-subtree sharding (``None``/``-1`` = all
         CPUs).  The returned rule and gain are bit-identical to the
@@ -877,13 +884,10 @@ class ExactRuleSearch:
         order_items: bool = True,
         seed_pairs: bool = True,
         backend: str = "auto",
-        cache: SearchCache | None = None,
         n_jobs: int | None = 1,
         executor=None,
         checkpoint: SearchCheckpoint | None = None,
     ) -> None:
-        if cache is not None and cache.dataset is not state.dataset:
-            raise ValueError("cache was built for a different dataset")
         from repro.runtime.executor import effective_n_jobs
 
         self.state = state
@@ -900,7 +904,7 @@ class ExactRuleSearch:
             self.backend = "numpy"
         else:
             self.backend = resolve_backend(backend)
-        self.cache = cache if cache is not None else SearchCache(state.dataset)
+        self.cache = state.cache
         self.n_jobs = executor.n_jobs if executor is not None else effective_n_jobs(n_jobs)
         self.executor = executor
         if checkpoint is not None:
@@ -936,7 +940,7 @@ class ExactRuleSearch:
         state = self.state
         dataset = state.dataset
         stats = SearchStats(backend=self.backend)
-        quantized = _Quantized(state, keep_sign_masks=self.backend == "native")
+        quantized = _Quantized(state)
         universe = self._build_universe(quantized)
 
         best_rule: TranslationRule | None = None
@@ -1162,14 +1166,10 @@ class ExactRuleSearch:
         entry_length = [entry.length_q for entry in universe]
         side_position = context.side_position
         words_all = context.words_all
+        netq_left_rows = context.gain_rows_left
+        netq_right_rows = context.gain_rows_right
         mask_left_rows = context.mask_left
         mask_right_rows = context.mask_right
-        if native:
-            netq_left_rows = context.netq_left_i64
-            netq_right_rows = context.netq_right_i64
-        else:
-            netq_left_rows = quantized.netq_left_T
-            netq_right_rows = quantized.netq_right_T
 
         path = checkpoint.path
         stack = [
@@ -1350,8 +1350,6 @@ class ExactRuleSearch:
         size = len(universe)
         use_rub, use_qub = self.use_rub, self.use_qub
         max_rule_size, max_nodes = self.max_rule_size, self.max_nodes
-        netq_left_T = quantized.netq_left_T
-        netq_right_T = quantized.netq_right_T
         entry_is_left = [entry.side is Side.LEFT for entry in universe]
         entry_column = [entry.column for entry in universe]
         entry_length = [entry.length_q for entry in universe]
@@ -1360,16 +1358,12 @@ class ExactRuleSearch:
             context = _BitsetContext(universe, quantized, self.cache, self.backend)
         native = context.kernel is not None
         childset_class = _NativeChildSet if native else _BitsetChildSet
-        if native:
-            netq_left_rows = context.netq_left_i64
-            netq_right_rows = context.netq_right_i64
-        else:
-            netq_left_rows = netq_left_T
-            netq_right_rows = netq_right_T
-        side_position = context.side_position
-        words_all = context.words_all
+        netq_left_rows = context.gain_rows_left
+        netq_right_rows = context.gain_rows_right
         mask_left_rows = context.mask_left
         mask_right_rows = context.mask_right
+        side_position = context.side_position
+        words_all = context.words_all
 
         nodes_visited = stats.nodes_visited
         if resume is not None:

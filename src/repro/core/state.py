@@ -5,7 +5,7 @@ compression gain of a candidate rule (paper, Eq. 1-2) must be evaluated
 against the *current* table thousands of times per iteration.  This module
 maintains the derived state — translated views, uncovered tables ``U``,
 error tables ``E`` and all encoded-length totals — incrementally, and
-computes gains as vectorised masked sums:
+computes gains as popcounts over packed transaction sets:
 
     Δ_{D|T}(X -> Y) = Σ_{t: X ⊆ t_L}  L(Y ∩ U_t^R | D_R)
                                      - L(Y \\ (t_R ∪ E_t^R) | D_R)
@@ -13,6 +13,16 @@ computes gains as vectorised masked sums:
 Key facts exploited (Section 5.1): rules are only ever added, so the
 translated views grow monotonically, ``U`` shrinks monotonically and ``E``
 grows monotonically; an error can never be removed again.
+
+The translated view, ``U`` and ``E`` of each side (a :class:`SideCover`)
+are ``uint64`` word rows, one per item, in the layout of the data columns
+of the state's :class:`~repro.core.search.SearchCache`.  A directional
+delta is AND/ANDNOT plus popcount over the consequent rows — an integer
+count per consequent column, dotted with the code lengths in column
+order — and adding a rule is OR/ANDNOT on them.  Other modules never read
+the rows: they ask for transaction upper bounds, net signs
+(:meth:`CoverState.sign_rows`, :meth:`CoverState.net_signs`) or cell
+counts (:meth:`CoverState.snapshot`).
 """
 
 from __future__ import annotations
@@ -20,19 +30,78 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import Side, TwoViewDataset
+from repro.core.bitset import BitMatrix, popcount, popcount_rows, unpack_rows
 from repro.core.encoding import CodeLengthModel
 from repro.core.rules import Direction, TranslationRule
+from repro.core.search import SearchCache
 from repro.core.table import TranslationTable
 
-__all__ = ["CoverState"]
+__all__ = ["CoverState", "SideCover"]
+
+
+class SideCover:
+    """Packed cover of one view: its data, translated, ``U`` and ``E`` rows.
+
+    ``data`` is the view's :class:`BitMatrix`; ``translated``,
+    ``uncovered`` and ``errors`` are ``(n_items, n_words)`` uint64 arrays
+    in the same layout, and ``weights`` holds the view's finite per-item
+    code lengths.  Treat all of them as read-only.
+    """
+
+    __slots__ = ("data", "translated", "uncovered", "errors", "weights")
+
+    def __init__(self, data: BitMatrix, lengths: np.ndarray) -> None:
+        self.data = data
+        # With an empty table everything is uncovered and nothing is an error.
+        self.uncovered = data.words.copy()
+        self.translated = np.zeros_like(self.uncovered)
+        self.errors = np.zeros_like(self.uncovered)
+        # Finite per-item weights: infinite codes belong to never-occurring
+        # items, which can never be covered nor erroneously introduced by
+        # rules built from occurring itemsets.
+        self.weights = np.where(np.isfinite(lengths), lengths, 0.0)
+
+    def _new_cells(
+        self, support: np.ndarray, columns: list[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Cells that translating ``columns`` onto ``support`` covers or makes errors.
+
+        A new error is a cell neither in the data nor already translated
+        (already-translated absent cells are in ``E``); the support's zero
+        padding drops the complement's padding bits.
+        """
+        covered = self.uncovered[columns] & support
+        errors = support & ~(self.data.words[columns] | self.translated[columns])
+        return covered, errors
+
+    def delta(self, support: np.ndarray, columns: list[int]) -> float:
+        """Covered bits minus new error bits of translating ``columns`` onto ``support``."""
+        weights = self.weights[columns]
+        covered, errors = self._new_cells(support, columns)
+        return float(popcount_rows(covered) @ weights) - float(
+            popcount_rows(errors) @ weights
+        )
+
+    def apply(self, support: np.ndarray, columns: list[int]) -> float:
+        """Translate ``columns`` onto ``support``; returns the change in correction bits."""
+        weights = self.weights[columns]
+        covered, errors = self._new_cells(support, columns)
+        covered_bits = float(popcount_rows(covered) @ weights)
+        error_bits = float(popcount_rows(errors) @ weights)
+        self.translated[columns] |= support
+        self.uncovered[columns] &= ~support
+        self.errors[columns] |= errors
+        return error_bits - covered_bits
 
 
 class CoverState:
     """Mutable state of a translation table being constructed for a dataset.
 
-    The state owns a :class:`TranslationTable` plus the matrices derived
-    from it.  Rules are added through :meth:`add_rule`, which keeps
-    everything consistent in ``O(|supp| * |rule|)`` time.
+    The state owns a :class:`TranslationTable`, the fit's
+    :class:`SearchCache` and the packed cover derived from the table, one
+    :class:`SideCover` per view (:meth:`cover`).  Rules are added through
+    :meth:`add_rule`, which keeps everything consistent in
+    ``O(|rule| * n / 64)`` word operations.
 
     Parameters
     ----------
@@ -41,41 +110,41 @@ class CoverState:
     code_lengths:
         Optional pre-built :class:`CodeLengthModel` (shared across states
         to avoid recomputation).
+    cache:
+        Optional :class:`SearchCache` of ``dataset`` (the streaming
+        buffer and the column store build one from columns they already
+        hold); by default the state packs its own.  A cache built for
+        another dataset object raises ``ValueError``.
     """
 
     def __init__(
         self,
         dataset: TwoViewDataset,
         code_lengths: CodeLengthModel | None = None,
+        cache: SearchCache | None = None,
     ) -> None:
+        if cache is None:
+            cache = SearchCache(dataset)
+        elif cache.dataset is not dataset:
+            raise ValueError("cache was built for a different dataset")
         self.dataset = dataset
+        self.cache = cache
         self.codes = code_lengths if code_lengths is not None else CodeLengthModel(dataset)
         self.table = TranslationTable()
-        n = dataset.n_transactions
-        self.translated_left = np.zeros((n, dataset.n_left), dtype=bool)
-        self.translated_right = np.zeros((n, dataset.n_right), dtype=bool)
-        # With an empty table everything is uncovered and nothing is an error.
-        self.uncovered_left = dataset.left.copy()
-        self.uncovered_right = dataset.right.copy()
-        self.errors_left = np.zeros_like(dataset.left)
-        self.errors_right = np.zeros_like(dataset.right)
-        # Finite per-item weights: infinite codes belong to never-occurring
-        # items, which can never be covered nor erroneously introduced by
-        # rules built from occurring itemsets (guarded in gain/add paths).
-        self._weights_left = np.where(
-            np.isfinite(self.codes.lengths_left), self.codes.lengths_left, 0.0
-        )
-        self._weights_right = np.where(
-            np.isfinite(self.codes.lengths_right), self.codes.lengths_right, 0.0
-        )
+        self._left = SideCover(cache.left_bits, self.codes.lengths_left)
+        self._right = SideCover(cache.right_bits, self.codes.lengths_right)
         self.table_bits = 0.0
         self.correction_bits_left = float(
-            np.dot(self.uncovered_left.sum(axis=0), self._weights_left)
+            np.dot(popcount_rows(self._left.uncovered), self._left.weights)
         )
         self.correction_bits_right = float(
-            np.dot(self.uncovered_right.sum(axis=0), self._weights_right)
+            np.dot(popcount_rows(self._right.uncovered), self._right.weights)
         )
         self.baseline_bits = self.correction_bits_left + self.correction_bits_right
+
+    def cover(self, side: Side) -> SideCover:
+        """The packed cover of one view."""
+        return self._left if side is Side.LEFT else self._right
 
     # ------------------------------------------------------------------
     # Length accounting
@@ -92,8 +161,10 @@ class CoverState:
 
     def correction_fraction(self) -> float:
         """``|C|% = |C| / ((|I_L| + |I_R|) * |D|)`` (Section 6, fraction)."""
-        cells = int(self.uncovered_left.sum() + self.errors_left.sum())
-        cells += int(self.uncovered_right.sum() + self.errors_right.sum())
+        cells = sum(
+            popcount(cover.uncovered) + popcount(cover.errors)
+            for cover in (self._left, self._right)
+        )
         denominator = self.dataset.n_items * self.dataset.n_transactions
         return cells / denominator if denominator else 0.0
 
@@ -101,10 +172,10 @@ class CoverState:
         """Per-iteration statistics used by the Fig. 2 construction trace."""
         return {
             "n_rules": len(self.table),
-            "uncovered_left": int(self.uncovered_left.sum()),
-            "uncovered_right": int(self.uncovered_right.sum()),
-            "errors_left": int(self.errors_left.sum()),
-            "errors_right": int(self.errors_right.sum()),
+            "uncovered_left": popcount(self._left.uncovered),
+            "uncovered_right": popcount(self._right.uncovered),
+            "errors_left": popcount(self._left.errors),
+            "errors_right": popcount(self._right.errors),
             "table_bits": self.table_bits,
             "correction_bits_left": self.correction_bits_left,
             "correction_bits_right": self.correction_bits_right,
@@ -115,44 +186,12 @@ class CoverState:
     # ------------------------------------------------------------------
     # Gain computation (Eq. 1-2)
     # ------------------------------------------------------------------
-    def _delta_cells(
-        self, target: Side, rows: np.ndarray, consequent: tuple[int, ...]
-    ) -> float:
-        """``Δ_{D|T}`` of one direction given the antecedent's support rows.
-
-        ``rows`` is an integer index array of the transactions in which the
-        antecedent occurs (the fast path used by the candidate-based
-        algorithms, which precompute supports once).
-        """
-        if rows.size == 0:
-            return 0.0
-        consequent_columns = list(consequent)
-        if target is Side.RIGHT:
-            uncovered = self.uncovered_right
-            translated = self.translated_right
-            data = self.dataset.right
-            weights = self._weights_right[consequent_columns]
-        else:
-            uncovered = self.uncovered_left
-            translated = self.translated_left
-            data = self.dataset.left
-            weights = self._weights_left[consequent_columns]
-        grid = np.ix_(rows, consequent_columns)
-        covered_cells = uncovered[grid]
-        # New errors: consequent items neither present in the data nor
-        # already translated (already-translated absent items are in E).
-        error_cells = ~(data[grid] | translated[grid])
-        return float(covered_cells.sum(axis=0) @ weights) - float(
-            error_cells.sum(axis=0) @ weights
-        )
-
     def _delta_towards(
         self, target: Side, antecedent: tuple[int, ...], consequent: tuple[int, ...]
     ) -> float:
         """``Δ_{D|T}`` of one direction: covered bits minus new error bits."""
-        source = target.opposite
-        rows = np.flatnonzero(self.dataset.support_mask(source, antecedent))
-        return self._delta_cells(target, rows, consequent)
+        support = self.cover(target.opposite).data.support(antecedent)
+        return self.cover(target).delta(support, list(consequent))
 
     def delta_forward(self, lhs: tuple[int, ...], rhs: tuple[int, ...]) -> float:
         """``Δ_{D|T}(X -> Y)``: data-length reduction of the forward part."""
@@ -186,16 +225,17 @@ class CoverState:
 
         Computes the two directional deltas once and derives all three
         gains from them (the bidirectional delta is their sum, Section 5.1).
-        ``support_left`` / ``support_right`` optionally pass precomputed
-        support row-index arrays of ``lhs`` / ``rhs`` (the candidate-based
-        algorithms reuse them across iterations).
+        ``support_left`` / ``support_right`` optionally pass the packed
+        supports of ``lhs`` / ``rhs`` (``state.cache.left_bits.support``;
+        the candidate-based algorithms reuse them across iterations).
+        Pure: worker threads may call it concurrently.
         """
         if support_left is None:
-            support_left = np.flatnonzero(self.dataset.support_mask(Side.LEFT, lhs))
+            support_left = self._left.data.support(lhs)
         if support_right is None:
-            support_right = np.flatnonzero(self.dataset.support_mask(Side.RIGHT, rhs))
-        forward = self._delta_cells(Side.RIGHT, support_left, rhs)
-        backward = self._delta_cells(Side.LEFT, support_right, lhs)
+            support_right = self._right.data.support(rhs)
+        forward = self._right.delta(support_left, list(rhs))
+        backward = self._left.delta(support_right, list(lhs))
         base_bits = self.codes.itemset_length(Side.LEFT, lhs) + self.codes.itemset_length(
             Side.RIGHT, rhs
         )
@@ -213,39 +253,14 @@ class CoverState:
     def _apply_towards(
         self, target: Side, antecedent: tuple[int, ...], consequent: tuple[int, ...]
     ) -> None:
-        source = target.opposite
-        rows = self.dataset.support_mask(source, antecedent)
-        if not rows.any():
+        support = self.cover(target.opposite).data.support(antecedent)
+        if not support.any():
             return
-        columns = list(consequent)
+        change = self.cover(target).apply(support, list(consequent))
         if target is Side.RIGHT:
-            translated, uncovered, errors = (
-                self.translated_right,
-                self.uncovered_right,
-                self.errors_right,
-            )
-            data = self.dataset.right
-            weights = self._weights_right[columns]
+            self.correction_bits_right += change
         else:
-            translated, uncovered, errors = (
-                self.translated_left,
-                self.uncovered_left,
-                self.errors_left,
-            )
-            data = self.dataset.left
-            weights = self._weights_left[columns]
-        grid = np.ix_(rows, columns)
-        newly_covered = uncovered[grid]
-        new_errors = ~(data[grid] | translated[grid])
-        covered_bits = float(newly_covered.sum(axis=0) @ weights)
-        error_bits = float(new_errors.sum(axis=0) @ weights)
-        translated[grid] = True
-        uncovered[grid] = False
-        errors[grid] |= new_errors
-        if target is Side.RIGHT:
-            self.correction_bits_right += error_bits - covered_bits
-        else:
-            self.correction_bits_left += error_bits - covered_bits
+            self.correction_bits_left += change
 
     def add_rule(self, rule: TranslationRule) -> None:
         """Add ``rule`` to the table and update all derived state."""
@@ -265,6 +280,33 @@ class CoverState:
         ``tub(t_side) = L(U_t^side | D_side)``; constant during the search
         for a single rule, recomputed between iterations.
         """
-        if side is Side.RIGHT:
-            return self.uncovered_right @ self._weights_right
-        return self.uncovered_left @ self._weights_left
+        cover = self.cover(side)
+        rows = unpack_rows(cover.uncovered, self.dataset.n_transactions)
+        # ``rows.T @ weights`` sums each transaction in the order a dense
+        # (n x items) product does; the search's fixed-point step depends
+        # on these floats.
+        return rows.T @ cover.weights
+
+    def sign_rows(self, side: Side) -> tuple[np.ndarray, np.ndarray]:
+        """Packed ``(positive, negative)`` net-sign rows of one side.
+
+        Translating an item onto a positive cell (an uncovered one) gains
+        the item's code length; onto a negative cell (neither in the data
+        nor already translated) it adds an error and loses it; every other
+        cell is neutral.  The positive rows are the live ``U`` rows, so
+        callers must not mutate them.
+        """
+        cover = self.cover(side)
+        present = cover.data.words | cover.translated
+        return cover.uncovered, self.cache.full_words & ~present
+
+    def net_signs(self, side: Side) -> np.ndarray:
+        """Dense ``(items, n)`` float64 net sign of every cell of one side.
+
+        ``+1`` on the positive cells of :meth:`sign_rows`, ``-1`` on the
+        negative ones, ``0`` elsewhere; scaled by the code lengths, a row
+        sums to the delta of translating its item onto a set of rows.
+        """
+        positive, negative = self.sign_rows(side)
+        n = self.dataset.n_transactions
+        return unpack_rows(positive, n).astype(np.float64) - unpack_rows(negative, n)

@@ -22,16 +22,19 @@ from __future__ import annotations
 import dataclasses
 import time
 
-import numpy as np
-
 from repro import obs as _obs
-from repro.data.dataset import Side, TwoViewDataset
+from repro.data.dataset import TwoViewDataset
 from repro.core.encoding import CodeLengthModel
 from repro.core.rules import TranslationRule
 from repro.core.search import ExactRuleSearch, SearchCache, SearchStats
 from repro.core.state import CoverState
 from repro.core.table import TranslationTable
-from repro.mining.twoview import TwoViewCandidate, auto_minsup, two_view_candidates
+from repro.mining.twoview import (
+    TwoViewCandidate,
+    auto_minsup,
+    joint_bits,
+    two_view_candidates,
+)
 
 __all__ = [
     "IterationRecord",
@@ -230,7 +233,7 @@ class TranslatorExact:
         ``cache`` optionally injects a pre-built :class:`SearchCache` for
         ``dataset`` (the streaming buffer builds one from its
         incrementally maintained packed columns, skipping the repack);
-        it must have been constructed for this exact dataset object.
+        :class:`CoverState` rejects a cache built for another dataset.
 
         ``store`` accepts a :class:`repro.corpus.ColumnStore` instead of
         a dataset: the store's already-packed column blocks are stitched
@@ -252,16 +255,12 @@ class TranslatorExact:
             )
         if dataset is None:
             raise ValueError("fit needs a dataset or a store")
-        state = CoverState(dataset, codes)
+        # The state's cache is dataset-static: every greedy iteration's
+        # search reuses it.
+        state = CoverState(dataset, codes, cache)
         history: list[IterationRecord] = []
         all_stats: list[SearchStats] = []
         converged = True
-        if cache is not None and cache.dataset is not dataset:
-            raise ValueError("cache was built for a different dataset")
-        # Packed masks and integer item matrices are dataset-static: build
-        # them once and reuse them across all greedy iterations.
-        if cache is None:
-            cache = SearchCache(dataset)
         while self.max_iterations is None or len(state.table) < self.max_iterations:
             if self.time_budget_per_search is not None:
                 from repro.corpus.anytime import AnytimeSearch
@@ -272,7 +271,6 @@ class TranslatorExact:
                     time_budget=self.time_budget_per_search,
                     max_rule_size=self.max_rule_size,
                     backend=self.backend,
-                    cache=cache,
                 ).run()
                 rule, gain, stats = outcome.rule, outcome.gain, outcome.stats
             else:
@@ -281,7 +279,6 @@ class TranslatorExact:
                     max_rule_size=self.max_rule_size,
                     max_nodes=self.max_nodes_per_search,
                     backend=self.backend,
-                    cache=cache,
                     n_jobs=self.n_jobs,
                 )
                 rule, gain, stats = search.find_best_rule()
@@ -325,21 +322,19 @@ class _CandidateBased:
         candidates: list[TwoViewCandidate] | None = None,
         closed: bool = True,
         max_candidates: int = 10_000,
-        joint_bits=None,
     ) -> None:
         self.minsup = minsup
         self.candidates = candidates
         self.closed = closed
         self.max_candidates = max_candidates
-        #: Optional pre-packed joint-matrix columns (left items first),
-        #: forwarded to the candidate miner so it skips its internal
-        #: repack; candidates are bit-identical either way.  Set by the
-        #: multi-view translator, which packs each view exactly once.
-        self.joint_bits = joint_bits
 
-    def _get_candidates(self, dataset: TwoViewDataset) -> list[TwoViewCandidate]:
+    def _get_candidates(self, cache: SearchCache) -> list[TwoViewCandidate]:
         if self.candidates is not None:
             return self.candidates
+        dataset = cache.dataset
+        # The miner reads the fit's packed columns, stitched into the
+        # joint matrix (bit-identical to packing ``dataset.joined()``).
+        bits = joint_bits(cache.left_bits, cache.right_bits)
         if self.minsup is not None:
             # Mine with head-room above the budget, then keep the most
             # supported candidates — an explicit minsup should not abort
@@ -355,7 +350,7 @@ class _CandidateBased:
                         minsup,
                         closed=self.closed,
                         max_candidates=20 * self.max_candidates,
-                        bits=self.joint_bits,
+                        bits=bits,
                     )
                     break
                 except RuntimeError:
@@ -367,7 +362,7 @@ class _CandidateBased:
             dataset,
             target_candidates=self.max_candidates,
             closed=self.closed,
-            bits=self.joint_bits,
+            bits=bits,
         )
         return candidates
 
@@ -397,16 +392,18 @@ class TranslatorSelect(_CandidateBased):
         closed: bool = True,
         max_candidates: int = 10_000,
         max_iterations: int | None = None,
-        joint_bits=None,
     ) -> None:
-        super().__init__(minsup, candidates, closed, max_candidates, joint_bits)
+        super().__init__(minsup, candidates, closed, max_candidates)
         if k < 1:
             raise ValueError("k must be at least 1")
         self.k = k
         self.max_iterations = max_iterations
 
     def fit(
-        self, dataset: TwoViewDataset, codes: CodeLengthModel | None = None
+        self,
+        dataset: TwoViewDataset,
+        codes: CodeLengthModel | None = None,
+        cache: SearchCache | None = None,
     ) -> TranslatorResult:
         """Induce a translation table by iterative top-k candidate selection.
 
@@ -419,16 +416,17 @@ class TranslatorSelect(_CandidateBased):
         intersects the candidate's — the "dirty column" test below — which
         keeps iterations far below ``O(|candidates|)`` in practice without
         changing the algorithm's semantics.
+
+        ``cache`` optionally injects a pre-built :class:`SearchCache` for
+        ``dataset``; its columns feed the miner and the packed supports.
         """
         start = time.perf_counter()
-        candidates = self._get_candidates(dataset)
-        state = CoverState(dataset, codes)
+        state = CoverState(dataset, codes, cache)
+        candidates = self._get_candidates(state.cache)
         history: list[IterationRecord] = []
+        left_bits, right_bits = state.cache.left_bits, state.cache.right_bits
         supports = [
-            (
-                np.flatnonzero(dataset.support_mask(Side.LEFT, candidate.lhs)),
-                np.flatnonzero(dataset.support_mask(Side.RIGHT, candidate.rhs)),
-            )
+            (left_bits.support(candidate.lhs), right_bits.support(candidate.rhs))
             for candidate in candidates
         ]
         lhs_sets = [set(candidate.lhs) for candidate in candidates]
@@ -507,16 +505,22 @@ class TranslatorGreedy(_CandidateBased):
     """
 
     def fit(
-        self, dataset: TwoViewDataset, codes: CodeLengthModel | None = None
+        self,
+        dataset: TwoViewDataset,
+        codes: CodeLengthModel | None = None,
+        cache: SearchCache | None = None,
     ) -> TranslatorResult:
-        """Induce a translation table in one pass over the candidates."""
+        """Induce a translation table in one pass over the candidates.
+
+        ``cache`` optionally injects a pre-built :class:`SearchCache`.
+        """
         start = time.perf_counter()
-        candidates = self._get_candidates(dataset)
+        state = CoverState(dataset, codes, cache)
+        candidates = self._get_candidates(state.cache)
         ordered = sorted(
             candidates,
             key=lambda candidate: (-candidate.size, -candidate.support, candidate.lhs, candidate.rhs),
         )
-        state = CoverState(dataset, codes)
         history: list[IterationRecord] = []
         for candidate in ordered:
             rule, gain = state.best_direction(candidate.lhs, candidate.rhs)

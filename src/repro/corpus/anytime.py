@@ -23,7 +23,7 @@ import dataclasses
 import time
 
 from repro.core.rules import TranslationRule
-from repro.core.search import ExactRuleSearch, SearchCache, SearchCheckpoint, SearchStats
+from repro.core.search import ExactRuleSearch, SearchCheckpoint, SearchStats
 from repro.core.state import CoverState
 
 __all__ = [
@@ -84,10 +84,11 @@ class AnytimeSearch:
         budget more tightly at the cost of more checkpoint
         rebuild/capture overhead; the value never affects *which* rule
         a node-budget stop returns, only the time-budget granularity.
-    max_rule_size, backend, cache:
-        Forwarded to :class:`ExactRuleSearch`.  Slices always run
-        serially (``n_jobs=1``): a node budget is traversal-order
-        dependent, so sharding could change the answer.
+    max_rule_size, backend:
+        Forwarded to :class:`ExactRuleSearch`, which searches with
+        the state's :class:`~repro.core.search.SearchCache`.  Slices
+        always run serially (``n_jobs=1``): a node budget is
+        traversal-order dependent, so sharding could change the answer.
     """
 
     def __init__(
@@ -98,7 +99,6 @@ class AnytimeSearch:
         slice_nodes: int = 4096,
         max_rule_size: int | None = None,
         backend: str = "auto",
-        cache: SearchCache | None = None,
     ) -> None:
         if slice_nodes <= 0:
             raise ValueError("slice_nodes must be positive")
@@ -112,7 +112,6 @@ class AnytimeSearch:
         self.slice_nodes = int(slice_nodes)
         self.max_rule_size = max_rule_size
         self.backend = backend
-        self.cache = cache
 
     def _make_search(
         self, budget: int | None, checkpoint: SearchCheckpoint | None
@@ -122,7 +121,6 @@ class AnytimeSearch:
             max_rule_size=self.max_rule_size,
             max_nodes=budget,
             backend=self.backend,
-            cache=self.cache,
             n_jobs=1,
             checkpoint=checkpoint,
         )

@@ -96,10 +96,11 @@ def item_coverage(
         state.add_rule(rule)
     used_left = {item for rule in rules for item in rule.lhs}
     used_right = {item for rule in rules for item in rule.rhs}
+    cells = state.snapshot()
     ones_left = int(dataset.left.sum())
     ones_right = int(dataset.right.sum())
-    covered_left = ones_left - int(state.uncovered_left.sum())
-    covered_right = ones_right - int(state.uncovered_right.sum())
+    covered_left = ones_left - cells["uncovered_left"]
+    covered_right = ones_right - cells["uncovered_right"]
     return {
         "items_used_left": len(used_left) / dataset.n_left if dataset.n_left else 0.0,
         "items_used_right": (
@@ -107,9 +108,7 @@ def item_coverage(
         ),
         "ones_covered_left": covered_left / ones_left if ones_left else 0.0,
         "ones_covered_right": covered_right / ones_right if ones_right else 0.0,
-        "errors_introduced": int(
-            state.errors_left.sum() + state.errors_right.sum()
-        ),
+        "errors_introduced": cells["errors_left"] + cells["errors_right"],
     }
 
 

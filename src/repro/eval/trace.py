@@ -11,6 +11,7 @@ series and a text rendering.
 
 from __future__ import annotations
 
+from repro.data.dataset import Side
 from repro.core.translator import TranslatorResult
 
 __all__ = ["construction_trace", "format_trace"]
@@ -39,10 +40,10 @@ def construction_trace(result: TranslatorResult) -> dict[str, list[float]]:
     dataset = state.dataset
     # Reconstruct the iteration-0 state from the dataset itself.
     baseline_right = float(
-        (dataset.right.sum(axis=0) * state._weights_right).sum()
+        (dataset.right.sum(axis=0) * state.cover(Side.RIGHT).weights).sum()
     )
     baseline_left = float(
-        (dataset.left.sum(axis=0) * state._weights_left).sum()
+        (dataset.left.sum(axis=0) * state.cover(Side.LEFT).weights).sum()
     )
     series: dict[str, list[float]] = {key: [] for key in _SERIES_KEYS}
     series["uncovered_left"].append(float(dataset.left.sum()))

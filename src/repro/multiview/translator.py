@@ -16,13 +16,12 @@ Shared packed bitsets
 ---------------------
 Each view's Boolean matrix is packed into uint64 bitset columns exactly
 once, and the packed columns are shared across all ``k·(k-1)/2`` pairs:
-the exact search receives them through
-``SearchCache(left_bits=, right_bits=)``, the candidate miners through a
-stitched joint :class:`~repro.core.bitset.BitMatrix`
-(:func:`repro.mining.twoview.joint_bits`).  Packing is deterministic, so
-the fitted tables are bit-identical to fitting every pair from scratch —
-only the redundant per-pair repacks disappear (measured in
-``BENCH_kview.json``).
+each pair fit receives them as a ``SearchCache(left_bits=, right_bits=)``
+through ``fit(dataset, cache=)``, the one entry point of every two-view
+TRANSLATOR, so the cover state, the exact search and the candidate miner
+all read the shared columns.  Packing is deterministic, so the fitted
+tables are bit-identical to fitting every pair from scratch — only the
+redundant per-pair repacks disappear (measured in ``BENCH_kview.json``).
 
 Conditional translation
 -----------------------
@@ -46,7 +45,6 @@ import numpy as np
 from repro.core.bitset import BitMatrix
 from repro.core.search import SearchCache
 from repro.core.translator import TranslatorExact, TranslatorResult, TranslatorSelect
-from repro.mining.twoview import joint_bits
 from repro.multiview.dataset import MultiViewDataset
 
 __all__ = ["MultiViewResult", "MultiViewTranslator"]
@@ -126,8 +124,8 @@ class MultiViewTranslator:
     method:
         ``"select"`` (the default: TRANSLATOR-SELECT per pair, the
         paper's best compression/runtime trade-off) or ``"exact"``
-        (TRANSLATOR-EXACT per pair, fed the shared packed columns via
-        ``SearchCache(left_bits=, right_bits=)``).
+        (TRANSLATOR-EXACT per pair).  Either is fed the shared packed
+        columns.
     conditional:
         Score each pair residually given the transactions already covered
         by earlier pairs' rules (see the module docstring).  Off by
@@ -159,30 +157,23 @@ class MultiViewTranslator:
         self.max_rule_size = max_rule_size
 
     # ------------------------------------------------------------------
-    def _fit_pair(self, pair_data, left_bits, right_bits) -> TranslatorResult:
-        """Fit one view pair, reusing pre-packed columns when given."""
+    def _fit_pair(
+        self, pair_data, cache: SearchCache | None = None
+    ) -> TranslatorResult:
+        """Fit one view pair, on pre-packed columns when ``cache`` is given."""
         if self.method == "exact":
             translator = TranslatorExact(
                 max_iterations=self.max_iterations,
                 max_rule_size=self.max_rule_size,
             )
-            cache = None
-            if left_bits is not None:
-                cache = SearchCache(
-                    pair_data, left_bits=left_bits, right_bits=right_bits
-                )
-            return translator.fit(pair_data, cache=cache)
-        bits = None
-        if left_bits is not None:
-            bits = joint_bits(left_bits, right_bits)
-        translator = TranslatorSelect(
-            k=self.k,
-            minsup=self.minsup,
-            max_candidates=self.max_candidates,
-            max_iterations=self.max_iterations,
-            joint_bits=bits,
-        )
-        return translator.fit(pair_data)
+        else:
+            translator = TranslatorSelect(
+                k=self.k,
+                minsup=self.minsup,
+                max_candidates=self.max_candidates,
+                max_iterations=self.max_iterations,
+            )
+        return translator.fit(pair_data, cache=cache)
 
     def fit(self, dataset: MultiViewDataset) -> MultiViewResult:
         """Induce pairwise translation tables for all view pairs.
@@ -209,12 +200,17 @@ class MultiViewTranslator:
                 )
                 # The residual subset lives on a different transaction
                 # universe; its (smaller) matrices are packed fresh.
-                result = self._fit_pair(pair_data, None, None)
+                result = self._fit_pair(pair_data)
             else:
                 pair_data = dataset.pair(first, second)
                 pair_rows[(first, second)] = pair_data.n_transactions
                 result = self._fit_pair(
-                    pair_data, view_bits[first], view_bits[second]
+                    pair_data,
+                    SearchCache(
+                        pair_data,
+                        left_bits=view_bits[first],
+                        right_bits=view_bits[second],
+                    ),
                 )
             pair_results[(first, second)] = result
             if self.conditional:

@@ -442,10 +442,6 @@ class PredictionService:
         # compiler-less machine) fails at service construction, not as a
         # 500 on the first /predict that compiles a predictor.
         self.backend = resolve_backend(backend)
-        #: How many resident predictors were built from mmap sidecars
-        #: vs recompiled from JSON (operator visibility via /statz).
-        self.mapped_loads = 0
-        self.compiled_loads = 0
         self.metrics = metrics if metrics is not None else _obs.MetricsRegistry()
         self.tracer = tracer
         self.batcher = MicroBatcher(
@@ -575,7 +571,6 @@ class PredictionService:
                 cached = CompiledPredictor.from_table(
                     artifact.table, target, n_source, n_target, backend=self.backend
                 )
-                self.compiled_loads += 1
             self._predictors.put(key, cached)
         return cached  # type: ignore[return-value]
 
@@ -605,11 +600,7 @@ class PredictionService:
             return None
         # The numpy views keep the mapping referenced; the predictor is
         # valid for as long as the LRU holds it.
-        predictor = CompiledPredictor.from_mapped(
-            mapped, target, backend=self.backend
-        )
-        self.mapped_loads += 1
-        return predictor
+        return CompiledPredictor.from_mapped(mapped, target, backend=self.backend)
 
     def _stats_for(self, name: str) -> ModelStats:
         stats = self.stats.get(name)

@@ -19,8 +19,8 @@ the loop from serving back to search, in four layers:
   sources (in-process feed, JSONL tail, packed binary frames; the
   binary codec is shared with the server's ``/predict`` ingestion);
 * :mod:`~repro.stream.maintenance` — :class:`MaintenanceLoop` +
-  :class:`RefitPolicy`, the asyncio driver that refits through
-  ``TranslatorExact``/``TranslatorBeam`` (no repack — the buffer's
+  :class:`RefitPolicy`, the asyncio driver that refits through a
+  translator's ``fit(dataset, cache=)`` (no repack — the buffer's
   packed columns are injected) and publishes into the PR 3
   :class:`~repro.serve.registry.ModelRegistry`, hot-swapping a running
   :class:`~repro.serve.server.PredictionServer` via the atomic

@@ -407,10 +407,10 @@ class StreamBuffer:
         """Window dataset plus a :class:`SearchCache` built from the
         incrementally maintained packed columns.
 
-        Hand both to :meth:`repro.core.translator.TranslatorExact.fit`
-        (``fit(dataset, cache=cache)``) so the refit skips the full
-        repack; the fitted model is bit-identical to a batch fit on the
-        same window because the injected columns are.
+        Hand both to any translator's ``fit(dataset, cache=cache)`` (see
+        :func:`repro.stream.maintenance.fit_window`) so the refit skips
+        the full repack; the fitted model is bit-identical to a batch fit
+        on the same window because the injected columns are.
         """
         dataset = self.window_dataset(name)
         cache = SearchCache(

@@ -10,11 +10,10 @@ atomic ``latest`` pointer a running
 :class:`~repro.serve.server.PredictionServer` re-reads within its
 ``latest_ttl_seconds``, so the swap needs no restart.
 
-Refits run through the normal TRANSLATOR entry points
-(:class:`~repro.core.translator.TranslatorExact` /
-:class:`~repro.core.beam.TranslatorBeam`) with the buffer's
-incrementally packed columns injected (:func:`fit_window`), on a worker
-thread so ingestion never blocks on a fit.
+Refits run through the normal TRANSLATOR entry point,
+``fit(dataset, cache=)``, with the buffer's incrementally packed columns
+injected (:func:`fit_window`), on a worker thread so ingestion never
+blocks on a fit.
 
 CLI: ``repro-translator stream``.
 """
@@ -28,9 +27,7 @@ import os
 from pathlib import Path
 
 from repro import obs as _obs
-from repro.core.beam import TranslatorBeam
 from repro.core.table import TranslationTable
-from repro.core.translator import TranslatorExact
 from repro.resilience.faults import fault_point
 from repro.resilience.supervisor import (
     CheckpointError,
@@ -52,19 +49,14 @@ logger = logging.getLogger(__name__)
 def fit_window(translator, buffer: StreamBuffer, name: str = "stream-window"):
     """Fit ``translator`` on the buffer's live window without repacking.
 
-    Routes the buffer's incrementally maintained packed columns into the
-    translator's refit entry point (``cache=`` for
-    :class:`~repro.core.translator.TranslatorExact`, ``bits=`` for
-    :class:`~repro.core.beam.TranslatorBeam`; other translators fall
-    back to a plain fit).  The fitted model is bit-identical to a batch
-    fit on the same window because the injected columns are.
+    Hands the buffer's incrementally maintained packed columns, as a
+    :class:`~repro.core.search.SearchCache`, to ``translator.fit(dataset,
+    cache=)`` — the entry point of every TRANSLATOR (exact, select,
+    greedy, beam).  The fitted model is bit-identical to a batch fit on
+    the same window because the injected columns are.
     """
     dataset, cache = buffer.refit_context(name)
-    if isinstance(translator, TranslatorExact):
-        return translator.fit(dataset, cache=cache)
-    if isinstance(translator, TranslatorBeam):
-        return translator.fit(dataset, bits=(cache.left_bits, cache.right_bits))
-    return translator.fit(dataset)
+    return translator.fit(dataset, cache=cache)
 
 
 @dataclasses.dataclass
@@ -133,8 +125,8 @@ class MaintenanceLoop:
         model_name: Registry model to maintain.  If it already has
             versions, the latest table is adopted as the drift baseline;
             otherwise the first refit bootstraps version 1.
-        translator: The refit engine (``TranslatorExact`` /
-            ``TranslatorBeam`` get the no-repack path; any ``.fit`` works).
+        translator: The refit engine: any TRANSLATOR, fitted through
+            :func:`fit_window` on the buffer's packed columns.
         policy: The :class:`RefitPolicy`.
         monitor: Optional pre-configured :class:`DriftMonitor`; by
             default one is built once a baseline table exists.

@@ -32,6 +32,16 @@ import numpy as np
 __all__ = ["FeedSource", "JsonlSource", "PackedSource", "rows_to_matrix"]
 
 
+def _item_index(item, where: str) -> int:
+    """``item`` if it is a Python or numpy integer (the rule of every ingestion path)."""
+    try:
+        if isinstance(item, bool):
+            raise TypeError
+        return operator.index(item)
+    except TypeError:
+        raise ValueError(f"{where}: item {item!r} is not an integer item index") from None
+
+
 def rows_to_matrix(rows, n_items: int) -> np.ndarray:
     """Sparse item-index lists to a dense ``(len(rows), n_items)`` matrix.
 
@@ -43,14 +53,7 @@ def rows_to_matrix(rows, n_items: int) -> np.ndarray:
     matrix = np.zeros((len(rows), n_items), dtype=bool)
     for index, row in enumerate(rows):
         for item in row:
-            try:
-                if isinstance(item, bool):
-                    raise TypeError
-                item = operator.index(item)
-            except TypeError:
-                raise ValueError(
-                    f"row {index}: item {item!r} is not an integer item index"
-                ) from None
+            item = _item_index(item, f"row {index}")
             if not 0 <= item < n_items:
                 raise ValueError(
                     f"row {index}: item index {item} outside the vocabulary "
@@ -73,7 +76,10 @@ def _parse_jsonl_line(line: str) -> tuple[list[int], list[int]]:
         )
     if not isinstance(left, list) or not isinstance(right, list):
         raise ValueError("both views of a JSONL row must be item-index lists")
-    return [int(item) for item in left], [int(item) for item in right]
+    return (
+        [_item_index(item, "JSONL left view") for item in left],
+        [_item_index(item, "JSONL right view") for item in right],
+    )
 
 
 class FeedSource:

@@ -8,7 +8,7 @@ import pytest
 from repro.data.dataset import Side, TwoViewDataset
 from repro.core.encoding import CodeLengthModel
 from repro.core.rules import Direction, TranslationRule
-from repro.core.search import ExactRuleSearch
+from repro.core.search import ExactRuleSearch, SearchCache
 from repro.core.state import CoverState
 from repro.core.translator import TranslatorExact, TranslatorGreedy, TranslatorSelect
 from repro.baselines.krimp import Krimp
@@ -85,7 +85,7 @@ class TestSelectEdgeCases:
 
     def test_candidate_truncation_keeps_top_support(self, planted_dataset):
         translator = TranslatorSelect(minsup=2, max_candidates=10)
-        candidates = translator._get_candidates(planted_dataset)
+        candidates = translator._get_candidates(SearchCache(planted_dataset))
         assert len(candidates) == 10
         full = two_view_candidates(planted_dataset, 2, max_candidates=200_000)
         top_supports = [candidate.support for candidate in full[:10]]

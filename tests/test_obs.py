@@ -516,7 +516,8 @@ class TestInstrumentSeam:
         assert obs.active() is None
 
     def test_search_run_is_recorded_when_instrumented(self):
-        from repro.core.search import CoverState, ExactRuleSearch
+        from repro.core.search import ExactRuleSearch
+        from repro.core.state import CoverState
 
         rng = np.random.default_rng(2)
         dataset = TwoViewDataset(

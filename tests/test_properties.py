@@ -19,11 +19,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.dataset import Side, TwoViewDataset
 from repro.data.io import load_dataset, save_dataset
+from repro.core.bitset import BitMatrix
 from repro.core.encoding import CodeLengthModel
 from repro.core.rules import Direction, TranslationRule
 from repro.core.state import CoverState
@@ -60,8 +61,8 @@ def datasets(draw, max_n=20, max_items=5):
 
 
 @st.composite
-def datasets_with_rules(draw, max_rules=6):
-    dataset = draw(datasets())
+def datasets_with_rules(draw, max_rules=6, max_n=20):
+    dataset = draw(datasets(max_n=max_n))
     n_rules = draw(st.integers(min_value=0, max_value=max_rules))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
@@ -104,9 +105,31 @@ class TestLosslessness:
         )
 
 
+def word_edge_case(n):
+    """A fixed dataset of ``n`` rows with rules on both sides of a word edge.
+
+    The packed cover rows keep their padding bits zero, and
+    ``~(data | translated)`` sets them, so row counts at and just past
+    a 64-bit word boundary are where a packing fault would show.
+    """
+    rng = np.random.default_rng(n)
+    left = rng.random((n, 4)) < 0.4
+    right = rng.random((n, 4)) < 0.4
+    left[0], right[0] = True, True
+    rules = [
+        TranslationRule((0,), (1,), Direction.BOTH),
+        TranslationRule((1, 2), (0, 3), Direction.FORWARD),
+        TranslationRule((3,), (2,), Direction.BACKWARD),
+        TranslationRule((0, 3), (1, 2), Direction.BOTH),
+    ]
+    return TwoViewDataset(left, right, name="hyp"), rules
+
+
 class TestGainExactness:
     @SETTINGS
-    @given(datasets_with_rules())
+    @given(datasets_with_rules(max_n=130))
+    @example(word_edge_case(64))
+    @example(word_edge_case(65))
     def test_incremental_gain_matches_length_difference(self, payload):
         dataset, rules = payload
         state = CoverState(dataset)
@@ -119,17 +142,22 @@ class TestGainExactness:
             )
 
     @SETTINGS
-    @given(datasets_with_rules())
+    @given(datasets_with_rules(max_n=130))
+    @example(word_edge_case(64))
+    @example(word_edge_case(65))
     def test_state_matches_batch(self, payload):
         dataset, rules = payload
         state = CoverState(dataset)
         for rule in rules:
             state.add_rule(rule)
         batch = corrections(dataset, rules)
-        np.testing.assert_array_equal(state.uncovered_left, batch.uncovered_left)
-        np.testing.assert_array_equal(state.uncovered_right, batch.uncovered_right)
-        np.testing.assert_array_equal(state.errors_left, batch.errors_left)
-        np.testing.assert_array_equal(state.errors_right, batch.errors_right)
+        for side, suffix in ((Side.LEFT, "left"), (Side.RIGHT, "right")):
+            cover = state.cover(side)
+            for name in ("translated", "uncovered", "errors"):
+                expected = getattr(batch, f"{name}_{suffix}")
+                np.testing.assert_array_equal(
+                    getattr(cover, name), BitMatrix.from_bool_columns(expected).words
+                )
 
     @SETTINGS
     @given(datasets_with_rules())

@@ -9,6 +9,7 @@ from repro.data.dataset import Side, TwoViewDataset
 from repro.data.io import load_fimi, load_fimi_pair
 from repro.core.rules import Direction, TranslationRule
 from repro.core.table import TranslationTable
+from repro.core.translate import corrections
 from repro.core.translator import TranslatorSelect
 from repro.baselines.assoc import mine_crossview_rules
 from repro.baselines.convert import rules_to_translation_table
@@ -77,7 +78,8 @@ class TestItemCoverage:
         result = TranslatorSelect(k=1, minsup=2).fit(planted_dataset)
         coverage = item_coverage(planted_dataset, result.table)
         assert 0.0 < coverage["ones_covered_right"] <= 1.0
-        expected_uncovered = int(result.state.uncovered_right.sum())
+        batch = corrections(planted_dataset, result.table)
+        expected_uncovered = int(batch.uncovered_right.sum())
         ones = int(planted_dataset.right.sum())
         assert coverage["ones_covered_right"] == pytest.approx(
             (ones - expected_uncovered) / ones

@@ -18,7 +18,8 @@ from repro.data.dataset import Side, TwoViewDataset
 from repro.core.rules import Direction, TranslationRule
 from repro.core.search import ExactRuleSearch, SearchCache
 from repro.core.state import CoverState
-from repro.core.translator import TranslatorExact
+from repro.core.beam import TranslatorBeam
+from repro.core.translator import TranslatorExact, TranslatorGreedy, TranslatorSelect
 from tests.conftest import random_two_view
 
 
@@ -224,17 +225,41 @@ class TestPruning:
 
 class TestSearchCache:
     def test_shared_cache_matches_private_cache(self, planted_dataset):
-        state = CoverState(planted_dataset)
         cache = SearchCache(planted_dataset)
-        with_cache = ExactRuleSearch(state, cache=cache).find_best_rule()
-        without = ExactRuleSearch(state).find_best_rule()
+        shared = CoverState(planted_dataset, cache=cache)
+        assert shared.cache is cache
+        with_cache = ExactRuleSearch(shared).find_best_rule()
+        without = ExactRuleSearch(CoverState(planted_dataset)).find_best_rule()
         assert with_cache == without
 
-    def test_cache_dataset_mismatch_rejected(self, toy_dataset, planted_dataset):
-        cache = SearchCache(toy_dataset)
+    def test_replay_builds_no_search_operands(self, planted_dataset):
+        dense = {"left_T", "right_T", "cooccur"}
         state = CoverState(planted_dataset)
-        with pytest.raises(ValueError):
-            ExactRuleSearch(state, cache=cache)
+        state.add_rule(TranslationRule((0,), (0,), Direction.BOTH))
+        state.best_direction((1,), (1,))
+        assert not dense & set(vars(state.cache))
+        ExactRuleSearch(state, max_rule_size=2).find_best_rule()
+        assert dense <= set(vars(state.cache))
+
+    def test_cache_dataset_mismatch_rejected(self, planted_dataset):
+        # Same shape, other rows: a shape check could not tell them apart.
+        other = TwoViewDataset(
+            planted_dataset.left[::-1].copy(), planted_dataset.right.copy()
+        )
+        fits = {
+            "state": lambda cache: CoverState(other, cache=cache),
+            "exact": lambda cache: TranslatorExact(max_rule_size=2).fit(
+                other, cache=cache
+            ),
+            "select": lambda cache: TranslatorSelect(minsup=5).fit(other, cache=cache),
+            "greedy": lambda cache: TranslatorGreedy(minsup=5).fit(other, cache=cache),
+            "beam": lambda cache: TranslatorBeam(max_rule_size=3).fit(
+                other, cache=cache
+            ),
+        }
+        for name, fit in fits.items():
+            with pytest.raises(ValueError, match="different dataset"):
+                fit(SearchCache(planted_dataset))
 
 
 class TestStatsReporting:

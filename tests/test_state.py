@@ -3,7 +3,8 @@
 The central invariant: the incrementally maintained state (translated
 views, U/E tables, encoded lengths, gains) must always agree with a
 from-scratch recomputation via :func:`repro.core.translate.corrections`
-and :class:`repro.core.encoding.CodeLengthModel`.
+and :class:`repro.core.encoding.CodeLengthModel`.  The state keeps its
+cover as packed rows, so it is compared with the packed batch tables.
 """
 
 from __future__ import annotations
@@ -12,10 +13,25 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import Side
+from repro.core.bitset import BitMatrix
 from repro.core.encoding import CodeLengthModel
 from repro.core.rules import Direction, TranslationRule
 from repro.core.state import CoverState
 from repro.core.translate import corrections
+
+
+def packed(matrix):
+    """Packed rows of a transactions-by-items Boolean matrix."""
+    return BitMatrix.from_bool_columns(matrix).words
+
+
+def assert_matches_batch(state, batch):
+    """Every packed cover row of ``state`` equals the packed batch table."""
+    for side, suffix in ((Side.LEFT, "left"), (Side.RIGHT, "right")):
+        cover = state.cover(side)
+        for name in ("translated", "uncovered", "errors"):
+            expected = packed(getattr(batch, f"{name}_{suffix}"))
+            np.testing.assert_array_equal(getattr(cover, name), expected)
 
 
 def random_rules(dataset, rng, count=8):
@@ -37,10 +53,11 @@ def random_rules(dataset, rng, count=8):
 class TestInitialState:
     def test_everything_uncovered(self, toy_dataset):
         state = CoverState(toy_dataset)
-        np.testing.assert_array_equal(state.uncovered_left, toy_dataset.left)
-        np.testing.assert_array_equal(state.uncovered_right, toy_dataset.right)
-        assert not state.errors_left.any()
-        assert not state.errors_right.any()
+        left, right = state.cover(Side.LEFT), state.cover(Side.RIGHT)
+        np.testing.assert_array_equal(left.uncovered, packed(toy_dataset.left))
+        np.testing.assert_array_equal(right.uncovered, packed(toy_dataset.right))
+        assert not left.errors.any()
+        assert not right.errors.any()
         assert state.table_bits == 0.0
 
     def test_baseline_matches_codes(self, toy_dataset):
@@ -62,13 +79,7 @@ class TestConsistencyAfterRules:
         rules = random_rules(planted_dataset, rng)
         for rule in rules:
             state.add_rule(rule)
-        batch = corrections(planted_dataset, state.table)
-        np.testing.assert_array_equal(state.translated_right, batch.translated_right)
-        np.testing.assert_array_equal(state.translated_left, batch.translated_left)
-        np.testing.assert_array_equal(state.uncovered_right, batch.uncovered_right)
-        np.testing.assert_array_equal(state.errors_right, batch.errors_right)
-        np.testing.assert_array_equal(state.uncovered_left, batch.uncovered_left)
-        np.testing.assert_array_equal(state.errors_left, batch.errors_left)
+        assert_matches_batch(state, corrections(planted_dataset, state.table))
 
     def test_lengths_match_recomputation(self, planted_dataset, rng):
         state = CoverState(planted_dataset)
@@ -86,27 +97,28 @@ class TestConsistencyAfterRules:
         state = CoverState(planted_dataset)
         for rule in random_rules(planted_dataset, rng):
             state.add_rule(rule)
-            assert not (state.uncovered_right & state.errors_right).any()
-            assert not (state.uncovered_left & state.errors_left).any()
+            for side in Side:
+                cover = state.cover(side)
+                assert not (cover.uncovered & cover.errors).any()
 
     def test_errors_never_removed(self, planted_dataset, rng):
         # Once an error is inserted into E it cannot be removed (Section 5.1).
         state = CoverState(planted_dataset)
-        previous_errors = state.errors_right.copy()
+        errors = state.cover(Side.RIGHT).errors
+        previous_errors = errors.copy()
         for rule in random_rules(planted_dataset, rng):
             state.add_rule(rule)
-            assert (state.errors_right | ~previous_errors).all() or not (
-                previous_errors & ~state.errors_right
-            ).any()
-            previous_errors = state.errors_right.copy()
+            assert not (previous_errors & ~errors).any()
+            previous_errors = errors.copy()
 
     def test_uncovered_monotone_shrinking(self, planted_dataset, rng):
         state = CoverState(planted_dataset)
-        previous = state.uncovered_right.copy()
+        uncovered = state.cover(Side.RIGHT).uncovered
+        previous = uncovered.copy()
         for rule in random_rules(planted_dataset, rng):
             state.add_rule(rule)
-            assert not (state.uncovered_right & ~previous).any()
-            previous = state.uncovered_right.copy()
+            assert not (uncovered & ~previous).any()
+            previous = uncovered.copy()
 
 
 class TestGain:
@@ -171,7 +183,7 @@ class TestSnapshot:
         tub = state.transaction_upper_bounds(Side.RIGHT)
         assert tub.shape == (toy_dataset.n_transactions,)
         # Initially, tub is the encoded size of each full right transaction.
-        weights = state._weights_right
+        weights = state.cover(Side.RIGHT).weights
         expected = toy_dataset.right @ weights
         np.testing.assert_allclose(tub, expected)
 

@@ -25,7 +25,7 @@ from repro.core.bitset import BitMatrix, pack_rows_at, shift_rows
 from repro.core.beam import TranslatorBeam
 from repro.core.rules import TranslationRule
 from repro.core.table import TranslationTable
-from repro.core.translator import TranslatorExact
+from repro.core.translator import TranslatorExact, TranslatorGreedy, TranslatorSelect
 from repro.data.dataset import Side, TwoViewDataset
 from repro.data.synthetic import SyntheticSpec, generate_planted
 from repro.serve import (
@@ -310,14 +310,36 @@ class TestWindowedRefit:
         assert list(batch.table) == list(incremental.table)
 
     def test_beam_rejects_mismatched_bits(self):
+        from repro.core.search import SearchCache
+
         data = planted()
         other = planted(seed=1, n=100)
-        wrong = (
-            BitMatrix.from_bool_columns(other.left),
-            BitMatrix.from_bool_columns(other.right),
-        )
-        with pytest.raises(ValueError, match="do not match"):
-            TranslatorBeam(max_rule_size=3).fit(data, bits=wrong)
+        with pytest.raises(ValueError, match="different dataset"):
+            TranslatorBeam(max_rule_size=3).fit(data, cache=SearchCache(other))
+
+    def test_window_refit_packs_no_column(self, monkeypatch):
+        data = planted(seed=3)
+        buffer = StreamBuffer(data.n_left, data.n_right)
+        buffer.append(data.left, data.right)
+        buffer.evict(13)  # misalign the window start
+        packed = []
+        pack = BitMatrix.from_bool_columns.__func__
+
+        def counting_pack(cls, matrix):
+            packed.append(np.shape(matrix))
+            return pack(cls, matrix)
+
+        monkeypatch.setattr(BitMatrix, "from_bool_columns", classmethod(counting_pack))
+        for translator in (
+            TranslatorExact(max_rule_size=3),
+            TranslatorSelect(k=1, minsup=10),
+            TranslatorGreedy(minsup=10),
+            TranslatorBeam(max_rule_size=3),
+        ):
+            packed.clear()
+            result = fit_window(translator, buffer, "w")
+            assert result.n_rules > 0
+            assert packed == [], type(translator).__name__
 
     def test_search_cache_rejects_mismatched_bits(self):
         from repro.core.search import SearchCache
@@ -585,6 +607,16 @@ class TestSources:
 
         with pytest.raises(ValueError, match="item-index lists"):
             asyncio.run(drain())
+        # Items follow /predict's integer rule: never coerced.
+        for line in (
+            '{"left": [0, 1.9], "right": [1]}',
+            '{"left": [0], "right": [true, 2]}',
+            '{"left": ["2"], "right": [0]}',
+            "[[0, null], [1]]",
+        ):
+            path.write_text(line + "\n")
+            with pytest.raises(ValueError, match="not an integer item index"):
+                asyncio.run(drain())
 
     def test_jsonl_source_lenient_skips_and_counts(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -592,6 +624,8 @@ class TestSources:
             '{"left": [0], "right": [1]}\n'
             "not json at all\n"
             '{"left": 3, "right": []}\n'
+            '{"left": [0, 1.9], "right": [true, "2"]}\n'
+            '[[1], [false]]\n'
             '{"left": [2], "right": [0]}\n'
         )
         source = JsonlSource(path)  # lenient is the default
@@ -600,7 +634,7 @@ class TestSources:
             return [row async for row in source]
 
         assert asyncio.run(drain()) == [([0], [1]), ([2], [0])]
-        assert source.malformed_rows == 2
+        assert source.malformed_rows == 4
 
     def test_packed_source(self, tmp_path, rng):
         left = rng.random((6, 4)) < 0.5
