@@ -1,12 +1,20 @@
-"""Microbenchmark: numpy vs native popcount backends (``BENCH_native.json``).
+"""Microbenchmark: numpy vs native backends (``BENCH_native.json``).
 
 Times the three consumers the backend dispatch layer wires up, on the
 honesty cells the ROADMAP flags as the numpy kernel's known limits:
 
-* **search** — ``TranslatorExact.fit`` at ``n`` in {5k, 20k, 50k}
-  transactions (the regime where the dense child-metric GEMM becomes
-  the shared BLAS floor), same fixed node budget for both backends so
-  the comparison measures pure per-node throughput;
+* **search** — ``TranslatorExact.fit`` at ``n`` in {400, 1728, 5k, 20k,
+  50k} transactions, same fixed node budget for both backends so the
+  comparison measures pure per-node throughput.  The two small cells
+  sit below the old 2,048-row crossover that used to keep ``auto`` on
+  numpy: the native backend runs the search's whole traversal in one C
+  call (``NativeKernel.dfs``), so it no longer loses there;
+* **car** — the paper's Table-2 EXACT dataset (1,728 rows): one fit at
+  ``max_rule_size=4`` to convergence on both backends, and (full mode
+  only) the unbudgeted ``TranslatorExact()`` fit on the native backend,
+  pinned to the rule count and node total of an offline numpy run and
+  reported next to the ROADMAP's numpy baseline and the paper's C++
+  time;
 * **bulk predict** — one huge 4096-row ``CompiledPredictor.predict``
   call over a wide vocabulary, packed strategy under both backends plus
   the blas strategy as the served-regime reference;
@@ -17,8 +25,8 @@ honesty cells the ROADMAP flags as the numpy kernel's known limits:
   numpy and fits the *same model* (fingerprint-compared against the
   parent's run).
 
-Every cell verifies bit-identity between backends before reporting a
-speedup.  Run standalone::
+Every cell verifies bit-identity between backends (or against its pin)
+before reporting a speedup.  Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_native.py [--tiny] [--output PATH]
 
@@ -48,12 +56,13 @@ from repro import native  # noqa: E402
 from repro.core.rules import TranslationRule  # noqa: E402
 from repro.core.translator import TranslatorExact  # noqa: E402
 from repro.data.dataset import Side  # noqa: E402
+from repro.data.registry import make_dataset  # noqa: E402
 from repro.data.synthetic import SyntheticSpec, generate_planted  # noqa: E402
 from repro.serve.compiled import CompiledPredictor  # noqa: E402
 from repro.stream.buffer import StreamBuffer  # noqa: E402
 
 FULL_SETTINGS = {
-    "search_transactions": [5000, 20000, 50000],
+    "search_transactions": [400, 1728, 5000, 20000, 50000],
     "search_items_per_view": 40,
     "search_density": 0.4,
     "search_max_nodes": 30_000,
@@ -68,6 +77,8 @@ FULL_SETTINGS = {
     "stream_batch": 256,
     "stream_trackers": 32,
     "fallback_transactions": 400,
+    "car_max_rule_size": 4,
+    "car_unbudgeted": True,
 }
 TINY_SETTINGS = {
     "search_transactions": [400],
@@ -85,7 +96,18 @@ TINY_SETTINGS = {
     "stream_batch": 128,
     "stream_trackers": 8,
     "fallback_transactions": 120,
+    "car_max_rule_size": 2,
+    "car_unbudgeted": False,
 }
+
+#: One offline numpy run of the unbudgeted car EXACT fit (1,728 rows,
+#: converged; 2-vCPU box shared with other jobs, so its time is an upper
+#: bound); the native cell must reproduce its rules and node total.
+CAR_UNBUDGETED_NUMPY = {"rules": 10, "nodes_total": 16_113_654, "seconds": 1197.3}
+#: Reference times for the unbudgeted car EXACT fit: the ROADMAP's numpy
+#: baseline (2-core box) and the paper's C++ implementation.
+CAR_ROADMAP_NUMPY_SECONDS = 684.8
+CAR_PAPER_SECONDS = 74.0
 
 
 def _fingerprint(result) -> list:
@@ -143,6 +165,56 @@ def search_cells(settings: dict, native_available: bool) -> list[dict]:
             row["speedup"] = row["numpy_seconds"] / row["native_seconds"]
         rows.append(row)
     return rows
+
+
+def car_cells(settings: dict, native_available: bool) -> dict:
+    """car (1,728 rows) to convergence on both backends, and unbudgeted."""
+    dataset = make_dataset("car", scale=1.0)
+    cell: dict = {"max_rule_size": settings["car_max_rule_size"]}
+    fingerprints = {}
+    for backend in ("numpy", "native"):
+        if backend == "native" and not native_available:
+            cell["skipped"] = "native backend unavailable"
+            break
+        start = time.perf_counter()
+        result = TranslatorExact(
+            max_rule_size=settings["car_max_rule_size"], backend=backend
+        ).fit(dataset)
+        cell[f"{backend}_seconds"] = time.perf_counter() - start
+        fingerprints[backend] = _fingerprint(result) + [
+            [s.nodes_visited, s.evaluations] for s in result.search_stats
+        ]
+        cell["rules"] = result.n_rules
+        cell["converged"] = result.converged
+        cell["nodes_total"] = sum(s.nodes_visited for s in result.search_stats)
+    if "native_seconds" in cell:
+        cell["identical_results"] = fingerprints["numpy"] == fingerprints["native"]
+        cell["speedup"] = cell["numpy_seconds"] / cell["native_seconds"]
+    unbudgeted: dict = {
+        "roadmap_numpy_seconds": CAR_ROADMAP_NUMPY_SECONDS,
+        "paper_cpp_seconds": CAR_PAPER_SECONDS,
+        "offline_numpy": CAR_UNBUDGETED_NUMPY,
+    }
+    if not settings["car_unbudgeted"]:
+        unbudgeted["skipped"] = "full mode only"
+    elif not native_available:
+        unbudgeted["skipped"] = "native backend unavailable"
+    else:
+        start = time.perf_counter()
+        result = TranslatorExact(backend="native").fit(dataset)
+        unbudgeted["native_seconds"] = time.perf_counter() - start
+        unbudgeted["rules"] = result.n_rules
+        unbudgeted["converged"] = result.converged
+        unbudgeted["nodes_total"] = sum(s.nodes_visited for s in result.search_stats)
+        unbudgeted["identical_results"] = (
+            result.converged
+            and result.n_rules == CAR_UNBUDGETED_NUMPY["rules"]
+            and unbudgeted["nodes_total"] == CAR_UNBUDGETED_NUMPY["nodes_total"]
+        )
+        unbudgeted["speedup_vs_offline_numpy"] = (
+            CAR_UNBUDGETED_NUMPY["seconds"] / unbudgeted["native_seconds"]
+        )
+    return {"converged": cell, "unbudgeted": unbudgeted}
 
 
 def _bulk_table(settings: dict, rng) -> list[TranslationRule]:
@@ -310,17 +382,19 @@ def run_grid(tiny: bool = False) -> dict:
     settings = TINY_SETTINGS if tiny else FULL_SETTINGS
     native_available = native.available()
     search = search_cells(settings, native_available)
+    car = car_cells(settings, native_available)
     bulk = bulk_predict_cell(settings, native_available)
     stream = stream_cell(settings, native_available)
     fallback = fallback_cell(settings, native_available)
     compared = [row for row in search if "identical_results" in row]
-    for extra in (bulk, stream):
+    for extra in (car["converged"], car["unbudgeted"], bulk, stream):
         if "identical_results" in extra:
             compared.append(extra)
     speedups = [row["speedup"] for row in search if "speedup" in row]
     report = {
         "benchmark": "bitset backend numpy vs native",
         "mode": "tiny" if tiny else "full",
+        "cpu_count": os.cpu_count(),
         "native_available": native_available,
         "native_error": native.native_error(),
         "build_info": {
@@ -330,6 +404,7 @@ def run_grid(tiny: bool = False) -> dict:
         },
         "settings": settings,
         "search": search,
+        "car": car,
         "bulk_predict": bulk,
         "stream": stream,
         "fallback": fallback,
@@ -369,6 +444,24 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             print(f"search n={row['n_transactions']:>6}  {row.get('skipped')}")
+    converged = report["car"]["converged"]
+    if "speedup" in converged:
+        print(
+            f"car max_rule_size={converged['max_rule_size']} to convergence: "
+            f"numpy={converged['numpy_seconds']:.2f}s  "
+            f"native={converged['native_seconds']:.2f}s  "
+            f"speedup={converged['speedup']:.1f}x  "
+            f"identical={converged['identical_results']}"
+        )
+    unbudgeted = report["car"]["unbudgeted"]
+    if "native_seconds" in unbudgeted:
+        print(
+            f"car unbudgeted EXACT: native={unbudgeted['native_seconds']:.1f}s "
+            f"({unbudgeted['rules']} rules, {unbudgeted['nodes_total']} nodes; "
+            f"paper C++ {CAR_PAPER_SECONDS:.0f}s, ROADMAP numpy "
+            f"{CAR_ROADMAP_NUMPY_SECONDS}s)  "
+            f"identical={unbudgeted['identical_results']}"
+        )
     bulk = report["bulk_predict"]
     if "speedup_vs_blas" in bulk:
         print(

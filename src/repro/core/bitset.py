@@ -33,19 +33,18 @@ cost scales with the population rather than the universe.
 
 Note that the exact search (:mod:`repro.core.search`) does *not* compute
 its bounds through :func:`weighted_popcount`: it needs bit-identical
-results across kernels, which floating-point reductions cannot promise,
-so it quantizes its weights to fixed-point integers and batches the
-weighted sums as exact matrix products, relying on this module only for
-the (exact) packing, bitwise and counting primitives.  The float-weighted
-helpers and the ``and/or/andnot`` row algebra are the module's
-general-purpose surface for other consumers (and are exercised directly
-by the property tests).
+results across backends, which floating-point reductions cannot promise,
+so it quantizes its weights to fixed-point integers (laid out by
+:func:`fixed_weight_table` for its C traversal) and relies on this module
+only for the (exact) packing, bitwise and counting primitives.  The
+float-weighted helpers and the ``and/or/andnot`` row algebra are the
+module's general-purpose surface for other consumers (and are exercised
+directly by the property tests).
 
 Backends
 --------
 The batch primitives that dominate the large-``n`` regimes —
-:func:`and_popcount_rows`, :func:`fixed_weighted_popcount`,
-:func:`child_metrics_rows`, :func:`subset_match_rows`,
+:func:`and_popcount_rows`, :func:`subset_match_rows`,
 :func:`or_union_rows`, :func:`match_union_rows`, :func:`and_reduce_rows`
 — run on one of two interchangeable backends, selected per call (or per
 consumer) with ``backend="numpy"|"native"|"auto"``:
@@ -92,9 +91,7 @@ __all__ = [
     "and_popcount_rows",
     "and_reduce_many_rows",
     "and_reduce_rows",
-    "child_metrics_rows",
     "fixed_weight_table",
-    "fixed_weighted_popcount",
     "match_union_rows",
     "n_words_for",
     "native_kernel",
@@ -361,72 +358,6 @@ def and_popcount_rows(
     if kernel is not None:
         return kernel.and_popcount(rows, mask)
     return popcount_rows(rows if mask is None else rows & mask)
-
-
-def fixed_weighted_popcount(
-    words: np.ndarray, table: np.ndarray, backend: str = "auto"
-) -> int:
-    """Exact integer ``sum(table[b] for set bits b)`` of one packed mask.
-
-    ``table`` comes from :func:`fixed_weight_table` for the same universe
-    size.  This is the fixed-point sibling of :func:`weighted_popcount`:
-    all arithmetic is int64, so the result is independent of summation
-    order and identical across backends.
-    """
-    kernel = native_kernel(backend)
-    if _obs.ACTIVE is not None:
-        _obs.ACTIVE.count_bitset(
-            "fixed_weighted_popcount", "native" if kernel is not None else "numpy"
-        )
-    if kernel is not None:
-        return kernel.weighted_popcount(words, table)
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    if words.size * WORD_BITS != table.size:
-        raise ValueError("words and weight table disagree on universe size")
-    if words.size == 0:
-        return 0
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return int(table[np.flatnonzero(bits)].sum())
-
-
-def child_metrics_rows(
-    rows: np.ndarray,
-    supp: np.ndarray,
-    supp_other: np.ndarray,
-    gain_table: np.ndarray,
-    wsum_table: np.ndarray | None = None,
-    backend: str = "auto",
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-    """Fused per-row search metrics over ``new = rows[i] & supp``.
-
-    Returns ``(wsums, gains, counts, joints)`` — for every packed row:
-    the fixed-point weighted popcounts of ``new`` under ``wsum_table``
-    (``None`` when the table is) and ``gain_table``, ``|new|``, and
-    ``|new & supp_other|``.  This is the one call the native search
-    backend makes per node in place of the dense four-column GEMM; the
-    numpy path here is the order-independent reference used by the
-    property tests (the search's numpy backend keeps its original GEMM
-    formulation, which is equal bit for bit).
-    """
-    kernel = native_kernel(backend)
-    if _obs.ACTIVE is not None:
-        _obs.ACTIVE.count_bitset(
-            "child_metrics_rows", "native" if kernel is not None else "numpy"
-        )
-    if kernel is not None:
-        return kernel.child_metrics(rows, supp, supp_other, gain_table, wsum_table)
-    rows = np.ascontiguousarray(rows, dtype=np.uint64)
-    new = rows & supp
-    counts = popcount_rows(new)
-    joints = popcount_rows(new & supp_other)
-    # Integer sums < 2**51 are exact in float64, so riding BLAS here is
-    # still bit-identical to the int64 accumulation of the C kernel.
-    bits = unpack_rows(new, new.shape[1] * WORD_BITS).astype(np.float64)
-    gains = np.rint(bits @ gain_table.astype(np.float64)).astype(np.int64)
-    wsums = None
-    if wsum_table is not None:
-        wsums = np.rint(bits @ wsum_table.astype(np.float64)).astype(np.int64)
-    return wsums, gains, counts, joints
 
 
 def subset_match_rows(

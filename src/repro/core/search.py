@@ -18,37 +18,47 @@ found early and pruning bites sooner.  The search is *anytime*: an optional
 node budget stops it early, returning the best rule found so far with
 ``complete=False`` (used for the large-dataset benchmarks).
 
-Child metrics and backends
---------------------------
-Supports are packed uint64 bitsets (:mod:`repro.core.bitset`), and the
-per-child metrics of a search node (co-occurrence, support counts,
-``rub`` sums, directional gains) are computed in a few *batched* vector
-operations over all remaining extension items at once.  The ``backend``
-picks how: dense numpy GEMMs over 0/1 item matrices
-(:class:`_BitsetChildSet`) or fused AND+popcounts in the C kernel of
-:mod:`repro.native` (:class:`_NativeChildSet`).
+Backends
+--------
+Supports are packed uint64 bitsets (:mod:`repro.core.bitset`).  The
+``backend`` picks the engine of the traversal:
 
-Both backends return **bit-identical** rules, gains and
-:class:`SearchStats`.  This is guaranteed structurally, not by luck: all
-code lengths are quantized once per search to fixed-point integers
-(:class:`_Quantized`), so every bound and gain is an exact integer sum —
-and exact integer sums are independent of evaluation order and of the
-support representation.  The integers are carried in ``float64`` (and the
-quantization step is chosen so every partial sum stays far below ``2^53``,
-where float64 arithmetic is exact) because BLAS dot products over float64
-are several times faster than numpy's int64 paths; the arithmetic is
-nevertheless *integer* arithmetic, just in a wider register.  On the test
-datasets the step is ``2^-39`` or finer, so reported gains differ from the
-real-valued ones by far less than the ``1e-9`` tolerance the brute-force
-tests use, while the paper's ``rub``/``qub`` soundness proofs carry over
-verbatim because the quantized weights obey the same inequalities the
-real weights do.
+* ``"native"`` runs the whole depth-first traversal of one search (or of
+  one root-range shard) in a single call into the C kernel of
+  :mod:`repro.native` (``NativeKernel.dfs``).  Python builds the
+  universe-ordered operands once (:class:`_DfsOperands`), and decodes
+  the incumbent, the statistics and, after a budget break, the
+  checkpoint and gap bound.  The call releases the GIL and never
+  allocates.
+* ``"numpy"`` iterates an explicit frame stack in Python; the per-child
+  metrics of a frame (co-occurrence, support counts, ``rub`` sums,
+  directional gains) come out of a few *batched* dense GEMMs over 0/1
+  item matrices (:class:`_BitsetChildSet`).  It is the fallback on a
+  machine without a C compiler.
 
-The traversal uses an explicit frame stack rather than recursion, so deep
-universes (hundreds of items with ``max_rule_size=None``) cannot hit
-Python's recursion limit.  Directional gain vectors are maintained
-incrementally — extending a rule by one item adds one weight column
-instead of re-slicing the full net-weight matrix per evaluation.
+``"auto"`` picks native whenever the kernel builds.  Both backends
+return **bit-identical** rules, gains, :class:`SearchStats`, gap bounds
+and checkpoints — a checkpoint taken by one resumes on the other, since
+both index the same lists of alive children.  This is guaranteed
+structurally, not by luck: all code lengths are quantized once per
+search to fixed-point integers (:class:`_Quantized`), so every bound
+and gain is an exact integer sum, independent of evaluation order and of
+the support representation.  The C traversal sums in int64; the numpy
+one carries the integers in ``float64`` (the quantization step is chosen
+so every partial sum stays far below ``2^53``, where float64 arithmetic
+is exact) because BLAS dot products over float64 are several times
+faster than numpy's int64 paths.  On the test datasets the step is
+``2^-39`` or finer, so reported gains differ from the real-valued ones
+by far less than the ``1e-9`` tolerance the brute-force tests use, while
+the paper's ``rub``/``qub`` soundness proofs carry over verbatim because
+the quantized weights obey the same inequalities the real weights do.
+
+Both traversals use an explicit frame stack rather than recursion, so
+deep universes (hundreds of items with ``max_rule_size=None``) cannot
+hit Python's recursion limit.  Directional gains are maintained
+incrementally: extending a rule by one item of a view leaves the
+support of the other view alone, so the gain towards the extended view
+is the parent's plus one item's term.
 
 A :class:`SearchCache` holds the dataset-static state: the packed data
 columns, packed once per fit, and the dense operands only a search reads
@@ -62,8 +72,9 @@ Parallel sharding (``n_jobs``)
 With ``n_jobs > 1`` the branch-and-bound is *sharded over root subtrees*:
 the universe's root positions are split into contiguous ranges, each
 worker of a :class:`repro.runtime.executor.ParallelExecutor` (thread
-backend — the batched child metrics run in GIL-releasing BLAS calls)
-traverses its ranges with the same seed incumbent, and the per-shard
+backend — a native shard is one GIL-releasing C call, and the numpy
+childsets run in GIL-releasing BLAS) traverses its ranges with the same
+seed incumbent, and the per-shard
 winners are merged in shard order under the serial path's
 strictly-greater replacement rule.  The returned **rule and gain are
 bit-identical to the serial search**: ``rub``/``qub`` only ever discard
@@ -94,7 +105,6 @@ from repro import obs as _obs
 
 from repro.data.dataset import Side, TwoViewDataset
 from repro.core.bitset import (
-    WORD_BITS,
     BitMatrix,
     fixed_weight_table,
     pack_mask,
@@ -109,11 +119,6 @@ if TYPE_CHECKING:
 __all__ = ["SearchStats", "SearchCheckpoint", "SearchCache", "ExactRuleSearch"]
 
 _MAX_FRACTION_BITS = 42
-#: Transaction count below which ``backend="auto"`` keeps the numpy GEMM
-#: even when the native kernel is available: small operands live in
-#: cache where BLAS is untouchable, and the per-node ctypes call
-#: overhead dominates (measured crossover ~2000 on the dense grid).
-_NATIVE_AUTO_MIN_N = 2048
 
 
 @dataclasses.dataclass
@@ -222,16 +227,21 @@ class SearchCheckpoint:
         )
 
 
-def _validate_checkpoint(checkpoint: SearchCheckpoint) -> None:
+def _validate_checkpoint(
+    checkpoint: SearchCheckpoint, max_rule_size: int | None
+) -> None:
     """Reject a checkpoint whose path and cursors cannot be a DFS stack.
 
     A captured stack is a root over a non-empty range of root subtrees
     plus one frame per path entry, each created by a strictly later
-    universe index, with a non-negative cursor per frame.  Anything else
-    was tampered with or truncated and would otherwise resume into a
-    silently different traversal.  Whether each cursor really points
-    past its path entry needs the frames' child lists, so
-    ``_rebuild_checkpoint_stack`` checks that while replaying the path.
+    universe index, with a non-negative cursor per frame.  A frame is
+    only stacked below ``max_rule_size`` items, and a frame with children
+    lies before the universe's last entry, so the path is also shorter
+    than both.  Anything else was tampered with or truncated and would
+    otherwise resume into a silently different traversal.  Whether each
+    cursor really points past its path entry needs the frames' child
+    lists, so the traversal checks that while replaying the path
+    (:func:`_reject_cursor`, :func:`_reject_top_cursor`).
     """
     path, cursors = checkpoint.path, checkpoint.cursors
     root_lo, root_hi = checkpoint.root_lo, checkpoint.root_hi
@@ -255,6 +265,33 @@ def _validate_checkpoint(checkpoint: SearchCheckpoint) -> None:
             f"[{root_lo}, {checkpoint.universe_size}) or starts past the "
             f"root range end {root_hi}"
         )
+    depth_limit = checkpoint.universe_size
+    if max_rule_size is not None:
+        depth_limit = min(depth_limit, max_rule_size)
+    if path and len(path) >= depth_limit:
+        _reject_depth(checkpoint, max_rule_size)
+
+
+def _reject_depth(checkpoint: SearchCheckpoint, max_rule_size: int | None) -> None:
+    raise ValueError(
+        f"checkpoint path {list(checkpoint.path)} is deeper than a search "
+        f"with max_rule_size={max_rule_size} over {checkpoint.universe_size} "
+        "items can stack"
+    )
+
+
+def _reject_top_cursor(checkpoint: SearchCheckpoint, n_children: int) -> None:
+    raise ValueError(
+        f"checkpoint cursor {checkpoint.cursors[-1]} of the top frame is past "
+        f"its {n_children} children"
+    )
+
+
+def _reject_cursor(checkpoint: SearchCheckpoint, depth: int) -> None:
+    raise ValueError(
+        f"checkpoint cursor {checkpoint.cursors[depth]} of frame {depth} does "
+        f"not point just past path index {checkpoint.path[depth]}"
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -383,8 +420,9 @@ class _Quantized:
         self.wq_right = np.rint(weights_right * self.one)
         # Net per-cell weight sign: covering an uncovered cell gains its
         # code length, introducing a new error loses it, anything else 0.
-        # The native backend sums the packed sign rows as fused
-        # AND+popcounts; both backends read the dense fixed-point rows.
+        # The C traversal sums the packed sign rows as fused
+        # AND+popcounts; the pair seed and the numpy traversal read the
+        # dense fixed-point rows.
         self.pos_left, self.neg_left = state.sign_rows(Side.LEFT)
         self.pos_right, self.neg_right = state.sign_rows(Side.RIGHT)
         # tub in fixed point, recomputed from the quantized weights (the
@@ -400,10 +438,10 @@ class _Quantized:
 
 
 class _Frame:
-    """One node of the explicit DFS stack.
+    """One node of the numpy traversal's explicit DFS stack.
 
-    ``s_left``/``s_right`` (0/1 float views of the supports, numpy
-    backend only) and the ``net_*_vals`` products are caches: a child
+    ``s_left``/``s_right`` (0/1 float views of the supports) and the
+    ``net_*_vals`` products are caches: a child
     created by extending one side shares the other side's vectors with its
     parent by reference, so only genuinely new quantities are ever
     recomputed.
@@ -446,14 +484,13 @@ class _Frame:
 
 
 class _BitsetContext:
-    """Universe-ordered packed masks and per-backend operands of one search.
+    """Universe-ordered dense operands of one numpy-backend search.
 
     The per-side matrices are *compact*: row ``p`` of ``mask_left`` is the
     ``p``-th left-view entry of the universe (in universe order), so the
     batched products below never touch rows of the other side.
     ``side_position[u]`` maps a universe index to its side-local row.
-    The dense 0/1 and net rows (``mask_*``, ``net_*``) exist for the numpy
-    backend only; the native backend gets packed and int64 tables instead.
+    The shards of a parallel search share one context read-only.
     """
 
     __slots__ = (
@@ -468,20 +505,8 @@ class _BitsetContext:
         "net_left",
         "net_right",
         "full_words",
-        "kernel",
-        "padded_len",
-        "words_left",
-        "words_right",
-        "tub_table_left",
-        "tub_table_right",
         "gain_rows_left",
         "gain_rows_right",
-        "pos_left_words",
-        "neg_left_words",
-        "pos_right_words",
-        "neg_right_words",
-        "wq_left_univ",
-        "wq_right_univ",
     )
 
     def __init__(
@@ -489,7 +514,6 @@ class _BitsetContext:
         universe: list[_Item],
         quantized: _Quantized,
         cache: SearchCache,
-        backend: str = "numpy",
     ) -> None:
         dataset = cache.dataset
         n = dataset.n_transactions
@@ -517,48 +541,57 @@ class _BitsetContext:
         self.left_index = np.asarray(left_index, dtype=np.int64)
         self.right_index = np.asarray(right_index, dtype=np.int64)
         self.full_words = cache.full_words
-        self.kernel = None
-        if backend != "native":
-            # Dense operands of the numpy childset and frame supports;
-            # frame gains accumulate whole fixed-point net rows.
-            self.mask_left = cache.left_T[left_columns]
-            self.mask_right = cache.right_T[right_columns]
-            self.net_left = quantized.netq_left_T[left_columns]
-            self.net_right = quantized.netq_right_T[right_columns]
-            self.gain_rows_left = quantized.netq_left_T
-            self.gain_rows_right = quantized.netq_right_T
-        else:
-            self.mask_left = self.mask_right = None
-            from repro import native
+        # Dense operands of the numpy childset and frame supports;
+        # frame gains accumulate whole fixed-point net rows.
+        self.mask_left = cache.left_T[left_columns]
+        self.mask_right = cache.right_T[right_columns]
+        self.net_left = quantized.netq_left_T[left_columns]
+        self.net_right = quantized.netq_right_T[right_columns]
+        self.gain_rows_left = quantized.netq_left_T
+        self.gain_rows_right = quantized.netq_right_T
 
-            self.kernel = native.load_kernel()
-            self.padded_len = n_words * WORD_BITS
-            # Universe-ordered compact word matrices, sliceable per frame
-            # without a gather (the native childset reads them directly).
-            self.words_left = np.ascontiguousarray(self.words_all[self.left_index])
-            self.words_right = np.ascontiguousarray(
-                self.words_all[self.right_index]
-            )
-            # Static fixed-point weight tables (rub bounds) and the padded
-            # int64 net-weight rows the drivers accumulate frame gains from.
-            self.tub_table_left = fixed_weight_table(quantized.tubq_left)
-            self.tub_table_right = fixed_weight_table(quantized.tubq_right)
-            self.gain_rows_left = self._padded_i64(quantized.netq_left_T)
-            self.gain_rows_right = self._padded_i64(quantized.netq_right_T)
-            # Packed positive/negative net-sign rows, universe-ordered:
-            # net sums become wq * (|pos & supp| - |neg & supp|).
-            self.pos_left_words = quantized.pos_left[left_columns]
-            self.neg_left_words = quantized.neg_left[left_columns]
-            self.pos_right_words = quantized.pos_right[right_columns]
-            self.neg_right_words = quantized.neg_right[right_columns]
-            self.wq_left_univ = quantized.wq_left[left_columns]
-            self.wq_right_univ = quantized.wq_right[right_columns]
 
-    def _padded_i64(self, netq: np.ndarray) -> np.ndarray:
-        """Exact int64 rows of a netq matrix, padded to the word grid."""
-        out = np.zeros((netq.shape[0], self.padded_len), dtype=np.int64)
-        out[:, : netq.shape[1]] = netq.astype(np.int64)
-        return out
+class _DfsOperands:
+    """Universe-ordered operands of the C traversal (``NativeKernel.dfs``).
+
+    Built once per search and shared read-only by its shards: row ``u``
+    of ``rows``, ``pos`` and ``neg`` holds universe entry ``u``'s packed
+    transaction set and its positive/negative net-sign rows
+    (:meth:`CoverState.sign_rows`), ``sides`` its view (0 left, 1 right)
+    and ``wq`` its fixed-point code length, which is also its per-cell
+    weight.  The transaction upper bounds ride as padded int64 weight
+    tables.
+    """
+
+    __slots__ = (
+        "kernel", "rows", "pos", "neg", "sides", "wq", "tub_left", "tub_right", "full",
+    )
+
+    def __init__(
+        self, universe: list[_Item], quantized: _Quantized, cache: SearchCache
+    ) -> None:
+        from repro import native
+
+        self.kernel = native.load_kernel()
+        is_right = np.array([entry.side is Side.RIGHT for entry in universe], dtype=bool)
+        columns = np.array([entry.column for entry in universe], dtype=np.int64)
+        shape = (len(universe), cache.left_bits.n_words)
+        self.rows = np.empty(shape, dtype=np.uint64)
+        self.pos = np.empty(shape, dtype=np.uint64)
+        self.neg = np.empty(shape, dtype=np.uint64)
+        for side_mask, bits, pos, neg in (
+            (~is_right, cache.left_bits, quantized.pos_left, quantized.neg_left),
+            (is_right, cache.right_bits, quantized.pos_right, quantized.neg_right),
+        ):
+            side_columns = columns[side_mask]
+            self.rows[side_mask] = bits.words[side_columns]
+            self.pos[side_mask] = pos[side_columns]
+            self.neg[side_mask] = neg[side_columns]
+        self.sides = is_right.astype(np.int64)
+        self.wq = np.array([entry.length_q for entry in universe], dtype=np.int64)
+        self.tub_left = fixed_weight_table(quantized.tubq_left)
+        self.tub_right = fixed_weight_table(quantized.tubq_right)
+        self.full = cache.full_words
 
 
 class _BitsetChildSet:
@@ -715,123 +748,6 @@ class _BitsetChildSet:
         self.alive_list = (np.flatnonzero(alive) + start).tolist()
 
 
-class _NativeChildSet:
-    """Per-child metrics of one frame via the fused C kernel.
-
-    Exposes exactly the attribute surface of :class:`_BitsetChildSet`,
-    so the traversal runs unchanged on either.  One
-    ``child_metrics`` call per side replaces the dense four-column GEMM
-    — each candidate's co-occurrence, new support count, ``rub``
-    weighted sum and directional gain come out of a single pass over its
-    packed words ANDed with the frame support — and the inherited
-    ``net @ support`` products become two fused AND+popcounts on the
-    packed positive/negative net-sign columns.  All quantities are the
-    same exact fixed-point integers the GEMM path computes (int64
-    accumulation vs float64-carried integers), so every exported list is
-    equal to the numpy backend's element for element, and the driver
-    makes the identical decision sequence.
-    """
-
-    __slots__ = (
-        "context",
-        "frame",
-        "start_left",
-        "start_right",
-        "alive_list",
-        "counts_left",
-        "counts_right",
-        "wsums_left",
-        "wsums_right",
-        "fwd_left",
-        "fwd_right",
-        "bwd_left",
-        "bwd_right",
-        "net_left_vals",
-        "net_right_vals",
-    )
-
-    def __init__(
-        self,
-        context: _BitsetContext,
-        quantized: _Quantized,
-        frame: _Frame,
-        start: int,
-        need_rub: bool,
-    ) -> None:
-        self.context = context
-        self.frame = frame
-        kernel = context.kernel
-        start_left = int(np.searchsorted(context.left_index, start))
-        start_right = int(np.searchsorted(context.right_index, start))
-        self.start_left = start_left
-        self.start_right = start_right
-        supp_left = frame.supp_left
-        supp_right = frame.supp_right
-
-        wsums, gains, counts, joints_left = kernel.child_metrics(
-            context.words_left[start_left:],
-            supp_left,
-            supp_right,
-            frame.gain_right,
-            context.tub_table_right if need_rub else None,
-        )
-        self.wsums_left = (
-            wsums.astype(np.float64).tolist() if need_rub else None
-        )
-        self.fwd_left = gains.astype(np.float64).tolist()
-        self.counts_left = counts.astype(np.float64).tolist()
-        if frame.net_right_vals is not None:
-            net_right_sum = frame.net_right_vals[
-                start_right - frame.net_right_start :
-            ]
-        else:
-            pos = kernel.and_popcount(
-                context.pos_right_words[start_right:], supp_left
-            )
-            neg = kernel.and_popcount(
-                context.neg_right_words[start_right:], supp_left
-            )
-            net_right_sum = context.wq_right_univ[start_right:] * (
-                pos - neg
-            ).astype(np.float64)
-        self.net_right_vals = net_right_sum
-        fwd_const = float(kernel.weighted_popcount(supp_left, frame.gain_right))
-        self.fwd_right = (net_right_sum + fwd_const).tolist()
-
-        wsums, gains, counts, joints_right = kernel.child_metrics(
-            context.words_right[start_right:],
-            supp_right,
-            supp_left,
-            frame.gain_left,
-            context.tub_table_left if need_rub else None,
-        )
-        self.wsums_right = (
-            wsums.astype(np.float64).tolist() if need_rub else None
-        )
-        self.bwd_right = gains.astype(np.float64).tolist()
-        self.counts_right = counts.astype(np.float64).tolist()
-        if frame.net_left_vals is not None:
-            net_left_sum = frame.net_left_vals[start_left - frame.net_left_start :]
-        else:
-            pos = kernel.and_popcount(
-                context.pos_left_words[start_left:], supp_right
-            )
-            neg = kernel.and_popcount(
-                context.neg_left_words[start_left:], supp_right
-            )
-            net_left_sum = context.wq_left_univ[start_left:] * (
-                pos - neg
-            ).astype(np.float64)
-        self.net_left_vals = net_left_sum
-        bwd_const = float(kernel.weighted_popcount(supp_right, frame.gain_left))
-        self.bwd_left = (net_left_sum + bwd_const).tolist()
-
-        alive = np.zeros(context.size - start, dtype=bool)
-        alive[context.left_index[start_left:] - start] = joints_left > 0
-        alive[context.right_index[start_right:] - start] = joints_right > 0
-        self.alive_list = (np.flatnonzero(alive) + start).tolist()
-
-
 class ExactRuleSearch:
     """Exact argmax-gain rule search over a cover state.
 
@@ -847,15 +763,14 @@ class ExactRuleSearch:
     use_rub, use_qub, order_items:
         Toggles for the pruning components (ablation A1).
     backend:
-        Arithmetic backend of the batched child metrics:
-        ``"native"`` (the fused C popcount kernel of
-        :mod:`repro.native`), ``"numpy"`` (the dense GEMM formulation),
-        or ``"auto"`` — native when a C toolchain is available *and*
-        the dataset is large enough to benefit
-        (``n_transactions >= 2048``, the measured crossover below which
-        cache-resident BLAS wins), numpy otherwise; resolution never
+        Engine of the traversal: ``"native"`` (the whole depth-first
+        traversal in one call into the C kernel of :mod:`repro.native`),
+        ``"numpy"`` (an explicit frame stack in Python whose child
+        metrics are dense GEMMs), or ``"auto"`` — native whenever a C
+        toolchain is available, numpy otherwise; resolution never
         fails.  Both backends compute the same exact fixed-point
-        integers, so rules, gains and statistics are bit-identical.
+        integers, so rules, gains, statistics, gap bounds and
+        checkpoints are bit-identical.
     n_jobs:
         Worker count for root-subtree sharding (``None``/``-1`` = all
         CPUs).  The returned rule and gain are bit-identical to the
@@ -897,18 +812,12 @@ class ExactRuleSearch:
         self.use_qub = use_qub
         self.order_items = order_items
         self.seed_pairs = seed_pairs
-        # Decide the small-input case BEFORE resolving, so a search that
-        # would never use the native kernel does not probe (and possibly
-        # compile, or fail on) the C toolchain just to discard the result.
-        if backend == "auto" and state.dataset.n_transactions < _NATIVE_AUTO_MIN_N:
-            self.backend = "numpy"
-        else:
-            self.backend = resolve_backend(backend)
+        self.backend = resolve_backend(backend)
         self.cache = state.cache
         self.n_jobs = executor.n_jobs if executor is not None else effective_n_jobs(n_jobs)
         self.executor = executor
         if checkpoint is not None:
-            _validate_checkpoint(checkpoint)
+            _validate_checkpoint(checkpoint, max_rule_size)
         self.resume_from = checkpoint
         #: Populated by :meth:`find_best_rule` when a ``max_nodes``
         #: budget interrupts the traversal; ``None`` on complete runs.
@@ -1021,6 +930,14 @@ class ExactRuleSearch:
         return best_rule, best_q
 
     # ------------------------------------------------------------------
+    def _operands(
+        self, universe: list[_Item], quantized: _Quantized
+    ) -> _BitsetContext | _DfsOperands:
+        """The backend's per-search operands, shared by every shard."""
+        if self.backend == "native":
+            return _DfsOperands(universe, quantized, self.cache)
+        return _BitsetContext(universe, quantized, self.cache)
+
     def _make_root(
         self, quantized: _Quantized, context: _BitsetContext, lo: int, hi: int
     ) -> _Frame:
@@ -1038,15 +955,10 @@ class ExactRuleSearch:
         root.wsum_right = float(quantized.tubq_left.sum())
         root.count_left = n
         root.count_right = n
-        if context.kernel is not None:
-            # Native frames accumulate gains as padded int64 tables (the
-            # layout the fused weighted popcounts consume directly).
-            zero_gain = np.zeros(context.padded_len, dtype=np.int64)
-        else:
-            ones = np.ones(n, dtype=np.float64)
-            root.s_left = ones
-            root.s_right = ones
-            zero_gain = np.zeros(n, dtype=np.float64)
+        ones = np.ones(n, dtype=np.float64)
+        root.s_left = ones
+        root.s_right = ones
+        zero_gain = np.zeros(n, dtype=np.float64)
         root.gain_left = zero_gain
         root.gain_right = zero_gain
         return root
@@ -1054,98 +966,103 @@ class ExactRuleSearch:
     # ------------------------------------------------------------------
     # Anytime support: gap bounds, checkpoint capture, checkpoint replay
     # ------------------------------------------------------------------
-    def _capture_interrupt(
+    def _record_interrupt(
         self,
         quantized: _Quantized,
         universe: list[_Item],
-        context,
-        stack,
         stats: SearchStats,
         best_rule: TranslationRule | None,
         best_q: float,
-        nodes_visited: int,
-        use_rub: bool,
+        frontier: float | None,
+        path: tuple[int, ...],
+        cursors: tuple[int, ...],
+        root_range: tuple[int, int],
     ) -> None:
         """Record the gap bound and resume checkpoint at a budget break.
 
-        The gap bound is the maximum ``rub`` over the unexplored
-        frontier: for every stacked frame, the not-yet-expanded children
-        from its cursor on, each bounded exactly the way the traversal
-        itself would bound them.  Every unexplored node lives in one of
-        those subtrees, so no rule outside the bound can exist.
+        ``frontier`` is the maximum ``rub`` over the unexplored frontier
+        (``None`` when nothing is left unexplored): for every stacked
+        frame, the not-yet-expanded children from its cursor on, each
+        bounded exactly the way the traversal itself would bound them.
+        Every unexplored node lives in one of those subtrees, so no rule
+        outside the bound can exist.  Without ``use_rub`` only the loose
+        root-mass bound is available.
         """
-        one = quantized.one
-        if not use_rub:
-            root = stack[0]
-            bound = root.wsum_left + root.wsum_right - one
-        else:
-            entry_is_left = [entry.side is Side.LEFT for entry in universe]
-            entry_length = [entry.length_q for entry in universe]
-            side_position = context.side_position
-            bound = -math.inf
-            for frame in stack:
-                childset = frame.childset
-                if childset is None:
-                    if frame.position < frame.limit:
-                        bound = max(
-                            bound,
-                            frame.wsum_left
-                            + frame.wsum_right
-                            - (frame.len_lhs + frame.len_rhs + one),
-                        )
-                    continue
-                base_cost = frame.len_lhs + frame.len_rhs + one
-                for index in childset.alive_list[frame.cursor :]:
-                    left_side = entry_is_left[index]
-                    offset = side_position[index] - (
-                        childset.start_left if left_side else childset.start_right
-                    )
-                    if left_side:
-                        rub = (
-                            childset.wsums_left[offset]
-                            + frame.wsum_right
-                            - base_cost
-                            - entry_length[index]
-                        )
-                    else:
-                        rub = (
-                            frame.wsum_left
-                            + childset.wsums_right[offset]
-                            - base_cost
-                            - entry_length[index]
-                        )
-                    if rub > bound:
-                        bound = rub
-        if bound == -math.inf:
+        stats.complete = False
+        if not self.use_rub:
+            frontier = (
+                float(quantized.tubq_right.sum())
+                + float(quantized.tubq_left.sum())
+                - quantized.one
+            )
+        if frontier is None:
             stats.gap_bound = 0.0
         else:
-            stats.gap_bound = max(0.0, quantized.to_float(bound - best_q))
+            stats.gap_bound = max(0.0, quantized.to_float(frontier - best_q))
         self.last_checkpoint = SearchCheckpoint(
-            path=tuple(frame.position - 1 for frame in stack[1:]),
-            cursors=tuple(frame.cursor for frame in stack),
-            root_lo=stack[0].position,
-            root_hi=stack[0].limit,
+            path=path,
+            cursors=cursors,
+            root_lo=root_range[0],
+            root_hi=root_range[1],
             best_lhs=best_rule.lhs if best_rule is not None else None,
             best_rhs=best_rule.rhs if best_rule is not None else None,
             best_direction=(
                 best_rule.direction.value if best_rule is not None else None
             ),
             best_q=best_q,
-            nodes_visited=nodes_visited,
+            nodes_visited=stats.nodes_visited,
             nodes_pruned_rub=stats.nodes_pruned_rub,
             evaluations=stats.evaluations,
             evaluations_skipped_qub=stats.evaluations_skipped_qub,
             universe_size=len(universe),
         )
 
+    def _frontier_bound(
+        self,
+        quantized: _Quantized,
+        universe: list[_Item],
+        context: _BitsetContext,
+        stack: list[_Frame],
+    ) -> float | None:
+        """Largest ``rub`` of a stacked frame's unvisited child (numpy stack)."""
+        one = quantized.one
+        entry_is_left = [entry.side is Side.LEFT for entry in universe]
+        entry_length = [entry.length_q for entry in universe]
+        side_position = context.side_position
+        bound = None
+        for frame in stack:
+            childset = frame.childset
+            base_cost = frame.len_lhs + frame.len_rhs + one
+            for index in childset.alive_list[frame.cursor :]:
+                left_side = entry_is_left[index]
+                offset = side_position[index] - (
+                    childset.start_left if left_side else childset.start_right
+                )
+                if left_side:
+                    rub = (
+                        childset.wsums_left[offset]
+                        + frame.wsum_right
+                        - base_cost
+                        - entry_length[index]
+                    )
+                else:
+                    rub = (
+                        frame.wsum_left
+                        + childset.wsums_right[offset]
+                        - base_cost
+                        - entry_length[index]
+                    )
+                if bound is None or rub > bound:
+                    bound = rub
+        return bound
+
     def _rebuild_checkpoint_stack(
         self,
         quantized: _Quantized,
         universe: list[_Item],
-        context,
+        context: _BitsetContext,
         checkpoint: SearchCheckpoint,
-        use_rub: bool,
-    ):
+    ) -> list[_Frame]:
         """Replay a checkpoint's root-to-leaf path into a live frame stack.
 
         Re-creates each frame on the path exactly the way the original
@@ -1159,18 +1076,7 @@ class ExactRuleSearch:
         is visited.
         """
         size = len(universe)
-        native = context.kernel is not None
-        childset_class = _NativeChildSet if native else _BitsetChildSet
-        entry_is_left = [entry.side is Side.LEFT for entry in universe]
-        entry_column = [entry.column for entry in universe]
-        entry_length = [entry.length_q for entry in universe]
-        side_position = context.side_position
-        words_all = context.words_all
-        netq_left_rows = context.gain_rows_left
-        netq_right_rows = context.gain_rows_right
-        mask_left_rows = context.mask_left
-        mask_right_rows = context.mask_right
-
+        use_rub = self.use_rub
         path = checkpoint.path
         stack = [
             self._make_root(
@@ -1179,7 +1085,7 @@ class ExactRuleSearch:
         ]
         for depth, cursor in enumerate(checkpoint.cursors):
             frame = stack[-1]
-            childset = childset_class(
+            childset = _BitsetChildSet(
                 context, quantized, frame, frame.position, use_rub
             )
             if frame.limit < size:
@@ -1190,79 +1096,81 @@ class ExactRuleSearch:
             alive_list = childset.alive_list
             if depth == len(path):
                 if cursor >= len(alive_list):
-                    raise ValueError(
-                        f"checkpoint cursor {cursor} of the top frame is past "
-                        f"its {len(alive_list)} children"
-                    )
+                    _reject_top_cursor(checkpoint, len(alive_list))
                 break
             index = path[depth]
             if not 0 < cursor <= len(alive_list) or alive_list[cursor - 1] != index:
-                raise ValueError(
-                    f"checkpoint cursor {cursor} of frame {depth} does not point "
-                    f"just past path index {index}"
-                )
-            left_side = entry_is_left[index]
-            column = entry_column[index]
-            side_offset = side_position[index] - (
+                _reject_cursor(checkpoint, depth)
+            left_side = universe[index].side is Side.LEFT
+            side_offset = context.side_position[index] - (
                 childset.start_left if left_side else childset.start_right
             )
             if left_side:
-                new_len_lhs = frame.len_lhs + entry_length[index]
-                new_len_rhs = frame.len_rhs
+                wsum_new = childset.wsums_left[side_offset] if use_rub else 0.0
+                count_new = childset.counts_left[side_offset]
             else:
-                new_len_lhs = frame.len_lhs
-                new_len_rhs = frame.len_rhs + entry_length[index]
-            wsum_new = 0.0
-            if use_rub:
-                wsum_new = (
-                    childset.wsums_left[side_offset]
-                    if left_side
-                    else childset.wsums_right[side_offset]
+                wsum_new = childset.wsums_right[side_offset] if use_rub else 0.0
+                count_new = childset.counts_right[side_offset]
+            stack.append(
+                self._child_frame(
+                    context, universe, frame, childset, index, wsum_new, count_new
                 )
-            count_new = (
-                childset.counts_left[side_offset]
-                if left_side
-                else childset.counts_right[side_offset]
             )
-            child = _Frame()
-            child.position = index + 1
-            child.limit = size
-            child.len_lhs = new_len_lhs
-            child.len_rhs = new_len_rhs
-            if left_side:
-                child.lhs = frame.lhs + (column,)
-                child.rhs = frame.rhs
-                child.supp_left = words_all[index] & frame.supp_left
-                child.supp_right = frame.supp_right
-                if not native:
-                    child.s_left = frame.s_left * mask_left_rows[side_position[index]]
-                    child.s_right = frame.s_right
-                child.wsum_left = wsum_new
-                child.wsum_right = frame.wsum_right
-                child.count_left = count_new
-                child.count_right = frame.count_right
-                child.gain_left = frame.gain_left + netq_left_rows[column]
-                child.gain_right = frame.gain_right
-                child.net_left_vals = childset.net_left_vals
-                child.net_left_start = childset.start_left
-            else:
-                child.lhs = frame.lhs
-                child.rhs = frame.rhs + (column,)
-                child.supp_left = frame.supp_left
-                child.supp_right = words_all[index] & frame.supp_right
-                if not native:
-                    child.s_left = frame.s_left
-                    child.s_right = frame.s_right * mask_right_rows[side_position[index]]
-                child.wsum_left = frame.wsum_left
-                child.wsum_right = wsum_new
-                child.count_left = frame.count_left
-                child.count_right = count_new
-                child.gain_left = frame.gain_left
-                child.gain_right = frame.gain_right + netq_right_rows[column]
-                child.net_right_vals = childset.net_right_vals
-                child.net_right_start = childset.start_right
-            stack.append(child)
         return stack
+
+    def _child_frame(
+        self,
+        context: _BitsetContext,
+        universe: list[_Item],
+        frame: _Frame,
+        childset: _BitsetChildSet,
+        index: int,
+        wsum_new: float,
+        count_new: float,
+    ) -> _Frame:
+        """The numpy frame of ``frame``'s child created by universe ``index``."""
+        entry = universe[index]
+        column = entry.column
+        position = context.side_position[index]
+        child = _Frame()
+        child.position = index + 1
+        child.limit = len(universe)
+        if entry.side is Side.LEFT:
+            child.lhs = frame.lhs + (column,)
+            child.rhs = frame.rhs
+            child.len_lhs = frame.len_lhs + entry.length_q
+            child.len_rhs = frame.len_rhs
+            child.supp_left = context.words_all[index] & frame.supp_left
+            child.supp_right = frame.supp_right
+            child.s_left = frame.s_left * context.mask_left[position]
+            child.s_right = frame.s_right
+            child.wsum_left = wsum_new
+            child.wsum_right = frame.wsum_right
+            child.count_left = count_new
+            child.count_right = frame.count_right
+            child.gain_left = frame.gain_left + context.gain_rows_left[column]
+            child.gain_right = frame.gain_right
+            # s_right unchanged: the net_left @ s_right products carry over.
+            child.net_left_vals = childset.net_left_vals
+            child.net_left_start = childset.start_left
+        else:
+            child.lhs = frame.lhs
+            child.rhs = frame.rhs + (column,)
+            child.len_lhs = frame.len_lhs
+            child.len_rhs = frame.len_rhs + entry.length_q
+            child.supp_left = frame.supp_left
+            child.supp_right = context.words_all[index] & frame.supp_right
+            child.s_left = frame.s_left
+            child.s_right = frame.s_right * context.mask_right[position]
+            child.wsum_left = frame.wsum_left
+            child.wsum_right = wsum_new
+            child.count_left = frame.count_left
+            child.count_right = count_new
+            child.gain_left = frame.gain_left
+            child.gain_right = frame.gain_right + context.gain_rows_right[column]
+            child.net_right_vals = childset.net_right_vals
+            child.net_right_start = childset.start_right
+        return child
 
     def _traverse_parallel(
         self,
@@ -1290,8 +1198,8 @@ class ExactRuleSearch:
         size = len(universe)
         executor = self.executor
         if executor is None:
-            # Threads: shards share the read-only context/quantized arrays
-            # and the batched child metrics run in GIL-releasing BLAS.
+            # Threads: shards share the read-only operands, and both
+            # backends do their heavy lifting with the GIL released.
             executor = ParallelExecutor(
                 n_jobs=min(self.n_jobs, size), backend="thread", chunk_size=1
             )
@@ -1301,14 +1209,14 @@ class ExactRuleSearch:
         ranges = [
             (int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
         ]
-        context = _BitsetContext(universe, quantized, self.cache, self.backend)
+        operands = self._operands(universe, quantized)
 
         def run_shard(root_range: tuple[int, int]):
             lo, hi = root_range
             shard_stats = SearchStats(backend=self.backend)
             rule, gain_q = self._traverse(
                 quantized, universe, shard_stats, seed_rule, seed_q,
-                context=context, root_lo=lo, root_hi=hi,
+                operands=operands, root_lo=lo, root_hi=hi,
             )
             return rule, gain_q, shard_stats
 
@@ -1330,21 +1238,119 @@ class ExactRuleSearch:
         stats: SearchStats,
         best_rule: TranslationRule | None,
         best_q: float,
-        context: _BitsetContext | None = None,
+        operands: _BitsetContext | _DfsOperands | None = None,
         root_lo: int = 0,
         root_hi: int | None = None,
         resume: SearchCheckpoint | None = None,
     ) -> tuple[TranslationRule | None, float]:
-        """Depth-first branch-and-bound over the universe (explicit stack).
+        """Depth-first branch-and-bound over the universe.
 
-        Child metrics come from the frame's batched childset, and only
-        co-occurring (alive) children are iterated at all.  Shards of a
-        parallel search pass their shared ``context`` and their root range
-        ``[root_lo, root_hi)``; a resumed search replays ``resume``'s stack
-        instead of starting at the root.
+        Shards of a parallel search pass their shared ``operands`` and
+        their root range ``[root_lo, root_hi)``; a resumed search replays
+        ``resume``'s stack instead of starting at the root.  The native
+        backend runs the whole traversal in one C call; the numpy one
+        iterates an explicit frame stack here.
         """
         if self.max_rule_size is not None and self.max_rule_size <= 0:
             return best_rule, best_q
+        if operands is None:
+            operands = self._operands(universe, quantized)
+        if root_hi is None:
+            root_hi = len(universe)
+        if isinstance(operands, _DfsOperands):
+            return self._traverse_native(
+                quantized, universe, stats, best_rule, best_q,
+                operands, (root_lo, root_hi), resume,
+            )
+        return self._traverse_numpy(
+            quantized, universe, stats, best_rule, best_q,
+            operands, (root_lo, root_hi), resume,
+        )
+
+    def _traverse_native(
+        self,
+        quantized: _Quantized,
+        universe: list[_Item],
+        stats: SearchStats,
+        best_rule: TranslationRule | None,
+        best_q: float,
+        operands: _DfsOperands,
+        root_range: tuple[int, int],
+        resume: SearchCheckpoint | None,
+    ) -> tuple[TranslationRule | None, float]:
+        """The traversal as one ``NativeKernel.dfs`` call (GIL released)."""
+        if resume is not None:
+            root_range = (resume.root_lo, resume.root_hi)
+        outcome = operands.kernel.dfs(
+            operands.rows,
+            operands.pos,
+            operands.neg,
+            operands.sides,
+            operands.wq,
+            operands.tub_left,
+            operands.tub_right,
+            operands.full,
+            one=int(quantized.one),
+            best_q=int(best_q),
+            counters=(
+                stats.nodes_visited,
+                stats.nodes_pruned_rub,
+                stats.evaluations,
+                stats.evaluations_skipped_qub,
+            ),
+            root=root_range,
+            use_rub=self.use_rub,
+            use_qub=self.use_qub,
+            max_rule_size=self.max_rule_size,
+            max_nodes=self.max_nodes,
+            path=resume.path if resume is not None else (),
+            cursors=resume.cursors if resume is not None else None,
+        )
+        if outcome.status == "bad_top_cursor":
+            _reject_top_cursor(resume, outcome.error_children)
+        if outcome.status == "bad_cursor":
+            _reject_cursor(resume, outcome.error_depth)
+        if outcome.status == "too_deep":
+            _reject_depth(resume, self.max_rule_size)
+        (
+            stats.nodes_visited,
+            stats.nodes_pruned_rub,
+            stats.evaluations,
+            stats.evaluations_skipped_qub,
+        ) = outcome.counters
+        if outcome.best is not None:
+            entries = [universe[index] for index in outcome.best]
+            best_rule = TranslationRule(
+                tuple(entry.column for entry in entries if entry.side is Side.LEFT),
+                tuple(entry.column for entry in entries if entry.side is Side.RIGHT),
+                outcome.direction,
+            )
+            best_q = float(outcome.best_q)
+        if outcome.status == "interrupted":
+            frontier = outcome.frontier_bound
+            self._record_interrupt(
+                quantized, universe, stats, best_rule, best_q,
+                None if frontier is None else float(frontier),
+                outcome.path, outcome.cursors, root_range,
+            )
+        return best_rule, best_q
+
+    def _traverse_numpy(
+        self,
+        quantized: _Quantized,
+        universe: list[_Item],
+        stats: SearchStats,
+        best_rule: TranslationRule | None,
+        best_q: float,
+        context: _BitsetContext,
+        root_range: tuple[int, int],
+        resume: SearchCheckpoint | None,
+    ) -> tuple[TranslationRule | None, float]:
+        """The traversal on an explicit frame stack of batched childsets.
+
+        Child metrics come from the frame's batched childset, and only
+        co-occurring (alive) children are iterated at all.
+        """
         one = quantized.one
         two = 2.0 * one
         size = len(universe)
@@ -1353,29 +1359,15 @@ class ExactRuleSearch:
         entry_is_left = [entry.side is Side.LEFT for entry in universe]
         entry_column = [entry.column for entry in universe]
         entry_length = [entry.length_q for entry in universe]
-
-        if context is None:
-            context = _BitsetContext(universe, quantized, self.cache, self.backend)
-        native = context.kernel is not None
-        childset_class = _NativeChildSet if native else _BitsetChildSet
-        netq_left_rows = context.gain_rows_left
-        netq_right_rows = context.gain_rows_right
-        mask_left_rows = context.mask_left
-        mask_right_rows = context.mask_right
         side_position = context.side_position
-        words_all = context.words_all
 
         nodes_visited = stats.nodes_visited
         if resume is not None:
             stack = self._rebuild_checkpoint_stack(
-                quantized, universe, context, resume, use_rub
+                quantized, universe, context, resume
             )
         else:
-            stack = [
-                self._make_root(
-                    quantized, context, root_lo, size if root_hi is None else root_hi
-                )
-            ]
+            stack = [self._make_root(quantized, context, *root_range)]
         while stack:
             frame = stack[-1]
             childset = frame.childset
@@ -1383,7 +1375,7 @@ class ExactRuleSearch:
                 if frame.position >= frame.limit:
                     stack.pop()
                     continue
-                childset = childset_class(
+                childset = _BitsetChildSet(
                     context, quantized, frame, frame.position, use_rub
                 )
                 if frame.limit < size:
@@ -1406,13 +1398,16 @@ class ExactRuleSearch:
                 # resumed decision sequence (and statistics) bit-identical
                 # to an uninterrupted run's.
                 frame.cursor = cursor
-                nodes_visited -= 1
-                stats.complete = False
-                self._capture_interrupt(
-                    quantized, universe, context, stack, stats,
-                    best_rule, best_q, nodes_visited, use_rub,
+                stats.nodes_visited = nodes_visited - 1
+                self._record_interrupt(
+                    quantized, universe, stats, best_rule, best_q,
+                    self._frontier_bound(quantized, universe, context, stack)
+                    if use_rub else None,
+                    tuple(frame.position - 1 for frame in stack[1:]),
+                    tuple(frame.cursor for frame in stack),
+                    (stack[0].position, stack[0].limit),
                 )
-                break
+                return best_rule, best_q
             left_side = entry_is_left[index]
             column = entry_column[index]
             side_offset = side_position[index] - (
@@ -1486,43 +1481,11 @@ class ExactRuleSearch:
                         best_rule = TranslationRule(new_lhs, new_rhs, "<->")
             if max_rule_size is not None and len(new_lhs) + len(new_rhs) >= max_rule_size:
                 continue
-            child = _Frame()
-            child.position = index + 1
-            child.limit = size
-            child.lhs = new_lhs
-            child.rhs = new_rhs
-            child.len_lhs = new_len_lhs
-            child.len_rhs = new_len_rhs
-            if left_side:
-                child.supp_left = words_all[index] & frame.supp_left
-                child.supp_right = frame.supp_right
-                if not native:
-                    child.s_left = frame.s_left * mask_left_rows[side_position[index]]
-                    child.s_right = frame.s_right
-                child.wsum_left = wsum_new
-                child.wsum_right = frame.wsum_right
-                child.count_left = count_new
-                child.count_right = frame.count_right
-                child.gain_left = frame.gain_left + netq_left_rows[column]
-                child.gain_right = frame.gain_right
-                # s_right unchanged: the net_left @ s_right products carry over.
-                child.net_left_vals = childset.net_left_vals
-                child.net_left_start = childset.start_left
-            else:
-                child.supp_left = frame.supp_left
-                child.supp_right = words_all[index] & frame.supp_right
-                if not native:
-                    child.s_left = frame.s_left
-                    child.s_right = frame.s_right * mask_right_rows[side_position[index]]
-                child.wsum_left = frame.wsum_left
-                child.wsum_right = wsum_new
-                child.count_left = frame.count_left
-                child.count_right = count_new
-                child.gain_left = frame.gain_left
-                child.gain_right = frame.gain_right + netq_right_rows[column]
-                child.net_right_vals = childset.net_right_vals
-                child.net_right_start = childset.start_right
-            stack.append(child)
+            stack.append(
+                self._child_frame(
+                    context, universe, frame, childset, index, wsum_new, count_new
+                )
+            )
         stats.nodes_visited = nodes_visited
         return best_rule, best_q
 

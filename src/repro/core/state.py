@@ -74,6 +74,16 @@ class SideCover:
         errors = support & ~(self.data.words[columns] | self.translated[columns])
         return covered, errors
 
+    def copy(self) -> "SideCover":
+        """A copy with its own cover rows; ``data`` and ``weights`` are shared."""
+        clone = SideCover.__new__(SideCover)
+        clone.data = self.data
+        clone.weights = self.weights
+        clone.translated = self.translated.copy()
+        clone.uncovered = self.uncovered.copy()
+        clone.errors = self.errors.copy()
+        return clone
+
     def delta(self, support: np.ndarray, columns: list[int]) -> float:
         """Covered bits minus new error bits of translating ``columns`` onto ``support``."""
         weights = self.weights[columns]
@@ -141,6 +151,29 @@ class CoverState:
             np.dot(popcount_rows(self._right.uncovered), self._right.weights)
         )
         self.baseline_bits = self.correction_bits_left + self.correction_bits_right
+
+    def copy(self) -> "CoverState":
+        """An independent state with the same table and cover.
+
+        The packed cover rows, the table and the running length totals
+        are duplicated, so adding rules to either state leaves the other
+        alone; the dataset, the cache and the code lengths are shared.
+        Adding the same rules to a copy performs the same updates in the
+        same order as replaying the whole table on a fresh state, so
+        every length comes out bit-identical.
+        """
+        clone = CoverState.__new__(CoverState)
+        clone.dataset = self.dataset
+        clone.cache = self.cache
+        clone.codes = self.codes
+        clone.table = TranslationTable(self.table)
+        clone._left = self._left.copy()
+        clone._right = self._right.copy()
+        clone.table_bits = self.table_bits
+        clone.correction_bits_left = self.correction_bits_left
+        clone.correction_bits_right = self.correction_bits_right
+        clone.baseline_bits = self.baseline_bits
+        return clone
 
     def cover(self, side: Side) -> SideCover:
         """The packed cover of one view."""

@@ -19,11 +19,11 @@ against the table the rule belongs to.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from repro.core.encoding import CodeLengthModel
+from repro.core.pruning import removal_lengths
 from repro.core.rules import TranslationRule
-from repro.core.state import CoverState
 from repro.core.table import TranslationTable
 from repro.data.dataset import Side, TwoViewDataset
 from repro.eval.metrics import confidence, max_confidence
@@ -81,27 +81,6 @@ def _coverage_cells(dataset: TwoViewDataset, rule: TranslationRule) -> int:
     return cells
 
 
-def _removal_gain(
-    dataset: TwoViewDataset,
-    table: Sequence[TranslationRule],
-    index: int,
-    codes: CodeLengthModel,
-) -> float:
-    """Marginal MDL contribution of rule ``index``: L(without) − L(with).
-
-    Positive means the table is better off keeping the rule.  Computed by
-    replaying the table without the rule on a fresh cover state (rules
-    commute under TRANSLATE, so replay order is irrelevant).
-    """
-    with_rule = CoverState(dataset, codes)
-    without_rule = CoverState(dataset, codes)
-    for position, rule in enumerate(table):
-        with_rule.add_rule(rule)
-        if position != index:
-            without_rule.add_rule(rule)
-    return without_rule.total_length() - with_rule.total_length()
-
-
 def rule_stats(
     dataset: TwoViewDataset,
     rule: TranslationRule,
@@ -142,11 +121,12 @@ def rank_rules(
     codes = CodeLengthModel(dataset)
     stats = [rule_stats(dataset, rule, codes) for rule in rules]
     if by == "gain":
+        # A rule's marginal MDL contribution: L(without it) - L(with it),
+        # positive when the table is better off keeping the rule.
+        full, without = removal_lengths(dataset, rules, codes)
         stats = [
-            dataclasses.replace(
-                record, gain_bits=_removal_gain(dataset, rules, index, codes)
-            )
-            for index, record in enumerate(stats)
+            dataclasses.replace(record, gain_bits=length - full)
+            for record, length in zip(stats, without)
         ]
         key = lambda record: record.gain_bits  # noqa: E731
     elif by == "confidence":

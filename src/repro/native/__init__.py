@@ -1,15 +1,16 @@
-"""Native fused-popcount backend (optional, compiled on demand).
+"""Native backend: a small C kernel, compiled on demand (optional).
 
-The packed-bitset kernel of :mod:`repro.core.bitset` tops out on BLAS
-for very large transaction counts: the batched child metrics of the
-exact search and the bulk regime of the compiled predictor reduce to
-dense matrix products whose operands are 64x larger than the packed
-words they were derived from.  This package lifts that floor with a
-small dependency-free C kernel (``kernel.c``) exposing
+The exact search spends its time in a depth-first traversal that visits
+hundreds of thousands of nodes, and the packed-bitset kernel of
+:mod:`repro.core.bitset` tops out on BLAS for very large transaction
+counts.  This package runs both in a small dependency-free C kernel
+(``kernel.c``) exposing
 
+* the exact search's whole traversal — frames, ``rub``/``qub`` pruning,
+  fixed-point gains, the DFS-order tie-break, the node budget and
+  checkpoint capture and replay — as one reentrant, GIL-releasing call
+  per search (:meth:`NativeKernel.dfs`),
 * fused AND + popcount over row batches,
-* fixed-point (exact integer) weighted popcounts — the same quantized
-  scoring the search already uses,
 * a packed subset test and a weighted-OR/consequent-union primitive,
 * a fused AND-reduce + popcount for the streaming buffer's tracked
   supports.

@@ -1,23 +1,26 @@
-"""ctypes bindings for the compiled popcount kernel.
+"""ctypes bindings for the compiled kernel.
 
 :class:`NativeKernel` is a thin typed wrapper over the shared object
 that :mod:`repro.native.build` compiles: every method validates dtypes
-and contiguity, allocates the output array, and hands raw pointers to
+and contiguity, allocates the output arrays, and hands raw pointers to
 the C functions (ctypes drops the GIL for the duration of each call, so
-the thread-sharded search parallelises through here).  All semantics —
+the thread-sharded search runs its shards in parallel).  All semantics —
 word layout, weight-table layout, integer exactness — are documented on
 the C source and on the numpy reference implementations in
-:mod:`repro.core.bitset`, which these calls are bit-identical to.
+:mod:`repro.core.bitset` and :mod:`repro.core.search`, which these calls
+are bit-identical to.
 """
 
 from __future__ import annotations
 
 import ctypes
+import dataclasses
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["NativeKernel"]
+__all__ = ["DfsResult", "NativeKernel"]
 
 _U64 = ctypes.POINTER(ctypes.c_uint64)
 _I64 = ctypes.POINTER(ctypes.c_int64)
@@ -53,6 +56,51 @@ def _as_table(array: np.ndarray, n_words: int, name: str) -> np.ndarray:
     return out
 
 
+#: ``repro_dfs`` return codes.
+_DFS_STATUS = {
+    0: "complete",
+    1: "interrupted",
+    -1: "bad_top_cursor",
+    -2: "bad_cursor",
+    -3: "too_deep",
+}
+#: Slots of ``repro_dfs``'s io block (the ``REPRO_IO_*`` enum in kernel.c).
+_IO_SLOTS = 12
+_IO_BEST_Q, _IO_COUNTERS, _IO_BEST_DIRECTION, _IO_BEST_SIZE = 0, slice(1, 5), 5, 6
+_IO_DEPTH, _IO_HAS_BOUND, _IO_BOUND, _IO_ERROR_DEPTH, _IO_ERROR_CHILDREN = range(7, 12)
+_DIRECTIONS = ("->", "<-", "<->")
+
+
+@dataclasses.dataclass(frozen=True)
+class DfsResult:
+    """Outcome of one :meth:`NativeKernel.dfs` call, in fixed point.
+
+    ``status`` is ``"complete"``, ``"interrupted"`` (the node budget
+    stopped the traversal; ``path`` and ``cursors`` describe the stacked
+    frames and ``frontier_bound`` is the largest ``rub`` of the
+    unexplored frontier, ``None`` when it is empty or the search runs
+    without ``rub``), or why a checkpoint replay was rejected:
+    ``"bad_top_cursor"`` or ``"bad_cursor"`` for the cursor of frame
+    ``error_depth`` (which has ``error_children`` children), and
+    ``"too_deep"`` for a path deeper than the search can stack.
+    ``best`` lists the universe entries of a new incumbent (``None``
+    when the incumbent passed in was kept), ``counters`` the cumulative
+    ``SearchStats`` counters (visited, pruned by rub, evaluated, skipped
+    by qub).
+    """
+
+    status: str
+    best_q: int
+    counters: tuple[int, int, int, int]
+    best: tuple[int, ...] | None = None
+    direction: str | None = None
+    path: tuple[int, ...] = ()
+    cursors: tuple[int, ...] = ()
+    frontier_bound: int | None = None
+    error_depth: int = -1
+    error_children: int = -1
+
+
 class NativeKernel:
     """Typed handle on one loaded build of the C kernel."""
 
@@ -64,13 +112,6 @@ class NativeKernel:
         lib.repro_and_popcount.restype = None
         lib.repro_and_popcount.argtypes = [
             _U64, ctypes.c_int64, ctypes.c_int64, _U64, _I64,
-        ]
-        lib.repro_weighted_popcount.restype = ctypes.c_int64
-        lib.repro_weighted_popcount.argtypes = [_U64, ctypes.c_int64, _I64]
-        lib.repro_child_metrics.restype = None
-        lib.repro_child_metrics.argtypes = [
-            _U64, ctypes.c_int64, ctypes.c_int64,
-            _U64, _U64, _I64, _I64, _I64, _I64, _I64, _I64,
         ]
         lib.repro_subset_match.restype = None
         lib.repro_subset_match.argtypes = [
@@ -92,6 +133,16 @@ class NativeKernel:
         lib.repro_and_reduce_many.restype = None
         lib.repro_and_reduce_many.argtypes = [
             _U64, _I64, ctypes.c_int64, ctypes.c_int64, _U64, _I64,
+        ]
+        lib.repro_dfs_workspace_bytes.restype = ctypes.c_int64
+        lib.repro_dfs_workspace_bytes.argtypes = [ctypes.c_int64] * 3
+        lib.repro_dfs.restype = ctypes.c_int64
+        lib.repro_dfs.argtypes = [
+            _U64, _U64, _U64, _I64, _I64, _I64, _I64, _U64,
+            *[ctypes.c_int64] * 9,
+            _I64, _I64, ctypes.c_int64,
+            _I64, _I64, _I64, _I64,
+            ctypes.c_void_p, ctypes.c_int64,
         ]
         self._lib = lib
         self.abi_version = int(lib.repro_abi_version())
@@ -116,57 +167,6 @@ class NativeKernel:
             _u64(rows), n_rows, n_words, mask_ptr, _i64(out)
         )
         return out
-
-    def weighted_popcount(self, words: np.ndarray, table: np.ndarray) -> int:
-        """Fixed-point weighted popcount of one packed mask."""
-        words = _as_words(words, "words")
-        n_words = words.size
-        table = _as_table(table, n_words, "table")
-        if n_words == 0:
-            return 0
-        return int(
-            self._lib.repro_weighted_popcount(_u64(words), n_words, _i64(table))
-        )
-
-    def child_metrics(
-        self,
-        rows: np.ndarray,
-        supp: np.ndarray,
-        supp_other: np.ndarray,
-        gain_table: np.ndarray,
-        wsum_table: np.ndarray | None = None,
-    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-        """Fused per-child search metrics; see ``repro_child_metrics``.
-
-        Returns ``(wsums, gains, counts, joints)`` as int64 arrays
-        (``wsums`` is ``None`` when ``wsum_table`` is).
-        """
-        rows = _as_words(rows, "rows")
-        n_rows, n_words = rows.shape
-        supp = _as_words(supp, "supp")
-        supp_other = _as_words(supp_other, "supp_other")
-        if supp.size != n_words or supp_other.size != n_words:
-            raise ValueError("support masks and rows disagree on word count")
-        gain_table = _as_table(gain_table, n_words, "gain_table")
-        gains = np.empty(n_rows, dtype=np.int64)
-        counts = np.empty(n_rows, dtype=np.int64)
-        joints = np.empty(n_rows, dtype=np.int64)
-        wsums: np.ndarray | None = None
-        wsum_ptr = None
-        wsum_out = None
-        if wsum_table is not None:
-            wsum_table = _as_table(wsum_table, n_words, "wsum_table")
-            wsums = np.empty(n_rows, dtype=np.int64)
-            wsum_ptr = _i64(wsum_table)
-            wsum_out = _i64(wsums)
-        if n_rows:
-            self._lib.repro_child_metrics(
-                _u64(rows), n_rows, n_words,
-                _u64(supp), _u64(supp_other),
-                wsum_ptr, _i64(gain_table),
-                wsum_out, _i64(gains), _i64(counts), _i64(joints),
-            )
-        return wsums, gains, counts, joints
 
     def subset_match(self, rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
         """Boolean ``(n_rows, n_sets)`` packed subset test."""
@@ -252,6 +252,118 @@ class NativeKernel:
         elif n_groups:
             out[:] = 0
         return out, counts
+
+    def dfs(
+        self,
+        rows: np.ndarray,
+        pos: np.ndarray,
+        neg: np.ndarray,
+        sides: np.ndarray,
+        wq: np.ndarray,
+        tub_left: np.ndarray,
+        tub_right: np.ndarray,
+        full: np.ndarray,
+        *,
+        one: int,
+        best_q: int,
+        counters: Sequence[int],
+        root: tuple[int, int],
+        use_rub: bool = True,
+        use_qub: bool = True,
+        max_rule_size: int | None = None,
+        max_nodes: int | None = None,
+        path: Sequence[int] = (),
+        cursors: Sequence[int] | None = None,
+    ) -> DfsResult:
+        """The exact search's whole traversal in one call; see ``repro_dfs``.
+
+        ``rows``, ``pos`` and ``neg`` are ``(size, n_words)`` packed rows
+        of the search universe in universe order: each entry's
+        transaction set and the cells where translating its item gains
+        or loses the item's code length.  ``sides`` (0 left, 1 right)
+        and ``wq`` (fixed-point code lengths) are per entry;
+        ``tub_left`` / ``tub_right`` are the transaction upper bounds as
+        :func:`~repro.core.bitset.fixed_weight_table` layouts and
+        ``full`` is the all-transactions mask.  The traversal starts
+        from incumbent gain ``best_q`` and the cumulative ``counters``,
+        takes root children in ``[root[0], root[1])`` and stops before
+        the node that would exceed ``max_nodes`` in total; ``path`` and
+        ``cursors`` resume a stack a budget break returned.
+        """
+        rows = _as_words(rows, "rows")
+        if rows.ndim != 2:
+            raise ValueError("rows must be 2-dimensional")
+        size, n_words = rows.shape
+        pos = _as_words(pos, "pos")
+        neg = _as_words(neg, "neg")
+        if pos.shape != rows.shape or neg.shape != rows.shape:
+            raise ValueError("sign rows and item rows disagree in shape")
+        sides = np.ascontiguousarray(sides, dtype=np.int64)
+        wq = np.ascontiguousarray(wq, dtype=np.int64)
+        if sides.shape != (size,) or wq.shape != (size,):
+            raise ValueError("sides and wq need one entry per row")
+        if ((sides != 0) & (sides != 1)).any():
+            raise ValueError("sides must be 0 (left) or 1 (right)")
+        tub_left = _as_table(tub_left, n_words, "tub_left")
+        tub_right = _as_table(tub_right, n_words, "tub_right")
+        full = _as_words(full, "full")
+        if full.size != n_words:
+            raise ValueError("full and rows disagree on word count")
+        lo, hi = root
+        if not 0 <= lo <= hi <= size:
+            raise ValueError(f"root range [{lo}, {hi}) is not inside [0, {size})")
+        if max_rule_size is not None and max_rule_size <= 0:
+            raise ValueError("max_rule_size must be positive when given")
+        path_array = np.ascontiguousarray(path, dtype=np.int64)
+        cursor_array = None
+        if cursors is not None:
+            cursor_array = np.ascontiguousarray(cursors, dtype=np.int64)
+            if cursor_array.size != path_array.size + 1 or (cursor_array < 0).any():
+                raise ValueError("cursors must be one non-negative entry per frame")
+        n_frames = (size if max_rule_size is None else min(max_rule_size, size)) + 1
+        workspace = np.empty(
+            self._lib.repro_dfs_workspace_bytes(size, n_words, n_frames),
+            dtype=np.uint8,
+        )
+        io = np.zeros(_IO_SLOTS, dtype=np.int64)
+        io[_IO_BEST_Q] = best_q
+        io[_IO_COUNTERS] = counters
+        best = np.zeros(n_frames, dtype=np.int64)
+        out_path = np.zeros(n_frames, dtype=np.int64)
+        out_cursors = np.zeros(n_frames, dtype=np.int64)
+        code = self._lib.repro_dfs(
+            _u64(rows), _u64(pos), _u64(neg), _i64(sides), _i64(wq),
+            _i64(tub_left), _i64(tub_right), _u64(full),
+            size, n_words, int(one), int(use_rub), int(use_qub),
+            -1 if max_rule_size is None else max_rule_size,
+            -1 if max_nodes is None else max_nodes,
+            lo, hi,
+            _i64(path_array),
+            None if cursor_array is None else _i64(cursor_array),
+            path_array.size,
+            _i64(io), _i64(best), _i64(out_path), _i64(out_cursors),
+            workspace.ctypes.data, n_frames,
+        )
+        status = _DFS_STATUS[int(code)]
+        values = io.tolist()
+        result = {
+            "status": status,
+            "best_q": values[_IO_BEST_Q],
+            "counters": tuple(values[_IO_COUNTERS]),
+        }
+        if status in ("bad_top_cursor", "bad_cursor"):
+            result["error_depth"] = values[_IO_ERROR_DEPTH]
+            result["error_children"] = values[_IO_ERROR_CHILDREN]
+        if status in ("complete", "interrupted") and values[_IO_BEST_DIRECTION] >= 0:
+            result["best"] = tuple(best[: values[_IO_BEST_SIZE]].tolist())
+            result["direction"] = _DIRECTIONS[values[_IO_BEST_DIRECTION]]
+        if status == "interrupted":
+            depth = values[_IO_DEPTH]
+            result["path"] = tuple(out_path[:depth].tolist())
+            result["cursors"] = tuple(out_cursors[: depth + 1].tolist())
+            if values[_IO_HAS_BOUND]:
+                result["frontier_bound"] = values[_IO_BOUND]
+        return DfsResult(**result)
 
     def __repr__(self) -> str:
         return f"NativeKernel(path={str(self.path)!r}, abi={self.abi_version})"

@@ -31,7 +31,7 @@ from pathlib import Path
 __all__ = ["NativeBuildError", "build_library", "compiler_path", "source_path"]
 
 #: Exported C symbols must match this stamp (see kernel.c).
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 _BASE_FLAGS = ["-O3", "-fPIC", "-shared", "-std=c99"]
 #: Tried first, dropped if the compiler rejects them (portability).

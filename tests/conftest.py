@@ -5,8 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import native
 from repro.data.dataset import TwoViewDataset
 from repro.data.synthetic import SyntheticSpec, generate_planted
+
+#: Exact-search backends the oracle and checkpoint tests run on: numpy
+#: always, and the C traversal wherever the kernel compiles (a machine
+#: without a C compiler skips it).
+SEARCH_BACKENDS = ("numpy", "native") if native.available() else ("numpy",)
 
 
 @pytest.fixture

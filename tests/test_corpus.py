@@ -38,7 +38,7 @@ from repro.data.dataset import TwoViewDataset
 from repro.data.synthetic import SyntheticSpec, generate_planted
 from repro.resilience import FaultInjector
 from repro.serve.artifact import ArtifactCorruptError
-from tests.conftest import random_two_view
+from tests.conftest import SEARCH_BACKENDS, random_two_view
 
 pytestmark = pytest.mark.corpus_smoke
 
@@ -332,6 +332,7 @@ class TestAnytimeBudgets:
         )
         assert rebuilt == checkpoint
 
+    @pytest.mark.native_smoke
     @pytest.mark.parametrize("tamper", [
         "dropped_cursor",
         "extra_cursor",
@@ -383,33 +384,108 @@ class TestAnytimeBudgets:
             },
         }[tamper]
         tampered = dataclasses.replace(checkpoint, **changes)
-        with pytest.raises(ValueError, match="checkpoint"):
-            ExactRuleSearch(
-                CoverState(dataset), max_rule_size=4, checkpoint=tampered
-            ).find_best_rule()
+        for backend in SEARCH_BACKENDS:
+            with pytest.raises(ValueError, match="checkpoint"):
+                ExactRuleSearch(
+                    CoverState(dataset), max_rule_size=4, checkpoint=tampered,
+                    backend=backend,
+                ).find_best_rule()
 
     def test_n_jobs_budget_warning(self, planted):
         with pytest.warns(UserWarning, match="n_jobs=3 is ignored"):
             ExactRuleSearch(CoverState(planted), max_nodes=10, n_jobs=3)
 
+    @pytest.mark.native_smoke
+    @pytest.mark.parametrize("every", [1, 7, 100])
+    def test_resume_alternates_backends(self, every):
+        # Both traversals index the same alive-child lists, so a checkpoint
+        # taken by one resumes on the other: legs that alternate numpy and
+        # native make exactly the decisions of an all-numpy legged run and,
+        # at the end, of an uninterrupted search.
+        dataset = random_two_view(
+            np.random.default_rng(4), n=70, n_left=6, n_right=6, density=0.35
+        )
+        state = CoverState(dataset)
+        full = ExactRuleSearch(state, max_rule_size=3).find_best_rule()
+        legged = {}
+        schedules = {
+            "numpy": ["numpy"],
+            "alternating": ["numpy", "native"] if "native" in SEARCH_BACKENDS else ["numpy"],
+        }
+        for name, cycle in schedules.items():
+            legs, checkpoint, stats = [], None, None
+            while stats is None or not stats.complete:
+                search = ExactRuleSearch(
+                    state,
+                    max_rule_size=3,
+                    max_nodes=(stats.nodes_visited if stats else 0) + every,
+                    checkpoint=checkpoint,
+                    backend=cycle[len(legs) % len(cycle)],
+                )
+                rule, gain, stats = search.find_best_rule()
+                checkpoint = search.last_checkpoint
+                legs.append((
+                    rule, repr(gain), repr(stats.gap_bound), stats.nodes_visited,
+                    stats.nodes_pruned_rub, stats.evaluations,
+                    stats.evaluations_skipped_qub, checkpoint,
+                ))
+            legged[name] = legs
+        assert legged["alternating"] == legged["numpy"]
+        assert len(legged["numpy"]) > 1
+        rule, gain, __, visited, pruned, evaluations, skipped, __ = legged["numpy"][-1]
+        assert (rule, gain) == (full[0], repr(full[1]))
+        assert (visited, pruned, evaluations, skipped) == (
+            full[2].nodes_visited,
+            full[2].nodes_pruned_rub,
+            full[2].evaluations,
+            full[2].evaluations_skipped_qub,
+        )
+
+    @pytest.mark.native_smoke
     def test_anytime_search_completes_and_matches(self, planted):
         full = ExactRuleSearch(CoverState(planted), max_rule_size=3).find_best_rule()
-        result = AnytimeSearch(
-            CoverState(planted), time_budget=60.0, slice_nodes=128, max_rule_size=3
-        ).run()
-        assert result.stats.complete and result.checkpoint is None
-        assert (result.rule, repr(result.gain)) == (full[0], repr(full[1]))
-        assert result.n_slices >= 1
+        for backend in SEARCH_BACKENDS:
+            result = AnytimeSearch(
+                CoverState(planted), time_budget=60.0, slice_nodes=128,
+                max_rule_size=3, backend=backend,
+            ).run()
+            assert result.stats.complete and result.checkpoint is None
+            assert (result.rule, repr(result.gain)) == (full[0], repr(full[1]))
+            assert result.n_slices >= 1
+            assert result.stats.backend == backend
 
+    @pytest.mark.native_smoke
     def test_anytime_node_budget_stops(self, planted):
-        result = AnytimeSearch(
-            CoverState(planted), max_nodes=100, time_budget=60.0,
-            slice_nodes=32, max_rule_size=4,
-        ).run()
-        assert result.stats.nodes_visited == 100
-        assert not result.stats.complete
-        assert result.checkpoint is not None
-        assert result.stats.gap_bound >= 0.0
+        outcomes = {}
+        for backend in SEARCH_BACKENDS:
+            result = AnytimeSearch(
+                CoverState(planted), max_nodes=100, time_budget=60.0,
+                slice_nodes=32, max_rule_size=4, backend=backend,
+            ).run()
+            assert result.stats.nodes_visited == 100
+            assert not result.stats.complete
+            assert result.checkpoint is not None
+            assert result.stats.gap_bound >= 0.0
+            outcomes[backend] = (
+                result.rule, repr(result.gain), repr(result.stats.gap_bound),
+                result.n_slices, result.checkpoint,
+            )
+        assert len(set(outcomes.values())) == 1
+
+    @pytest.mark.native_smoke
+    def test_time_budgeted_fit_matches_plain_fit(self, planted):
+        # A generous per-search wall-clock budget runs every search to the
+        # end in node slices, so the fit equals the unbudgeted one.
+        plain = TranslatorExact(max_rule_size=3, max_iterations=3).fit(planted)
+        for backend in SEARCH_BACKENDS:
+            sliced = TranslatorExact(
+                max_rule_size=3, max_iterations=3, backend=backend,
+                time_budget_per_search=600.0,
+            ).fit(planted)
+            assert [(r.rule, repr(r.gain)) for r in sliced.history] == [
+                (r.rule, repr(r.gain)) for r in plain.history
+            ]
+            assert {s.backend for s in sliced.search_stats} == {backend}
 
 
 class TestTranslatorIntegration:

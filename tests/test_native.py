@@ -1,28 +1,31 @@
-"""Native fused-popcount backend: build system, primitives, consumers.
+"""Native kernel: build system, primitives, the C traversal, consumers.
 
 Three layers of guarantees:
 
 1. **Primitives** — every backend-dispatched operation in
-   :mod:`repro.core.bitset` (fused AND+popcount, fixed-point weighted
-   popcounts, subset match, weighted OR/union, AND-reduce) agrees with
-   a brute-force formulation on randomized inputs, and the native C
-   kernel agrees with the numpy reference bit for bit.
-2. **Consumers** — the three wired call sites (exact search child
-   metrics, compiled predictor packed strategy, stream buffer tracked
-   supports) return bit-identical results under ``backend="numpy"`` and
-   ``backend="native"``.
+   :mod:`repro.core.bitset` (fused AND+popcount, subset match, weighted
+   OR/union, AND-reduce) agrees with a brute-force formulation on
+   randomized inputs, and the native C kernel agrees with the numpy
+   reference bit for bit.
+2. **Consumers** — the three wired call sites (the exact search's
+   traversal, ``NativeKernel.dfs``; the compiled predictor's packed
+   strategy; the stream buffer's tracked supports) return bit-identical
+   results under ``backend="numpy"`` and ``backend="native"``.
 3. **Fallback contract** — ``backend="auto"`` resolves without raising
    whether or not a C toolchain exists, explicit ``"native"`` raises a
    clear error when it does not, and ``REPRO_NATIVE_DISABLE=1`` makes a
-   fresh process behave exactly like a compiler-less machine.
+   fresh process behave exactly like a compiler-less machine, fitting
+   the same models on numpy.
 
 Everything native-specific is skipped (not failed) when the toolchain
 is unavailable, so the suite passes unchanged on a machine with no C
-compiler.
+compiler.  ``pytest -m native_smoke`` runs this file together with the
+two-backend oracle and checkpoint tests of the search.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -38,9 +41,7 @@ from repro.core.bitset import (
     and_popcount_rows,
     and_reduce_many_rows,
     and_reduce_rows,
-    child_metrics_rows,
     fixed_weight_table,
-    fixed_weighted_popcount,
     match_union_rows,
     n_words_for,
     or_union_rows,
@@ -54,6 +55,8 @@ from repro.data.dataset import Side
 from repro.data.synthetic import SyntheticSpec, generate_planted
 from repro.serve.compiled import CompiledPredictor
 from repro.stream.buffer import StreamBuffer
+
+pytestmark = pytest.mark.native_smoke
 
 NATIVE_AVAILABLE = native.available()
 needs_native = pytest.mark.skipif(
@@ -131,20 +134,28 @@ class TestBuild:
     def test_disable_env_simulates_no_compiler(self, tmp_path):
         # A fresh process with REPRO_NATIVE_DISABLE=1 must behave exactly
         # like a machine without a C toolchain: auto falls back to numpy
-        # and fitting still works.
+        # and fits the same model, with the same search statistics, as
+        # the C traversal fits here.
         env = dict(os.environ)
         env["REPRO_NATIVE_DISABLE"] = "1"
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         script = (
+            "import json\n"
             "from repro.core.bitset import resolve_backend\n"
             "from repro import native\n"
             "assert not native.available(), 'disable env ignored'\n"
             "assert resolve_backend('auto') == 'numpy'\n"
             "from repro.core.translator import TranslatorExact\n"
             "from repro.data.synthetic import SyntheticSpec, generate_planted\n"
-            "ds, _ = generate_planted(SyntheticSpec(n_transactions=60))\n"
-            "result = TranslatorExact(max_iterations=1, max_rule_size=2).fit(ds)\n"
-            "print('OK', result.search_stats[0].backend)\n"
+            "ds, _ = generate_planted(SyntheticSpec(n_transactions=300, seed=4))\n"
+            "result = TranslatorExact(max_iterations=3, max_rule_size=3).fit(ds)\n"
+            "print(json.dumps([\n"
+            "    sorted({s.backend for s in result.search_stats}),\n"
+            "    [[list(r.rule.lhs), list(r.rule.rhs), r.rule.direction.value,\n"
+            "      repr(r.gain)] for r in result.history],\n"
+            "    [[s.nodes_visited, s.nodes_pruned_rub, s.evaluations,\n"
+            "      s.evaluations_skipped_qub] for s in result.search_stats],\n"
+            "]))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script],
@@ -154,7 +165,22 @@ class TestBuild:
             timeout=180,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().endswith("OK numpy")
+        backends, history, counters = json.loads(proc.stdout)
+        assert backends == ["numpy"]
+        dataset, __ = generate_planted(SyntheticSpec(n_transactions=300, seed=4))
+        here = TranslatorExact(max_iterations=3, max_rule_size=3).fit(dataset)
+        assert {s.backend for s in here.search_stats} == {
+            "native" if NATIVE_AVAILABLE else "numpy"
+        }
+        assert history == [
+            [list(r.rule.lhs), list(r.rule.rhs), r.rule.direction.value, repr(r.gain)]
+            for r in here.history
+        ]
+        assert counters == [
+            [s.nodes_visited, s.nodes_pruned_rub, s.evaluations,
+             s.evaluations_skipped_qub]
+            for s in here.search_stats
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -169,34 +195,11 @@ class TestPrimitives:
         bools, rows = _random_packed(rng, n_rows, n_bits)
         mask_bool = rng.random(n_bits) < 0.5
         mask = pack_mask(mask_bool)
-        other_bool = rng.random(n_bits) < 0.5
-        other = pack_mask(other_bool)
-        weights = rng.integers(-(2**20), 2**20, n_bits)
-        gain_tab = fixed_weight_table(weights)
-        wsum_tab = fixed_weight_table(rng.integers(0, 2**20, n_bits))
-
-        brute_counts = (bools & mask_bool).sum(axis=1)
-        brute_weighted = int(weights[mask_bool].sum())
         for backend in BACKENDS:
             counts = and_popcount_rows(rows, mask, backend=backend)
-            assert np.array_equal(counts, brute_counts)
-            assert (
-                fixed_weighted_popcount(mask, gain_tab, backend=backend)
-                == brute_weighted
-            )
-            wsums, gains, cm_counts, joints = child_metrics_rows(
-                rows, mask, other, gain_tab, wsum_tab, backend=backend
-            )
-            new = bools & mask_bool
-            assert np.array_equal(cm_counts, new.sum(axis=1))
-            assert np.array_equal(joints, (new & other_bool).sum(axis=1))
-            assert np.array_equal(gains, new.astype(np.int64) @ weights)
-            assert wsums is not None
-            no_wsum = child_metrics_rows(
-                rows, mask, other, gain_tab, backend=backend
-            )
-            assert no_wsum[0] is None
-            assert np.array_equal(no_wsum[1], gains)
+            assert np.array_equal(counts, (bools & mask_bool).sum(axis=1))
+            plain = and_popcount_rows(rows, backend=backend)
+            assert np.array_equal(plain, bools.sum(axis=1))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_subset_union_primitives(self, seed):
@@ -354,6 +357,69 @@ class TestSearchBackends:
             assert self._fingerprint(fits["numpy"]) == self._fingerprint(
                 fits["native"]
             )
+
+
+    @needs_native
+    def test_auto_runs_the_c_traversal_at_every_size(self):
+        # No row-count crossover: auto searches natively on tiny and on
+        # large inputs alike.
+        from repro.core.search import ExactRuleSearch
+        from repro.core.state import CoverState
+
+        for n in (60, 2100):
+            dataset, __ = generate_planted(SyntheticSpec(n_transactions=n, seed=n))
+            __, __, stats = ExactRuleSearch(
+                CoverState(dataset), max_rule_size=2
+            ).find_best_rule()
+            assert stats.backend == "native"
+
+    @needs_native
+    def test_dfs_on_empty_inputs(self):
+        # Zero transactions (zero words) and an empty universe: nothing
+        # to visit, the incumbent stands, nothing is read out of bounds.
+        kernel = native.load_kernel()
+        for n_words in (0, 2):
+            rows = np.zeros((0, n_words), dtype=np.uint64)
+            outcome = kernel.dfs(
+                rows, rows, rows,
+                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                fixed_weight_table(np.zeros(64 * n_words)),
+                fixed_weight_table(np.zeros(64 * n_words)),
+                np.zeros(n_words, dtype=np.uint64),
+                one=1 << 20, best_q=7, counters=(0, 0, 0, 0), root=(0, 0),
+            )
+            assert outcome.status == "complete"
+            assert (outcome.best, outcome.best_q, outcome.counters) == (
+                None, 7, (0, 0, 0, 0),
+            )
+
+    @needs_native
+    def test_dfs_rejects_unsafe_arguments(self):
+        kernel = native.load_kernel()
+        rows = np.zeros((2, 1), dtype=np.uint64)
+        args = (
+            rows, rows, rows, np.zeros(2, dtype=np.int64), np.ones(2, dtype=np.int64),
+            fixed_weight_table(np.zeros(64)), fixed_weight_table(np.zeros(64)),
+            np.zeros(1, dtype=np.uint64),
+        )
+        common = {"one": 1, "best_q": 0, "counters": (0, 0, 0, 0)}
+        with pytest.raises(ValueError, match="root range"):
+            kernel.dfs(*args, root=(0, 3), **common)
+        with pytest.raises(ValueError, match="cursors"):
+            kernel.dfs(*args, root=(0, 2), path=(0,), cursors=(1,), **common)
+        with pytest.raises(ValueError, match="cursors"):
+            kernel.dfs(*args, root=(0, 2), path=(), cursors=(-1,), **common)
+        with pytest.raises(ValueError, match="max_rule_size"):
+            kernel.dfs(*args, root=(0, 2), max_rule_size=0, **common)
+        with pytest.raises(ValueError, match="sides"):
+            kernel.dfs(
+                args[0], args[1], args[2], np.array([0, 2]), *args[4:],
+                root=(0, 2), **common,
+            )
+        deep = kernel.dfs(
+            *args, root=(0, 2), max_rule_size=1, path=(0,), cursors=(1, 0), **common
+        )
+        assert deep.status == "too_deep"
 
 
 # ----------------------------------------------------------------------

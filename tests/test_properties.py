@@ -244,26 +244,35 @@ class TestSerialisationRoundtrips:
         assert TranslationTable.from_json(table.to_json()) == table
 
 
+@pytest.mark.native_smoke
 class TestSearchExactnessProperty:
-    """The DFS search equals brute force on arbitrary small datasets."""
+    """The DFS search equals brute force on arbitrary small datasets, on
+    every backend, and the backends agree bit for bit."""
 
     @SETTINGS
     @given(datasets(max_n=15, max_items=4))
     def test_search_matches_brute_force(self, dataset):
         from repro.core.search import ExactRuleSearch
-        from tests.test_search import brute_force_best
+        from tests.conftest import SEARCH_BACKENDS
+        from tests.test_search import assert_backends_agree, brute_force_best
 
         state = CoverState(dataset)
-        __, gain, stats = ExactRuleSearch(state).find_best_rule()
         __, expected = brute_force_best(state)
-        assert gain == pytest.approx(expected, abs=1e-9)
-        assert stats.complete
+        outcomes = {
+            backend: ExactRuleSearch(state, backend=backend).find_best_rule()
+            for backend in SEARCH_BACKENDS
+        }
+        for __, gain, stats in outcomes.values():
+            assert gain == pytest.approx(expected, abs=1e-9)
+            assert stats.complete
+        assert_backends_agree(outcomes)
 
     @SETTINGS
     @given(datasets_with_rules(max_rules=3))
     def test_search_exact_after_arbitrary_rules(self, payload):
         from repro.core.search import ExactRuleSearch
-        from tests.test_search import brute_force_best
+        from tests.conftest import SEARCH_BACKENDS
+        from tests.test_search import assert_backends_agree, brute_force_best
 
         dataset, rules = payload
         if dataset.n_left > 4 or dataset.n_right > 4:
@@ -271,6 +280,11 @@ class TestSearchExactnessProperty:
         state = CoverState(dataset)
         for rule in rules:
             state.add_rule(rule)
-        __, gain, __ = ExactRuleSearch(state).find_best_rule()
         __, expected = brute_force_best(state)
-        assert gain == pytest.approx(expected, abs=1e-9)
+        outcomes = {
+            backend: ExactRuleSearch(state, backend=backend).find_best_rule()
+            for backend in SEARCH_BACKENDS
+        }
+        for __, gain, __ in outcomes.values():
+            assert gain == pytest.approx(expected, abs=1e-9)
+        assert_backends_agree(outcomes)

@@ -4,11 +4,14 @@ The reference implementation enumerates *all* co-occurring cross-view
 itemset pairs by brute force and evaluates all three directions with the
 cover state's gain function; the DFS search must return a rule achieving
 the same maximum gain.  This independent oracle is what every fast path
-of the search is checked against.
+of the search is checked against: the exactness tests run both
+traversals (``SEARCH_BACKENDS``: numpy, and the C one when it compiles)
+and also require them to agree with each other bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -20,7 +23,7 @@ from repro.core.search import ExactRuleSearch, SearchCache
 from repro.core.state import CoverState
 from repro.core.beam import TranslatorBeam
 from repro.core.translator import TranslatorExact, TranslatorGreedy, TranslatorSelect
-from tests.conftest import random_two_view
+from tests.conftest import SEARCH_BACKENDS, random_two_view
 
 
 def brute_force_best(state: CoverState, max_size: int | None = None):
@@ -54,9 +57,12 @@ def brute_force_best(state: CoverState, max_size: int | None = None):
 
 
 def case_dataset(request, source) -> TwoViewDataset:
-    """A fixture by name, or a random dataset from ``(seed, n, items, density)``."""
+    """A fixture by name, a dataset factory, or a random dataset from
+    ``(seed, n, items, density)``."""
     if isinstance(source, str):
         return request.getfixturevalue(source)
+    if callable(source):
+        return source()
     seed, n, n_items, density = source
     return random_two_view(
         np.random.default_rng(seed),
@@ -108,21 +114,51 @@ EMPTY_TABLE_CASES = [
     pytest.param(_FLAG_DATA, {"max_rule_size": 2}, id="size2"),
     pytest.param(_FLAG_DATA, {"max_rule_size": 3}, id="size3"),
     pytest.param(_FLAG_DATA, {"max_nodes": 25}, id="budget25"),
+    # Word edges of the packed supports (n = 0 has no code lengths, so
+    # CoverState rejects it; tests/test_native.py runs the C traversal on
+    # zero words), and searches with nothing to find.
+    *(pytest.param((n, n, 5, 0.35), {}, id=f"n{n}") for n in (1, 63, 64, 65)),
+    pytest.param(
+        lambda: TwoViewDataset(
+            np.random.default_rng(5).random((40, 5)) < 0.4, np.zeros((40, 0), bool)
+        ),
+        {}, id="empty-view",
+    ),
+    pytest.param(
+        lambda: TwoViewDataset(np.zeros((30, 4), bool), np.zeros((30, 3), bool)),
+        {}, id="empty-universe",
+    ),
 ]
 
 
+def assert_backends_agree(outcomes: dict) -> None:
+    """The traversals return the same rule, gain and statistics, bit for bit."""
+    signatures = {
+        (rule, repr(gain), dataclasses.astuple(dataclasses.replace(stats, backend="")))
+        for rule, gain, stats in outcomes.values()
+    }
+    assert len(signatures) == 1, outcomes
+
+
+@pytest.mark.native_smoke
 class TestExactnessSmall:
     @pytest.mark.parametrize("source, options", EMPTY_TABLE_CASES)
     def test_matches_brute_force_empty_table(self, request, source, options):
         state = CoverState(case_dataset(request, source))
-        rule, gain, stats = ExactRuleSearch(state, **options).find_best_rule()
         __, expected_gain = brute_force_best(
             state, max_size=options.get("max_rule_size")
         )
-        assert_matches_oracle(
-            state, rule, gain, stats, expected_gain,
-            budgeted="max_nodes" in options,
-        )
+        outcomes = {}
+        for backend in SEARCH_BACKENDS:
+            search = ExactRuleSearch(state, backend=backend, **options)
+            outcomes[backend] = search.find_best_rule()
+            rule, gain, stats = outcomes[backend]
+            assert stats.backend == backend
+            assert_matches_oracle(
+                state, rule, gain, stats, expected_gain,
+                budgeted="max_nodes" in options,
+            )
+        assert_backends_agree(outcomes)
 
     @pytest.mark.parametrize("source, max_size, n_rules", [
         pytest.param((10, 25, 5, 0.4), None, 2, id="10"),
@@ -133,11 +169,17 @@ class TestExactnessSmall:
         state = CoverState(case_dataset(request, source))
         # Compare every search of a greedy run of n_rules exact rules.
         for __ in range(n_rules + 1):
-            rule, gain, stats = ExactRuleSearch(
-                state, max_rule_size=max_size
-            ).find_best_rule()
             __, expected_gain = brute_force_best(state, max_size=max_size)
-            assert_matches_oracle(state, rule, gain, stats, expected_gain)
+            outcomes = {
+                backend: ExactRuleSearch(
+                    state, max_rule_size=max_size, backend=backend
+                ).find_best_rule()
+                for backend in SEARCH_BACKENDS
+            }
+            for rule, gain, stats in outcomes.values():
+                assert_matches_oracle(state, rule, gain, stats, expected_gain)
+            assert_backends_agree(outcomes)
+            rule = outcomes["numpy"][0]
             if rule is None:
                 break
             state.add_rule(rule)
@@ -145,15 +187,17 @@ class TestExactnessSmall:
     def test_exact_fit_gains_match_brute_force(self):
         rng = np.random.default_rng(3)
         dataset = random_two_view(rng, n=40, n_left=6, n_right=6, density=0.35)
-        result = TranslatorExact().fit(dataset)
-        assert result.converged and result.history
-        state = CoverState(dataset)
-        for record in result.history:
-            __, expected_gain = brute_force_best(state)
-            assert record.gain == pytest.approx(expected_gain, abs=1e-9)
-            state.add_rule(record.rule)
-        # The fit stopped because no rule with positive gain was left.
-        assert brute_force_best(state)[1] == 0.0
+        for backend in SEARCH_BACKENDS:
+            result = TranslatorExact(backend=backend).fit(dataset)
+            assert result.converged and result.history
+            assert {stats.backend for stats in result.search_stats} == {backend}
+            state = CoverState(dataset)
+            for record in result.history:
+                __, expected_gain = brute_force_best(state)
+                assert record.gain == pytest.approx(expected_gain, abs=1e-9)
+                state.add_rule(record.rule)
+            # The fit stopped because no rule with positive gain was left.
+            assert brute_force_best(state)[1] == 0.0
 
     def test_structured_data_finds_planted_pattern(self, toy_dataset):
         state = CoverState(toy_dataset)
