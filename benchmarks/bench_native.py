@@ -1,31 +1,30 @@
-"""Microbenchmark: numpy vs native backends (``BENCH_native.json``).
+"""Microbenchmark: the numpy vs the C engine (``BENCH_native.json``).
 
-Times the three consumers the backend dispatch layer wires up, on the
-honesty cells the ROADMAP flags as the numpy kernel's known limits:
+The platform picks the engine — the C kernel of :mod:`repro.native`
+wherever it compiles — so the numpy cells run with
+``REPRO_NATIVE_DISABLE=1`` set, the way a machine without a C compiler
+runs.  Times the consumers of the kernel on the honesty cells the
+ROADMAP flags as the numpy kernel's known limits:
 
 * **search** — ``TranslatorExact.fit`` at ``n`` in {400, 1728, 5k, 20k,
-  50k} transactions, same fixed node budget for both backends so the
-  comparison measures pure per-node throughput.  The two small cells
-  sit below the old 2,048-row crossover that used to keep ``auto`` on
-  numpy: the native backend runs the search's whole traversal in one C
-  call (``NativeKernel.dfs``), so it no longer loses there;
+  50k} transactions, same fixed node budget on both engines so the
+  comparison measures pure per-node throughput; the C engine runs the
+  search's whole traversal in one call (``NativeKernel.dfs``);
 * **car** — the paper's Table-2 EXACT dataset (1,728 rows): one fit at
-  ``max_rule_size=4`` to convergence on both backends, and (full mode
-  only) the unbudgeted ``TranslatorExact()`` fit on the native backend,
+  ``max_rule_size=4`` to convergence on both engines, and (full mode
+  only) the unbudgeted ``TranslatorExact()`` fit on the C engine,
   pinned to the rule count and node total of an offline numpy run and
   reported next to the ROADMAP's numpy baseline and the paper's C++
   time;
 * **bulk predict** — one huge 4096-row ``CompiledPredictor.predict``
-  call over a wide vocabulary, packed strategy under both backends plus
+  call over a wide vocabulary, packed strategy on both engines plus
   the blas strategy as the served-regime reference;
-* **stream** — tracked-support maintenance over a sliding window fed in
-  small batches (the incremental AND-reduce + popcount path);
 * **fallback** — a subprocess with ``REPRO_NATIVE_DISABLE=1`` proving
-  that a machine without a C toolchain resolves ``backend="auto"`` to
-  numpy and fits the *same model* (fingerprint-compared against the
-  parent's run).
+  that a machine without a C toolchain searches on numpy (as its
+  ``SearchStats.backend`` reports) and fits the *same model*
+  (fingerprint-compared against this process's run).
 
-Every cell verifies bit-identity between backends (or against its pin)
+Every cell verifies bit-identity between engines (or against its pin)
 before reporting a speedup.  Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_native.py [--tiny] [--output PATH]
@@ -39,6 +38,7 @@ marked skipped — not failed — when no compiler is available.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -59,7 +59,6 @@ from repro.data.dataset import Side  # noqa: E402
 from repro.data.registry import make_dataset  # noqa: E402
 from repro.data.synthetic import SyntheticSpec, generate_planted  # noqa: E402
 from repro.serve.compiled import CompiledPredictor  # noqa: E402
-from repro.stream.buffer import StreamBuffer  # noqa: E402
 
 FULL_SETTINGS = {
     "search_transactions": [400, 1728, 5000, 20000, 50000],
@@ -73,9 +72,6 @@ FULL_SETTINGS = {
     "predict_source_items": 2048,
     "predict_target_items": 1024,
     "predict_repetitions": 3,
-    "stream_window": 32_768,
-    "stream_batch": 256,
-    "stream_trackers": 32,
     "fallback_transactions": 400,
     "car_max_rule_size": 4,
     "car_unbudgeted": True,
@@ -92,9 +88,6 @@ TINY_SETTINGS = {
     "predict_source_items": 256,
     "predict_target_items": 128,
     "predict_repetitions": 1,
-    "stream_window": 2_048,
-    "stream_batch": 128,
-    "stream_trackers": 8,
     "fallback_transactions": 120,
     "car_max_rule_size": 2,
     "car_unbudgeted": False,
@@ -110,6 +103,29 @@ CAR_ROADMAP_NUMPY_SECONDS = 684.8
 CAR_PAPER_SECONDS = 74.0
 
 
+@contextlib.contextmanager
+def _engine(name: str):
+    """Run the block on ``name``: numpy sets ``REPRO_NATIVE_DISABLE=1``.
+
+    The toolchain is re-probed on entry, outside any timed region.
+    """
+    previous = os.environ.get("REPRO_NATIVE_DISABLE")
+    if name == "numpy":
+        os.environ["REPRO_NATIVE_DISABLE"] = "1"
+    else:
+        os.environ.pop("REPRO_NATIVE_DISABLE", None)
+    native.reset()
+    native.available()
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_NATIVE_DISABLE", None)
+        else:
+            os.environ["REPRO_NATIVE_DISABLE"] = previous
+        native.reset()
+
+
 def _fingerprint(result) -> list:
     """JSON-serialisable identity of a fitted model (rules + gains)."""
     return [
@@ -119,12 +135,11 @@ def _fingerprint(result) -> list:
     ]
 
 
-def _fit(dataset, backend: str, settings: dict):
+def _fit(dataset, settings: dict):
     return TranslatorExact(
         max_iterations=settings["search_iterations"],
         max_rule_size=3,
         max_nodes_per_search=settings["search_max_nodes"],
-        backend=backend,
     ).fit(dataset)
 
 
@@ -149,13 +164,14 @@ def search_cells(settings: dict, native_available: bool) -> list[dict]:
         fingerprints = {}
         for backend in ("numpy", "native"):
             if backend == "native" and not native_available:
-                row["skipped"] = "native backend unavailable"
+                row["skipped"] = "C kernel unavailable"
                 break
             elapsed = []
-            for __ in range(settings["search_repetitions"]):
-                start = time.perf_counter()
-                result = _fit(dataset, backend, settings)
-                elapsed.append(time.perf_counter() - start)
+            with _engine(backend):
+                for __ in range(settings["search_repetitions"]):
+                    start = time.perf_counter()
+                    result = _fit(dataset, settings)
+                    elapsed.append(time.perf_counter() - start)
             row[f"{backend}_seconds"] = min(elapsed)
             fingerprints[backend] = _fingerprint(result)
         if "native_seconds" in row:
@@ -168,19 +184,20 @@ def search_cells(settings: dict, native_available: bool) -> list[dict]:
 
 
 def car_cells(settings: dict, native_available: bool) -> dict:
-    """car (1,728 rows) to convergence on both backends, and unbudgeted."""
+    """car (1,728 rows) to convergence on both engines, and unbudgeted."""
     dataset = make_dataset("car", scale=1.0)
     cell: dict = {"max_rule_size": settings["car_max_rule_size"]}
     fingerprints = {}
     for backend in ("numpy", "native"):
         if backend == "native" and not native_available:
-            cell["skipped"] = "native backend unavailable"
+            cell["skipped"] = "C kernel unavailable"
             break
-        start = time.perf_counter()
-        result = TranslatorExact(
-            max_rule_size=settings["car_max_rule_size"], backend=backend
-        ).fit(dataset)
-        cell[f"{backend}_seconds"] = time.perf_counter() - start
+        with _engine(backend):
+            start = time.perf_counter()
+            result = TranslatorExact(
+                max_rule_size=settings["car_max_rule_size"]
+            ).fit(dataset)
+            cell[f"{backend}_seconds"] = time.perf_counter() - start
         fingerprints[backend] = _fingerprint(result) + [
             [s.nodes_visited, s.evaluations] for s in result.search_stats
         ]
@@ -198,11 +215,12 @@ def car_cells(settings: dict, native_available: bool) -> dict:
     if not settings["car_unbudgeted"]:
         unbudgeted["skipped"] = "full mode only"
     elif not native_available:
-        unbudgeted["skipped"] = "native backend unavailable"
+        unbudgeted["skipped"] = "C kernel unavailable"
     else:
-        start = time.perf_counter()
-        result = TranslatorExact(backend="native").fit(dataset)
-        unbudgeted["native_seconds"] = time.perf_counter() - start
+        with _engine("native"):
+            start = time.perf_counter()
+            result = TranslatorExact().fit(dataset)
+            unbudgeted["native_seconds"] = time.perf_counter() - start
         unbudgeted["rules"] = result.n_rules
         unbudgeted["converged"] = result.converged
         unbudgeted["nodes_total"] = sum(s.nodes_visited for s in result.search_stats)
@@ -239,6 +257,12 @@ def bulk_predict_cell(settings: dict, native_available: bool) -> dict:
         "n_rules": settings["predict_rules"],
         "n_source_items": settings["predict_source_items"],
     }
+    predictor = CompiledPredictor(
+        Side.RIGHT,
+        settings["predict_source_items"],
+        settings["predict_target_items"],
+        rules,
+    )
     outputs = {}
     for label, backend, strategy in (
         ("blas", "numpy", "blas"),
@@ -246,20 +270,14 @@ def bulk_predict_cell(settings: dict, native_available: bool) -> dict:
         ("packed_native", "native", "packed"),
     ):
         if backend == "native" and not native_available:
-            cell["skipped"] = "native backend unavailable"
+            cell["skipped"] = "C kernel unavailable"
             continue
-        predictor = CompiledPredictor(
-            Side.RIGHT,
-            settings["predict_source_items"],
-            settings["predict_target_items"],
-            rules,
-            backend=backend,
-        )
         elapsed = []
-        for __ in range(settings["predict_repetitions"]):
-            start = time.perf_counter()
-            outputs[label] = predictor.predict(matrix, strategy=strategy)
-            elapsed.append(time.perf_counter() - start)
+        with _engine(backend):
+            for __ in range(settings["predict_repetitions"]):
+                start = time.perf_counter()
+                outputs[label] = predictor.predict(matrix, strategy=strategy)
+                elapsed.append(time.perf_counter() - start)
         cell[f"{label}_seconds"] = min(elapsed)
     cell["identical_results"] = all(
         np.array_equal(outputs["blas"], output) for output in outputs.values()
@@ -274,51 +292,12 @@ def bulk_predict_cell(settings: dict, native_available: bool) -> dict:
     return cell
 
 
-def stream_cell(settings: dict, native_available: bool) -> dict:
-    rng = np.random.default_rng(11)
-    n_items = 24
-    window = settings["stream_window"]
-    batch = settings["stream_batch"]
-    chunks = [
-        (rng.random((batch, n_items)) < 0.3, rng.random((batch, n_items)) < 0.3)
-        for __ in range(max(2, (2 * window) // batch))
-    ]
-    itemsets = [
-        tuple(sorted(rng.choice(n_items, size=2, replace=False)))
-        for __ in range(settings["stream_trackers"])
-    ]
-    cell: dict = {
-        "window": window,
-        "batch": batch,
-        "trackers": len(itemsets),
-    }
-    counts = {}
-    for backend in ("numpy", "native"):
-        if backend == "native" and not native_available:
-            cell["skipped"] = "native backend unavailable"
-            continue
-        buffer = StreamBuffer(n_items, n_items, capacity=window, backend=backend)
-        trackers = [buffer.track(Side.LEFT, items) for items in itemsets]
-        start = time.perf_counter()
-        for left, right in chunks:
-            buffer.append(left, right)
-            if len(buffer) > window:
-                buffer.evict(len(buffer) - window)
-        cell[f"{backend}_seconds"] = time.perf_counter() - start
-        counts[backend] = [tracker.count for tracker in trackers]
-    if "native_seconds" in cell:
-        cell["identical_results"] = counts["numpy"] == counts["native"]
-        cell["speedup"] = cell["numpy_seconds"] / cell["native_seconds"]
-    return cell
-
-
 def fallback_cell(settings: dict, native_available: bool) -> dict:
-    """Prove the no-compiler path: auto resolves to numpy, same model."""
+    """Prove the no-compiler path: the search runs on numpy, same model."""
     n = settings["fallback_transactions"]
     script = (
         "import json, sys\n"
         "from repro import native\n"
-        "from repro.core.bitset import resolve_backend\n"
         "from repro.core.translator import TranslatorExact\n"
         "from repro.data.synthetic import SyntheticSpec, generate_planted\n"
         f"ds, _ = generate_planted(SyntheticSpec(n_transactions={n}, "
@@ -327,7 +306,7 @@ def fallback_cell(settings: dict, native_available: bool) -> dict:
         "result = TranslatorExact(max_iterations=2, max_rule_size=3).fit(ds)\n"
         "print(json.dumps({\n"
         "    'native_available': native.available(),\n"
-        "    'auto_resolves_to': resolve_backend('auto'),\n"
+        "    'engines': sorted({s.backend for s in result.search_stats}),\n"
         "    'fingerprint': [[list(r.rule.lhs), list(r.rule.rhs), "
         "r.rule.direction.value, repr(r.gain)] for r in result.history],\n"
         "}))\n"
@@ -349,7 +328,7 @@ def fallback_cell(settings: dict, native_available: bool) -> dict:
         return cell
     probe = json.loads(proc.stdout)
     cell["subprocess_native_available"] = probe["native_available"]
-    cell["subprocess_auto_resolves_to"] = probe["auto_resolves_to"]
+    cell["subprocess_engine"] = ",".join(probe["engines"])
     dataset, __ = generate_planted(
         SyntheticSpec(
             n_transactions=n,
@@ -363,13 +342,10 @@ def fallback_cell(settings: dict, native_available: bool) -> dict:
     )
     # Compare against a native fit when possible — the strongest form of
     # "the fallback path computes the same model".
-    parent_backend = "native" if native_available else "auto"
-    here = TranslatorExact(
-        max_iterations=2, max_rule_size=3, backend=parent_backend
-    ).fit(dataset)
-    cell["parent_backend"] = here.search_stats[0].backend
+    here = TranslatorExact(max_iterations=2, max_rule_size=3).fit(dataset)
+    cell["parent_engine"] = here.search_stats[0].backend
     cell["identical_results"] = (
-        probe["auto_resolves_to"] == "numpy"
+        cell["subprocess_engine"] == "numpy"
         and not probe["native_available"]
         and _fingerprint(here) == probe["fingerprint"]
     )
@@ -384,15 +360,14 @@ def run_grid(tiny: bool = False) -> dict:
     search = search_cells(settings, native_available)
     car = car_cells(settings, native_available)
     bulk = bulk_predict_cell(settings, native_available)
-    stream = stream_cell(settings, native_available)
     fallback = fallback_cell(settings, native_available)
     compared = [row for row in search if "identical_results" in row]
-    for extra in (car["converged"], car["unbudgeted"], bulk, stream):
+    for extra in (car["converged"], car["unbudgeted"], bulk):
         if "identical_results" in extra:
             compared.append(extra)
     speedups = [row["speedup"] for row in search if "speedup" in row]
     report = {
-        "benchmark": "bitset backend numpy vs native",
+        "benchmark": "numpy vs native engine",
         "mode": "tiny" if tiny else "full",
         "cpu_count": os.cpu_count(),
         "native_available": native_available,
@@ -406,7 +381,6 @@ def run_grid(tiny: bool = False) -> dict:
         "search": search,
         "car": car,
         "bulk_predict": bulk,
-        "stream": stream,
         "fallback": fallback,
         "all_identical": (
             all(row["identical_results"] for row in compared)
@@ -471,21 +445,14 @@ def main(argv: list[str] | None = None) -> int:
             f"-> {bulk['speedup_vs_blas']:.2f}x vs blas, "
             f"{bulk['speedup_vs_packed_numpy']:.2f}x vs packed"
         )
-    stream = report["stream"]
-    if "speedup" in stream:
-        print(
-            f"stream window={stream['window']}: numpy={stream['numpy_seconds']:.3f}s  "
-            f"native={stream['native_seconds']:.3f}s  "
-            f"speedup={stream['speedup']:.2f}x"
-        )
     fallback = report["fallback"]
     print(
-        f"fallback probe: auto -> {fallback.get('subprocess_auto_resolves_to')}, "
+        f"fallback probe: searched on {fallback.get('subprocess_engine')}, "
         f"identical={fallback['identical_results']}"
     )
     print(f"report written to {args.output}")
     if not report["all_identical"]:
-        print("ERROR: backends disagreed", file=sys.stderr)
+        print("ERROR: engines disagreed", file=sys.stderr)
         return 1
     return 0
 

@@ -15,9 +15,9 @@ retry/circuit-breaker policies, programmable fault injection,
 supervised restarts and crash-safe window checkpoints, a corpus-scale
 discovery layer (:mod:`repro.corpus`) with an out-of-core packed column
 store, sound sketch-based candidate pruning and anytime budgeted search
-with reported gap bounds, an optional native fused-popcount backend
-(:mod:`repro.native`, compiled on demand with the system C compiler and
-bit-identical to the numpy paths it accelerates), and a benchmark
+with reported gap bounds, an optional C kernel (:mod:`repro.native`,
+compiled on demand with the system C compiler, used wherever it builds
+and bit-identical to the numpy paths it accelerates), and a benchmark
 harness regenerating every table and figure of the evaluation section.
 
 Quickstart::

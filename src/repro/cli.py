@@ -125,7 +125,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _make_translator(args: argparse.Namespace):
-    backend = getattr(args, "backend", "auto")
     n_jobs = getattr(args, "n_jobs", 1)
     max_nodes = getattr(args, "max_nodes", None)
     time_budget = getattr(args, "time_budget", None)
@@ -139,7 +138,6 @@ def _make_translator(args: argparse.Namespace):
             max_iterations=args.max_iterations,
             max_rule_size=args.max_rule_size,
             max_nodes_per_search=max_nodes,
-            backend=backend,
             n_jobs=n_jobs,
             time_budget_per_search=time_budget,
         )
@@ -309,7 +307,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "max_batch": args.max_batch,
                 "max_delay_ms": args.max_delay_ms,
                 "cache_size": args.cache_size,
-                "backend": args.backend,
             },
             server_config={
                 "read_timeout": args.read_timeout,
@@ -342,7 +339,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_delay_ms=args.max_delay_ms,
         cache_size=args.cache_size,
-        backend=args.backend,
         tracer=tracer,
     )
     server = PredictionServer(
@@ -423,7 +419,6 @@ def _cmd_predict_batch(args: argparse.Namespace) -> int:
         registry,
         max_delay_ms=0.0,
         cache_size=0,
-        backend=args.backend,
     )
     rows = json.loads(Path(args.input).read_text(encoding="utf-8"))
     request = {
@@ -476,9 +471,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         )
     else:
         translator = TranslatorExact(
-            max_rule_size=args.max_rule_size,
-            backend=args.backend,
-            n_jobs=args.n_jobs,
+            max_rule_size=args.max_rule_size, n_jobs=args.n_jobs
         )
     source_path = Path(args.source)
     if source_path.suffix in (".2vp", ".bin", ".packed") and args.follow:
@@ -510,7 +503,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             left_names=left_names,
             right_names=right_names,
             capacity=args.window,
-            backend=args.backend,
         )
         return MaintenanceLoop(
             source,
@@ -964,14 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
     method_options.add_argument("--max-iterations", type=int, default=None)
     method_options.add_argument("--max-rule-size", type=int, default=None)
     method_options.add_argument(
-        "--backend",
-        choices=("auto", "numpy", "native"),
-        default="auto",
-        help="exact-search arithmetic backend: the fused C popcount kernel "
-        "(compiled on demand; auto falls back to numpy without a C "
-        "toolchain) or the numpy reference (both produce identical models)",
-    )
-    method_options.add_argument(
         "--n-jobs",
         type=int,
         default=1,
@@ -1277,12 +1261,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU response-cache capacity (0 disables caching)",
     )
     serve.add_argument(
-        "--backend",
-        choices=("auto", "numpy", "native"),
-        default="auto",
-        help="packed-strategy word-op backend of the compiled predictors",
-    )
-    serve.add_argument(
         "--read-timeout",
         type=float,
         default=30.0,
@@ -1366,9 +1344,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict_batch.add_argument(
         "--output", type=Path, default=None, help="write the JSON response here"
     )
-    predict_batch.add_argument(
-        "--backend", choices=("auto", "numpy", "native"), default="auto"
-    )
     predict_batch.set_defaults(handler=_cmd_predict_batch)
 
     stream = subparsers.add_parser(
@@ -1403,13 +1378,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="refit engine (both skip the window repack)",
     )
     stream.add_argument("--max-rule-size", type=int, default=None)
-    stream.add_argument(
-        "--backend",
-        choices=("auto", "numpy", "native"),
-        default="auto",
-        help="word-op backend for the buffer's tracked supports and the "
-        "exact refits",
-    )
     stream.add_argument("--n-jobs", type=int, default=1)
     stream.add_argument("--min-degradation", type=float, default=0.02)
     stream.add_argument("--significance", type=float, default=0.05)

@@ -9,11 +9,12 @@
 * :mod:`~repro.core.state` — incremental cover state on packed rows with
   popcount rule gains Δ (Section 5.1).
 * :mod:`~repro.core.bitset` — packed uint64 transaction-set kernel
-  (bitwise set algebra, popcounts, weighted popcounts) shared by the
-  search and the miners.
+  (packing, popcounts, batch primitives) shared by the search and the
+  miners.
 * :mod:`~repro.core.search` — exact best-rule search with the paper's
   ``tub`` / ``rub`` / ``qub`` pruning (Section 5.2) over packed bitsets,
-  on the numpy or the native backend.
+  on the C kernel of :mod:`repro.native` wherever it compiles and on
+  numpy otherwise.
 * :mod:`~repro.core.translator` — TRANSLATOR-EXACT, TRANSLATOR-SELECT(k)
   and TRANSLATOR-GREEDY (Algorithms 2-3).
 * :mod:`~repro.core.refined` — the "optimal" refined encoding used to

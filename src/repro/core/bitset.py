@@ -25,44 +25,30 @@ Popcount strategy
 -----------------
 ``np.bitwise_count`` (numpy >= 2.0) is used when available; otherwise an
 8-bit lookup table applied to the byte view of the words (one gather + sum
-per 8 transactions).  Weighted popcounts — ``sum(weights[t] for set bits
-t)``, the generic primitive for ``tub @ supp`` style bounds — use
-word-blocked accumulation: only the non-zero words are unpacked, and their
-bits are folded against a ``(n_words, 64)`` padded weight table, so the
-cost scales with the population rather than the universe.
+per 8 transactions).
 
-Note that the exact search (:mod:`repro.core.search`) does *not* compute
-its bounds through :func:`weighted_popcount`: it needs bit-identical
-results across backends, which floating-point reductions cannot promise,
-so it quantizes its weights to fixed-point integers (laid out by
+The exact search (:mod:`repro.core.search`) needs bit-identical results
+on both engines, which floating-point reductions cannot promise, so it
+quantizes its weights to fixed-point integers (laid out by
 :func:`fixed_weight_table` for its C traversal) and relies on this module
-only for the (exact) packing, bitwise and counting primitives.  The
-float-weighted helpers and the ``and/or/andnot`` row algebra are the
-module's general-purpose surface for other consumers (and are exercised
-directly by the property tests).
+only for the (exact) packing, bitwise and counting primitives.
 
-Backends
---------
-The batch primitives that dominate the large-``n`` regimes —
-:func:`and_popcount_rows`, :func:`subset_match_rows`,
-:func:`or_union_rows`, :func:`match_union_rows`, :func:`and_reduce_rows`
-— run on one of two interchangeable backends, selected per call (or per
-consumer) with ``backend="numpy"|"native"|"auto"``:
+Engines
+-------
+Two batch primitives run on the fused C kernel of :mod:`repro.native`
+wherever it compiles, and on the vectorised numpy paths of this module
+otherwise: :func:`and_popcount_rows` (column-store scans) and
+:func:`match_union_rows` (bulk predict).  The platform alone picks the
+engine, per call: the kernel is compiled on demand with the system
+``cc`` and loaded via ctypes, and a machine without a compiler (or a
+process with ``REPRO_NATIVE_DISABLE=1``) silently takes the numpy path.
+:func:`subset_match_rows`, :func:`or_union_rows`, :func:`and_reduce_rows`
+and :func:`and_reduce_many_rows` are numpy only.
 
-* ``"numpy"`` — the reference vectorised paths in this module; always
-  available.
-* ``"native"`` — the fused C kernel of :mod:`repro.native`, compiled on
-  demand with the system ``cc`` and loaded via ctypes; raises when no
-  toolchain is available.
-* ``"auto"`` — ``"native"`` when a kernel could be built, ``"numpy"``
-  otherwise (the fallback is silent and automatic; set
-  ``REPRO_BACKEND=numpy`` to pin the default, or
-  ``REPRO_NATIVE_DISABLE=1`` to simulate a machine without a compiler).
-
-Both backends are **bit-identical**: every primitive is exact integer
-arithmetic (counts, fixed-point weighted sums, word ops) whose result
-does not depend on the evaluation order, enforced by the property tests
-in ``tests/test_native.py``.
+Both engines are **bit-identical**: every primitive is exact integer
+arithmetic (counts, word ops) whose result does not depend on the
+evaluation order, enforced by the property tests in
+``tests/test_native.py``.
 
 Concurrency
 -----------
@@ -85,7 +71,6 @@ import numpy as np
 from repro import obs as _obs
 
 __all__ = [
-    "BACKENDS",
     "WORD_BITS",
     "BitMatrix",
     "and_popcount_rows",
@@ -94,19 +79,15 @@ __all__ = [
     "fixed_weight_table",
     "match_union_rows",
     "n_words_for",
-    "native_kernel",
     "or_union_rows",
     "pack_mask",
     "pack_rows_at",
-    "resolve_backend",
     "shift_rows",
     "subset_match_rows",
     "unpack_mask",
     "unpack_rows",
     "popcount",
     "popcount_rows",
-    "weight_table",
-    "weighted_popcount",
 ]
 
 WORD_BITS = 64
@@ -232,111 +213,32 @@ def popcount_rows(words: np.ndarray) -> np.ndarray:
     return _POPCOUNT8[byte_view].sum(axis=1).astype(np.int64)
 
 
-def weight_table(weights: np.ndarray) -> np.ndarray:
-    """Lay per-transaction weights out as a ``(n_words, 64)`` padded table.
-
-    The table is the companion of a packed mask: word ``w`` of the mask
-    selects within row ``w`` of the table, and the padding tail is zero so
-    padded bit positions can never contribute.
-    """
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    if weights.ndim != 1:
-        raise ValueError("weights must be 1-dimensional")
-    words = n_words_for(weights.size)
-    table = np.zeros((words, WORD_BITS), dtype=np.float64)
-    table.reshape(-1)[: weights.size] = weights
-    return table
-
-
-def weighted_popcount(words: np.ndarray, table: np.ndarray) -> float:
-    """``sum(weights[t] for set bits t)`` via word-blocked accumulation.
-
-    ``table`` must come from :func:`weight_table` for the same universe
-    size.  Only the non-zero words are unpacked and folded against their
-    table rows, so sparse sets cost proportionally less.
-    """
-    if words.size != table.shape[0]:
-        raise ValueError("words and weight table disagree on universe size")
-    active = np.flatnonzero(words)
-    if active.size == 0:
-        return 0.0
-    bits = np.unpackbits(
-        np.ascontiguousarray(words[active]).view(np.uint8), bitorder="little"
-    )
-    return float(np.dot(bits.astype(np.float64), table[active].reshape(-1)))
-
-
 # ----------------------------------------------------------------------
-# Backend dispatch (numpy reference paths vs the native C kernel)
+# Batch primitives (the C kernel where it builds, numpy otherwise)
 # ----------------------------------------------------------------------
-
-BACKENDS = ("auto", "numpy", "native")
 
 # Rows per chunk for the numpy (batch, sets, words) broadcasts; bounds
 # peak memory at ~chunk * n_sets * n_words * 8 B.
 _CHUNK_ROWS = 1024
 
 
-def _native_available() -> bool:
+def _kernel():
+    """The loaded C kernel, or ``None`` where it cannot be built."""
     from repro import native
 
-    return native.available()
-
-
-def resolve_backend(backend: str = "auto") -> str:
-    """Normalise a backend spec to ``"numpy"`` or ``"native"``.
-
-    ``"auto"`` resolves to ``"native"`` when the C kernel is (or can be)
-    built for this process and to ``"numpy"`` otherwise — a missing
-    toolchain never raises, which is the module's fallback contract.
-    The ``REPRO_BACKEND`` environment variable pins what ``"auto"``
-    prefers: ``numpy`` forces the reference paths, ``native`` insists on
-    preferring the kernel (still falling back silently when it cannot be
-    built), and any other value raises ``ValueError`` so a typo is never
-    silently ignored.  An explicit ``backend="native"`` argument with no
-    working toolchain raises ``RuntimeError`` carrying the build error.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "auto":
-        import os
-
-        preferred = os.environ.get("REPRO_BACKEND", "").strip().lower()
-        if preferred and preferred not in ("auto", "numpy", "native"):
-            raise ValueError(
-                f"REPRO_BACKEND must be 'numpy', 'native' or 'auto', "
-                f"got {os.environ['REPRO_BACKEND']!r}"
-            )
-        if preferred == "numpy":
-            return "numpy"
-        return "native" if _native_available() else "numpy"
-    if backend == "native" and not _native_available():
-        from repro import native
-
-        raise RuntimeError(
-            f"native backend requested but unavailable: {native.native_error()}"
-        )
-    return backend
-
-
-def native_kernel(backend: str = "auto"):
-    """Resolve ``backend`` to a loaded native kernel, or ``None`` for numpy."""
-    if resolve_backend(backend) == "numpy":
+    try:
+        return native.load_kernel()
+    except native.NativeBuildError:
         return None
-    from repro import native
-
-    return native.load_kernel()
 
 
 def fixed_weight_table(weights: np.ndarray) -> np.ndarray:
     """Lay integer-valued weights out as a flat padded ``int64`` table.
 
-    The fixed-point companion of :func:`weight_table`: entry ``64 * w + b``
-    weighs bit ``b`` of word ``w``, and the padding tail is zero.  The
-    weights may arrive as integer-valued ``float64`` (how the search
-    carries its quantized code lengths); they are converted exactly.
+    Entry ``64 * w + b`` weighs bit ``b`` of word ``w``, and the padding
+    tail is zero.  The weights may arrive as integer-valued ``float64``
+    (how the search carries its quantized code lengths); they are
+    converted exactly.
     """
     weights = np.asarray(weights)
     if weights.ndim != 1:
@@ -346,11 +248,9 @@ def fixed_weight_table(weights: np.ndarray) -> np.ndarray:
     return table
 
 
-def and_popcount_rows(
-    rows: np.ndarray, mask: np.ndarray | None = None, backend: str = "auto"
-) -> np.ndarray:
+def and_popcount_rows(rows: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Fused per-row ``popcount(rows[i] & mask)`` (``mask=None``: plain)."""
-    kernel = native_kernel(backend)
+    kernel = _kernel()
     if _obs.ACTIVE is not None:
         _obs.ACTIVE.count_bitset(
             "and_popcount_rows", "native" if kernel is not None else "numpy"
@@ -360,23 +260,12 @@ def and_popcount_rows(
     return popcount_rows(rows if mask is None else rows & mask)
 
 
-def subset_match_rows(
-    rows: np.ndarray, sets: np.ndarray, backend: str = "auto"
-) -> np.ndarray:
+def subset_match_rows(rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
     """``(n_rows, n_sets)`` Boolean packed subset test.
 
     Entry ``(i, r)`` is true iff ``sets[r]`` is a subset of ``rows[i]``
-    (``rows[i] & sets[r] == sets[r]``).  The native path early-exits per
-    pair on the first disagreeing word; the numpy path evaluates the
-    same test as a chunked broadcast.
+    (``rows[i] & sets[r] == sets[r]``), evaluated as a chunked broadcast.
     """
-    kernel = native_kernel(backend)
-    if _obs.ACTIVE is not None:
-        _obs.ACTIVE.count_bitset(
-            "subset_match_rows", "native" if kernel is not None else "numpy"
-        )
-    if kernel is not None:
-        return kernel.subset_match(rows, sets)
     rows = np.ascontiguousarray(rows, dtype=np.uint64)
     sets = np.ascontiguousarray(sets, dtype=np.uint64)
     out = np.empty((rows.shape[0], sets.shape[0]), dtype=bool)
@@ -389,22 +278,13 @@ def subset_match_rows(
     return out
 
 
-def or_union_rows(
-    fired: np.ndarray, cons: np.ndarray, backend: str = "auto"
-) -> np.ndarray:
+def or_union_rows(fired: np.ndarray, cons: np.ndarray) -> np.ndarray:
     """Weighted OR: per row, the union of the selected consequent rows.
 
     ``fired`` is a ``(n_rows, n_sets)`` Boolean selector and ``cons`` a
     ``(n_sets, n_words)`` packed matrix; row ``i`` of the result is the
     OR of the ``cons`` rows whose flag is set (zero words when none is).
     """
-    kernel = native_kernel(backend)
-    if _obs.ACTIVE is not None:
-        _obs.ACTIVE.count_bitset(
-            "or_union_rows", "native" if kernel is not None else "numpy"
-        )
-    if kernel is not None:
-        return kernel.or_union(fired, cons)
     fired = np.asarray(fired, dtype=bool)
     cons = np.ascontiguousarray(cons, dtype=np.uint64)
     out = np.zeros((fired.shape[0], cons.shape[1]), dtype=np.uint64)
@@ -417,33 +297,27 @@ def or_union_rows(
     return out
 
 
-def match_union_rows(
-    rows: np.ndarray,
-    ant: np.ndarray,
-    cons: np.ndarray,
-    backend: str = "auto",
-) -> np.ndarray:
+def match_union_rows(rows: np.ndarray, ant: np.ndarray, cons: np.ndarray) -> np.ndarray:
     """Fused subset test + consequent union (the bulk predict primitive).
 
     Row ``i`` of the result is the OR of ``cons[r]`` over every rule
     ``r`` whose packed antecedent ``ant[r]`` is a subset of ``rows[i]``
-    — one pass over the packed words on the native backend, never
-    materialising the intermediate fired matrix.
+    — one pass over the packed words in the C kernel, never
+    materialising the intermediate fired matrix; the numpy path is
+    :func:`subset_match_rows` followed by :func:`or_union_rows`.
     """
-    kernel = native_kernel(backend)
+    kernel = _kernel()
     if _obs.ACTIVE is not None:
         _obs.ACTIVE.count_bitset(
             "match_union_rows", "native" if kernel is not None else "numpy"
         )
     if kernel is not None:
         return kernel.match_union(rows, ant, cons)
-    return or_union_rows(
-        subset_match_rows(rows, ant, backend="numpy"), cons, backend="numpy"
-    )
+    return or_union_rows(subset_match_rows(rows, ant), cons)
 
 
 def and_reduce_many_rows(
-    rows: np.ndarray, offsets: np.ndarray, backend: str = "auto"
+    rows: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grouped AND-reduce + popcount over consecutive row groups.
 
@@ -452,7 +326,7 @@ def and_reduce_many_rows(
     covers ``rows[offsets[g]:offsets[g + 1]]`` and must be non-empty.
     Returns ``(regions, counts)``: the per-group AND-reduced words and
     their populations.  One call updates every tracked itemset of a
-    :class:`repro.stream.StreamBuffer` side, amortising the dispatch
+    :class:`repro.stream.StreamBuffer` side, amortising the per-call
     overhead that per-itemset calls would pay on tiny word regions.
     """
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
@@ -461,13 +335,6 @@ def and_reduce_many_rows(
         raise ValueError("offsets must run from 0 to n_rows")
     if offsets.size > 1 and (np.diff(offsets) < 1).any():
         raise ValueError("every offset group must be non-empty")
-    kernel = native_kernel(backend)
-    if _obs.ACTIVE is not None:
-        _obs.ACTIVE.count_bitset(
-            "and_reduce_many_rows", "native" if kernel is not None else "numpy"
-        )
-    if kernel is not None:
-        return kernel.and_reduce_many(rows, offsets)
     if offsets.size == 1:
         return np.zeros((0, rows.shape[1]), dtype=np.uint64), np.zeros(
             0, dtype=np.int64
@@ -479,23 +346,14 @@ def and_reduce_many_rows(
     return regions, popcount_rows(regions)
 
 
-def and_reduce_rows(
-    rows: np.ndarray, backend: str = "auto"
-) -> tuple[np.ndarray, int]:
+def and_reduce_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """AND-reduce packed rows; returns ``(region, popcount(region))``.
 
-    The streaming buffer's fused tracked-support update: the region is
-    the packed support of an itemset over the word range covered by
-    ``rows`` and the count is its population, computed in one pass on
-    the native backend.  ``rows`` must have at least one row.
+    The streaming buffer's tracked-support primitive: the region is the
+    packed support of an itemset over the word range covered by
+    ``rows`` and the count is its population.  ``rows`` must have at
+    least one row.
     """
-    kernel = native_kernel(backend)
-    if _obs.ACTIVE is not None:
-        _obs.ACTIVE.count_bitset(
-            "and_reduce_rows", "native" if kernel is not None else "numpy"
-        )
-    if kernel is not None:
-        return kernel.and_reduce(rows)
     rows = np.ascontiguousarray(rows, dtype=np.uint64)
     if rows.shape[0] == 0:
         raise ValueError("and_reduce_rows needs at least one row")
@@ -565,24 +423,6 @@ class BitMatrix:
         return np.ascontiguousarray(unpack_rows(self.words, self.n_bits).T)
 
     # ------------------------------------------------------------------
-    # Vectorized set algebra
-    # ------------------------------------------------------------------
-    def and_mask(self, mask_words: np.ndarray) -> np.ndarray:
-        """All rows intersected with one packed mask: ``rows & mask``."""
-        return self.words & mask_words
-
-    def or_mask(self, mask_words: np.ndarray) -> np.ndarray:
-        """All rows united with one packed mask: ``rows | mask``."""
-        return self.words | mask_words
-
-    def andnot_mask(self, mask_words: np.ndarray) -> np.ndarray:
-        """All rows minus one packed mask: ``rows & ~mask``.
-
-        The complement is taken on the mask's words only, so the (zero)
-        padding of the rows keeps the result's padding zero.
-        """
-        return self.words & ~mask_words
-
     def support(self, items: Iterable[int]) -> np.ndarray:
         """Packed transaction set of an itemset (AND over its rows).
 

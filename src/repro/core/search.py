@@ -18,40 +18,41 @@ found early and pruning bites sooner.  The search is *anytime*: an optional
 node budget stops it early, returning the best rule found so far with
 ``complete=False`` (used for the large-dataset benchmarks).
 
-Backends
---------
+Engines
+-------
 Supports are packed uint64 bitsets (:mod:`repro.core.bitset`).  The
-``backend`` picks the engine of the traversal:
+traversal runs on one of two engines, and the platform picks which:
 
-* ``"native"`` runs the whole depth-first traversal of one search (or of
-  one root-range shard) in a single call into the C kernel of
-  :mod:`repro.native` (``NativeKernel.dfs``).  Python builds the
+* where the C kernel of :mod:`repro.native` compiles, the whole
+  depth-first traversal of one search (or of one root-range shard) is a
+  single call into it (``NativeKernel.dfs``).  Python builds the
   universe-ordered operands once (:class:`_DfsOperands`), and decodes
   the incumbent, the statistics and, after a budget break, the
   checkpoint and gap bound.  The call releases the GIL and never
   allocates.
-* ``"numpy"`` iterates an explicit frame stack in Python; the per-child
-  metrics of a frame (co-occurrence, support counts, ``rub`` sums,
-  directional gains) come out of a few *batched* dense GEMMs over 0/1
-  item matrices (:class:`_BitsetChildSet`).  It is the fallback on a
-  machine without a C compiler.
+* elsewhere (no C compiler, or ``REPRO_NATIVE_DISABLE=1``) an explicit
+  frame stack is iterated in Python; the per-child metrics of a frame
+  (co-occurrence, support counts, ``rub`` sums, directional gains) come
+  out of a few *batched* dense GEMMs over 0/1 item matrices
+  (:class:`_BitsetChildSet`).
 
-``"auto"`` picks native whenever the kernel builds.  Both backends
-return **bit-identical** rules, gains, :class:`SearchStats`, gap bounds
-and checkpoints — a checkpoint taken by one resumes on the other, since
-both index the same lists of alive children.  This is guaranteed
-structurally, not by luck: all code lengths are quantized once per
-search to fixed-point integers (:class:`_Quantized`), so every bound
-and gain is an exact integer sum, independent of evaluation order and of
-the support representation.  The C traversal sums in int64; the numpy
-one carries the integers in ``float64`` (the quantization step is chosen
-so every partial sum stays far below ``2^53``, where float64 arithmetic
-is exact) because BLAS dot products over float64 are several times
-faster than numpy's int64 paths.  On the test datasets the step is
-``2^-39`` or finer, so reported gains differ from the real-valued ones
-by far less than the ``1e-9`` tolerance the brute-force tests use, while
-the paper's ``rub``/``qub`` soundness proofs carry over verbatim because
-the quantized weights obey the same inequalities the real weights do.
+:attr:`SearchStats.backend` names the engine that ran (``"native"`` or
+``"numpy"``).  Both engines return **bit-identical** rules, gains,
+:class:`SearchStats`, gap bounds and checkpoints — a checkpoint taken by
+one resumes on the other, since both index the same lists of alive
+children.  This is guaranteed structurally, not by luck: all code
+lengths are quantized once per search to fixed-point integers
+(:class:`_Quantized`), so every bound and gain is an exact integer sum,
+independent of evaluation order and of the support representation.  The
+C traversal sums in int64; the numpy one carries the integers in
+``float64`` (the quantization step is chosen so every partial sum stays
+far below ``2^53``, where float64 arithmetic is exact) because BLAS dot
+products over float64 are several times faster than numpy's int64 paths.
+On the test datasets the step is ``2^-39`` or finer, so reported gains
+differ from the real-valued ones by far less than the ``1e-9`` tolerance
+the brute-force tests use, while the paper's ``rub``/``qub`` soundness
+proofs carry over verbatim because the quantized weights obey the same
+inequalities the real weights do.
 
 Both traversals use an explicit frame stack rather than recursion, so
 deep universes (hundreds of items with ``max_rule_size=None``) cannot
@@ -108,7 +109,6 @@ from repro.core.bitset import (
     BitMatrix,
     fixed_weight_table,
     pack_mask,
-    resolve_backend,
     unpack_rows,
 )
 from repro.core.rules import TranslationRule
@@ -128,7 +128,9 @@ class SearchStats:
     Counters are exact on serial runs.  On sharded runs (``n_jobs > 1``)
     they are summed over shards, which may exceed the serial counts
     (each shard starts from the weaker seed incumbent); ``shards``
-    records how many root ranges were traversed (1 = serial).
+    records how many root ranges were traversed (1 = serial), and
+    ``backend`` the engine that ran the traversal (``"native"`` or
+    ``"numpy"``).
 
     ``gap_bound`` is the anytime honesty report: an upper bound, in
     bits, on how much better than the returned gain the true optimum
@@ -484,7 +486,7 @@ class _Frame:
 
 
 class _BitsetContext:
-    """Universe-ordered dense operands of one numpy-backend search.
+    """Universe-ordered dense operands of one search on the numpy engine.
 
     The per-side matrices are *compact*: row ``p`` of ``mask_left`` is the
     ``p``-th left-view entry of the universe (in universe order), so the
@@ -762,15 +764,6 @@ class ExactRuleSearch:
         Optional node budget for anytime behaviour.
     use_rub, use_qub, order_items:
         Toggles for the pruning components (ablation A1).
-    backend:
-        Engine of the traversal: ``"native"`` (the whole depth-first
-        traversal in one call into the C kernel of :mod:`repro.native`),
-        ``"numpy"`` (an explicit frame stack in Python whose child
-        metrics are dense GEMMs), or ``"auto"`` — native whenever a C
-        toolchain is available, numpy otherwise; resolution never
-        fails.  Both backends compute the same exact fixed-point
-        integers, so rules, gains, statistics, gap bounds and
-        checkpoints are bit-identical.
     n_jobs:
         Worker count for root-subtree sharding (``None``/``-1`` = all
         CPUs).  The returned rule and gain are bit-identical to the
@@ -787,6 +780,12 @@ class ExactRuleSearch:
         path or cursors cannot describe a DFS stack raises
         ``ValueError``.  After an interrupted run the new checkpoint is
         exposed as ``search.last_checkpoint``.
+
+    The engine of the traversal is the C kernel of :mod:`repro.native`
+    wherever it compiles and the numpy frame stack otherwise (see the
+    module docstring); ``search.backend`` names it.  Both compute the
+    same exact fixed-point integers, so rules, gains, statistics, gap
+    bounds and checkpoints are bit-identical.
     """
 
     def __init__(
@@ -798,11 +797,11 @@ class ExactRuleSearch:
         use_qub: bool = True,
         order_items: bool = True,
         seed_pairs: bool = True,
-        backend: str = "auto",
         n_jobs: int | None = 1,
         executor=None,
         checkpoint: SearchCheckpoint | None = None,
     ) -> None:
+        from repro import native
         from repro.runtime.executor import effective_n_jobs
 
         self.state = state
@@ -812,7 +811,7 @@ class ExactRuleSearch:
         self.use_qub = use_qub
         self.order_items = order_items
         self.seed_pairs = seed_pairs
-        self.backend = resolve_backend(backend)
+        self.backend = "native" if native.available() else "numpy"
         self.cache = state.cache
         self.n_jobs = executor.n_jobs if executor is not None else effective_n_jobs(n_jobs)
         self.executor = executor
@@ -933,7 +932,7 @@ class ExactRuleSearch:
     def _operands(
         self, universe: list[_Item], quantized: _Quantized
     ) -> _BitsetContext | _DfsOperands:
-        """The backend's per-search operands, shared by every shard."""
+        """The engine's per-search operands, shared by every shard."""
         if self.backend == "native":
             return _DfsOperands(universe, quantized, self.cache)
         return _BitsetContext(universe, quantized, self.cache)
@@ -1199,7 +1198,7 @@ class ExactRuleSearch:
         executor = self.executor
         if executor is None:
             # Threads: shards share the read-only operands, and both
-            # backends do their heavy lifting with the GIL released.
+            # engines do their heavy lifting with the GIL released.
             executor = ParallelExecutor(
                 n_jobs=min(self.n_jobs, size), backend="thread", chunk_size=1
             )
@@ -1247,8 +1246,8 @@ class ExactRuleSearch:
 
         Shards of a parallel search pass their shared ``operands`` and
         their root range ``[root_lo, root_hi)``; a resumed search replays
-        ``resume``'s stack instead of starting at the root.  The native
-        backend runs the whole traversal in one C call; the numpy one
+        ``resume``'s stack instead of starting at the root.  The C
+        kernel runs the whole traversal in one call; the numpy engine
         iterates an explicit frame stack here.
         """
         if self.max_rule_size is not None and self.max_rule_size <= 0:
@@ -1498,7 +1497,7 @@ class ExactRuleSearch:
         ordering, which front-loads promising rules and boosts pruning.
         Items that never occur are excluded (they cannot appear in any
         co-occurring pair).  Potentials are fixed-point integers, so the
-        ordering is identical under both backends.
+        ordering is identical on both engines.
         """
         dataset = self.state.dataset
         cache = self.cache

@@ -159,6 +159,10 @@ def _record(state: CoverState, rule: TranslationRule, gain: float) -> IterationR
 class TranslatorExact:
     """TRANSLATOR-EXACT (Algorithm 2): greedy with exact best-rule search.
 
+    Each search runs on the C kernel of :mod:`repro.native` wherever it
+    compiles and on numpy otherwise; the fitted model is bit-identical
+    either way.
+
     Parameters
     ----------
     max_iterations:
@@ -171,12 +175,6 @@ class TranslatorExact:
         Optional anytime budget per best-rule search.  When hit, the best
         rule found so far is used and ``result.converged`` reports whether
         every search ran to completion.
-    backend:
-        Arithmetic backend forwarded to :class:`ExactRuleSearch`:
-        ``"native"`` (fused C popcount kernel), ``"numpy"`` (dense
-        GEMM), or ``"auto"`` (native when a C toolchain is available
-        and the dataset is large enough to benefit, numpy otherwise).
-        The fitted model is bit-identical either way.
     n_jobs:
         Worker count for the intra-search root-subtree sharding
         (``None``/``-1`` = all CPUs).  The fitted model — every rule and
@@ -210,14 +208,12 @@ class TranslatorExact:
         max_iterations: int | None = None,
         max_rule_size: int | None = None,
         max_nodes_per_search: int | None = None,
-        backend: str = "auto",
         n_jobs: int | None = 1,
         time_budget_per_search: float | None = None,
     ) -> None:
         self.max_iterations = max_iterations
         self.max_rule_size = max_rule_size
         self.max_nodes_per_search = max_nodes_per_search
-        self.backend = backend
         self.n_jobs = n_jobs
         self.time_budget_per_search = time_budget_per_search
 
@@ -270,7 +266,6 @@ class TranslatorExact:
                     max_nodes=self.max_nodes_per_search,
                     time_budget=self.time_budget_per_search,
                     max_rule_size=self.max_rule_size,
-                    backend=self.backend,
                 ).run()
                 rule, gain, stats = outcome.rule, outcome.gain, outcome.stats
             else:
@@ -278,7 +273,6 @@ class TranslatorExact:
                     state,
                     max_rule_size=self.max_rule_size,
                     max_nodes=self.max_nodes_per_search,
-                    backend=self.backend,
                     n_jobs=self.n_jobs,
                 )
                 rule, gain, stats = search.find_best_rule()

@@ -84,7 +84,7 @@ class AnytimeSearch:
         budget more tightly at the cost of more checkpoint
         rebuild/capture overhead; the value never affects *which* rule
         a node-budget stop returns, only the time-budget granularity.
-    max_rule_size, backend:
+    max_rule_size:
         Forwarded to :class:`ExactRuleSearch`, which searches with
         the state's :class:`~repro.core.search.SearchCache`.  Slices
         always run serially (``n_jobs=1``): a node budget is
@@ -98,7 +98,6 @@ class AnytimeSearch:
         time_budget: float | None = None,
         slice_nodes: int = 4096,
         max_rule_size: int | None = None,
-        backend: str = "auto",
     ) -> None:
         if slice_nodes <= 0:
             raise ValueError("slice_nodes must be positive")
@@ -111,7 +110,6 @@ class AnytimeSearch:
         self.time_budget = time_budget
         self.slice_nodes = int(slice_nodes)
         self.max_rule_size = max_rule_size
-        self.backend = backend
 
     def _make_search(
         self, budget: int | None, checkpoint: SearchCheckpoint | None
@@ -120,7 +118,6 @@ class AnytimeSearch:
             self.state,
             max_rule_size=self.max_rule_size,
             max_nodes=budget,
-            backend=self.backend,
             n_jobs=1,
             checkpoint=checkpoint,
         )

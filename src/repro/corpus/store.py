@@ -495,9 +495,8 @@ class ColumnStore:
         (200, 4)
     """
 
-    def __init__(self, path: str | Path, backend: str = "auto") -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.backend = backend
         fault_point("corpus.store.open")
         try:
             self._file = open(self.path, "rb")
@@ -690,9 +689,9 @@ class ColumnStore:
         ``left_items`` / ``right_items`` are parallel index arrays; the
         result is the int64 count of transactions containing both items
         of each pair.  Each block is read, verified and popcounted
-        through :func:`repro.core.bitset.and_popcount_rows` (numpy or
-        the native fused kernel), then dropped — peak memory is
-        O(len(pairs) + block).
+        through :func:`repro.core.bitset.and_popcount_rows` (the fused C
+        kernel where it compiles, numpy otherwise), then dropped — peak
+        memory is O(len(pairs) + block).
         """
         fault_point("corpus.store.scan")
         left_items = np.asarray(left_items, dtype=np.intp)
@@ -700,7 +699,7 @@ class ColumnStore:
         totals = np.zeros(len(left_items), dtype=np.int64)
         for left_words, right_words in self.iter_blocks():
             both = left_words[left_items] & right_words[right_items]
-            totals += and_popcount_rows(both, None, self.backend).astype(np.int64)
+            totals += and_popcount_rows(both).astype(np.int64)
         return totals
 
     def column_counts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -723,12 +722,8 @@ class ColumnStore:
         counts_left = np.zeros(self.n_left, dtype=np.int64)
         counts_right = np.zeros(self.n_right, dtype=np.int64)
         for left_words, right_words in self.iter_blocks():
-            counts_left += and_popcount_rows(left_words, None, self.backend).astype(
-                np.int64
-            )
-            counts_right += and_popcount_rows(right_words, None, self.backend).astype(
-                np.int64
-            )
+            counts_left += and_popcount_rows(left_words).astype(np.int64)
+            counts_right += and_popcount_rows(right_words).astype(np.int64)
         if not np.array_equal(counts_left, self.counts_left) or not np.array_equal(
             counts_right, self.counts_right
         ):

@@ -1,4 +1,4 @@
-"""Native backend: a small C kernel, compiled on demand (optional).
+"""The C engine: a small kernel, compiled on demand (optional).
 
 The exact search spends its time in a depth-first traversal that visits
 hundreds of thousands of nodes, and the packed-bitset kernel of
@@ -10,19 +10,16 @@ counts.  This package runs both in a small dependency-free C kernel
   fixed-point gains, the DFS-order tie-break, the node budget and
   checkpoint capture and replay — as one reentrant, GIL-releasing call
   per search (:meth:`NativeKernel.dfs`),
-* fused AND + popcount over row batches,
-* a packed subset test and a weighted-OR/consequent-union primitive,
-* a fused AND-reduce + popcount for the streaming buffer's tracked
-  supports.
+* fused AND + popcount over row batches (column-store scans),
+* a fused subset test + consequent union (bulk predict).
 
 The shared object is compiled once with the system ``cc`` and cached by
-content hash (:mod:`repro.native.build`); when no compiler is present
-the build fails *softly* — :func:`available` returns ``False``,
-:func:`native_error` explains why, and every consumer's ``auto`` backend
-silently keeps using the numpy paths, which remain bit-identical.
-Backend selection is threaded through
-:func:`repro.core.bitset.resolve_backend` (``backend="numpy"|"native"|
-"auto"``), the only engine switch.
+content hash (:mod:`repro.native.build`).  Whether it loads is the only
+thing that selects the engine: every consumer runs the C kernel when
+:func:`load_kernel` returns one and its numpy path, which is
+bit-identical, when the build fails *softly* — :func:`available` then
+returns ``False`` and :func:`native_error` explains why.
+``REPRO_NATIVE_DISABLE=1`` makes a process take that numpy path.
 """
 
 from __future__ import annotations
@@ -72,7 +69,7 @@ def load_kernel() -> NativeKernel:
 
 
 def available() -> bool:
-    """Whether the native backend can be used in this process."""
+    """Whether the C kernel can be used in this process."""
     try:
         load_kernel()
     except NativeBuildError:
@@ -81,7 +78,7 @@ def available() -> bool:
 
 
 def native_error() -> str | None:
-    """Why the native backend is unavailable (``None`` when it works)."""
+    """Why the C kernel is unavailable (``None`` when it works)."""
     if available():
         return None
     return str(_state["error"])

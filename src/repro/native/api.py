@@ -24,7 +24,6 @@ __all__ = ["DfsResult", "NativeKernel"]
 
 _U64 = ctypes.POINTER(ctypes.c_uint64)
 _I64 = ctypes.POINTER(ctypes.c_int64)
-_U8 = ctypes.POINTER(ctypes.c_uint8)
 
 
 def _u64(array: np.ndarray) -> "ctypes._Pointer":
@@ -33,10 +32,6 @@ def _u64(array: np.ndarray) -> "ctypes._Pointer":
 
 def _i64(array: np.ndarray) -> "ctypes._Pointer":
     return array.ctypes.data_as(_I64)
-
-
-def _u8(array: np.ndarray) -> "ctypes._Pointer":
-    return array.ctypes.data_as(_U8)
 
 
 def _as_words(array: np.ndarray, name: str) -> np.ndarray:
@@ -113,26 +108,10 @@ class NativeKernel:
         lib.repro_and_popcount.argtypes = [
             _U64, ctypes.c_int64, ctypes.c_int64, _U64, _I64,
         ]
-        lib.repro_subset_match.restype = None
-        lib.repro_subset_match.argtypes = [
-            _U64, ctypes.c_int64, _U64, ctypes.c_int64, ctypes.c_int64, _U8,
-        ]
-        lib.repro_or_union.restype = None
-        lib.repro_or_union.argtypes = [
-            _U8, ctypes.c_int64, ctypes.c_int64, _U64, ctypes.c_int64, _U64,
-        ]
         lib.repro_match_union.restype = None
         lib.repro_match_union.argtypes = [
             _U64, ctypes.c_int64, ctypes.c_int64,
             _U64, _U64, ctypes.c_int64, ctypes.c_int64, _U64,
-        ]
-        lib.repro_and_reduce.restype = ctypes.c_int64
-        lib.repro_and_reduce.argtypes = [
-            _U64, ctypes.c_int64, ctypes.c_int64, _U64,
-        ]
-        lib.repro_and_reduce_many.restype = None
-        lib.repro_and_reduce_many.argtypes = [
-            _U64, _I64, ctypes.c_int64, ctypes.c_int64, _U64, _I64,
         ]
         lib.repro_dfs_workspace_bytes.restype = ctypes.c_int64
         lib.repro_dfs_workspace_bytes.argtypes = [ctypes.c_int64] * 3
@@ -168,36 +147,6 @@ class NativeKernel:
         )
         return out
 
-    def subset_match(self, rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
-        """Boolean ``(n_rows, n_sets)`` packed subset test."""
-        rows = _as_words(rows, "rows")
-        sets = _as_words(sets, "sets")
-        n_rows, n_words = rows.shape
-        n_sets = sets.shape[0]
-        if sets.shape[1] != n_words:
-            raise ValueError("rows and sets disagree on word count")
-        out = np.empty((n_rows, n_sets), dtype=np.uint8)
-        if n_rows and n_sets:
-            self._lib.repro_subset_match(
-                _u64(rows), n_rows, _u64(sets), n_sets, n_words, _u8(out)
-            )
-        return out.view(bool)
-
-    def or_union(self, fired: np.ndarray, cons: np.ndarray) -> np.ndarray:
-        """Per-row OR of the consequent word rows selected by ``fired``."""
-        fired = np.ascontiguousarray(fired, dtype=np.uint8)
-        cons = _as_words(cons, "cons")
-        n_rows, n_rules = fired.shape
-        if cons.shape[0] != n_rules:
-            raise ValueError("fired and cons disagree on rule count")
-        n_words = cons.shape[1]
-        out = np.zeros((n_rows, n_words), dtype=np.uint64)
-        if n_rows and n_rules and n_words:
-            self._lib.repro_or_union(
-                _u8(fired), n_rows, n_rules, _u64(cons), n_words, _u64(out)
-            )
-        return out
-
     def match_union(
         self, rows: np.ndarray, ant: np.ndarray, cons: np.ndarray
     ) -> np.ndarray:
@@ -219,39 +168,6 @@ class NativeKernel:
                 _u64(ant), _u64(cons), n_rules, n_words_tgt, _u64(out),
             )
         return out
-
-    def and_reduce(self, rows: np.ndarray) -> tuple[np.ndarray, int]:
-        """AND-reduce packed rows; returns ``(region, popcount)``."""
-        rows = _as_words(rows, "rows")
-        n_rows, n_words = rows.shape
-        if n_rows == 0:
-            raise ValueError("and_reduce needs at least one row")
-        out = np.empty(n_words, dtype=np.uint64)
-        if n_words == 0:
-            return out, 0
-        count = self._lib.repro_and_reduce(_u64(rows), n_rows, n_words, _u64(out))
-        return out, int(count)
-
-    def and_reduce_many(
-        self, rows: np.ndarray, offsets: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Grouped AND-reduce; returns ``(regions, counts)`` per group."""
-        rows = _as_words(rows, "rows")
-        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        n_rows, n_words = rows.shape
-        n_groups = offsets.size - 1
-        if n_groups < 0 or offsets[0] != 0 or offsets[-1] != n_rows:
-            raise ValueError("offsets must run from 0 to n_rows")
-        out = np.empty((n_groups, n_words), dtype=np.uint64)
-        counts = np.zeros(n_groups, dtype=np.int64)
-        if n_groups and n_words:
-            self._lib.repro_and_reduce_many(
-                _u64(rows), _i64(offsets), n_groups, n_words,
-                _u64(out), _i64(counts),
-            )
-        elif n_groups:
-            out[:] = 0
-        return out, counts
 
     def dfs(
         self,

@@ -7,14 +7,14 @@ one artifact.  Builds are atomic (temp name + ``os.replace``), so two
 processes racing the same key cannot hand out a half-written library.
 
 No compiler, a failing compile, or ``REPRO_NATIVE_DISABLE=1`` all
-degrade to :class:`NativeBuildError`; the dispatch layer in
-:mod:`repro.core.bitset` treats that as "backend unavailable" and the
-``auto`` backend falls back to the numpy paths — the library never
-*requires* a toolchain.
+degrade to :class:`NativeBuildError`; every consumer treats that as
+"no C kernel" and runs its numpy path — the library never *requires* a
+toolchain.
 
 Environment knobs::
 
-    REPRO_NATIVE_DISABLE=1   pretend no compiler exists (forces fallback)
+    REPRO_NATIVE_DISABLE=1   pretend no compiler exists: every consumer
+                             runs its numpy path
     REPRO_NATIVE_CC=cc       compiler executable to use
     REPRO_NATIVE_CACHE=DIR   build-cache directory
 """
@@ -31,7 +31,7 @@ from pathlib import Path
 __all__ = ["NativeBuildError", "build_library", "compiler_path", "source_path"]
 
 #: Exported C symbols must match this stamp (see kernel.c).
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 _BASE_FLAGS = ["-O3", "-fPIC", "-shared", "-std=c99"]
 #: Tried first, dropped if the compiler rejects them (portability).
@@ -102,13 +102,13 @@ def build_library(force: bool = False) -> Path:
     """Compile (or reuse) the shared object; returns its path.
 
     Raises :class:`NativeBuildError` when no compiler is available or the
-    compile fails — callers treat that as "native backend unavailable".
+    compile fails — callers treat that as "no C kernel".
     """
     cc = compiler_path()
     if cc is None:
         raise NativeBuildError(
             "no C compiler found (tried $REPRO_NATIVE_CC, cc, gcc, clang; "
-            "REPRO_NATIVE_DISABLE honoured) — the numpy backend remains "
+            "REPRO_NATIVE_DISABLE honoured) — the numpy paths remain "
             "fully functional"
         )
     source = source_path()

@@ -1,13 +1,17 @@
-/* Fused popcount kernels and the exact search's depth-first traversal over
- * packed uint64 transaction sets.
+/* The exact search's depth-first traversal and the two fused popcount
+ * kernels over packed uint64 transaction sets.
  *
  * Compiled on demand by repro.native.build with the system C compiler and
- * loaded through ctypes (repro.native.api).  Everything here is exact
- * integer arithmetic over the same packed word layout that
- * repro.core.bitset produces (64 transactions per little-endian word,
- * padding bits zero), so every function is bit-identical to its numpy
- * reference path: the popcount primitives to repro/core/bitset.py, and
- * repro_dfs to the numpy traversal of repro/core/search.py.
+ * loaded through ctypes (repro.native.api).  Exported are the search's
+ * whole traversal (repro_dfs, sized by repro_dfs_workspace_bytes), the
+ * fused AND + popcount of column-store scans (repro_and_popcount) and the
+ * fused subset test + consequent union of bulk predict
+ * (repro_match_union).  Everything here is exact integer arithmetic over
+ * the same packed word layout that repro.core.bitset produces (64
+ * transactions per little-endian word, padding bits zero), so every
+ * function is bit-identical to its numpy path: the popcount kernels to
+ * repro/core/bitset.py, and repro_dfs to the numpy traversal of
+ * repro/core/search.py.
  *
  * Weight tables are fixed-point int64 vectors laid out padded to
  * n_words * 64 entries (the layout of bitset.fixed_weight_table), with the
@@ -45,7 +49,7 @@ static int64_t repro_ctz_fallback(uint64_t x) {
 
 /* Bumped whenever an exported signature changes; repro.native.build folds
  * it into the cache key so a stale shared object is never reused. */
-REPRO_EXPORT int64_t repro_abi_version(void) { return 2; }
+REPRO_EXPORT int64_t repro_abi_version(void) { return 3; }
 
 /* Per-row popcount of rows[i] & mask (mask == NULL: plain popcount). */
 REPRO_EXPORT void repro_and_popcount(
@@ -64,53 +68,6 @@ REPRO_EXPORT void repro_and_popcount(
                 count += REPRO_POPCOUNT(row[w]);
         }
         out[i] = count;
-    }
-}
-
-/* Packed subset test: out[i * n_sets + r] = 1 iff sets[r] is a subset of
- * rows[i] (rows[i] & sets[r] == sets[r]), with early exit per pair. */
-REPRO_EXPORT void repro_subset_match(
-    const uint64_t *rows, int64_t n_rows,
-    const uint64_t *sets, int64_t n_sets,
-    int64_t n_words, uint8_t *out)
-{
-    int64_t i, r, w;
-    for (i = 0; i < n_rows; ++i) {
-        const uint64_t *row = rows + i * n_words;
-        uint8_t *flags = out + i * n_sets;
-        for (r = 0; r < n_sets; ++r) {
-            const uint64_t *set = sets + r * n_words;
-            uint8_t ok = 1;
-            for (w = 0; w < n_words; ++w) {
-                if ((row[w] & set[w]) != set[w]) {
-                    ok = 0;
-                    break;
-                }
-            }
-            flags[r] = ok;
-        }
-    }
-}
-
-/* Weighted OR / consequent union: out[i] = OR of cons[r] over the rules r
- * with fired[i * n_rules + r] set. */
-REPRO_EXPORT void repro_or_union(
-    const uint8_t *fired, int64_t n_rows, int64_t n_rules,
-    const uint64_t *cons, int64_t n_words, uint64_t *out)
-{
-    int64_t i, r, w;
-    for (i = 0; i < n_rows; ++i) {
-        const uint8_t *flags = fired + i * n_rules;
-        uint64_t *acc = out + i * n_words;
-        for (w = 0; w < n_words; ++w)
-            acc[w] = 0;
-        for (r = 0; r < n_rules; ++r) {
-            if (flags[r]) {
-                const uint64_t *set = cons + r * n_words;
-                for (w = 0; w < n_words; ++w)
-                    acc[w] |= set[w];
-            }
-        }
     }
 }
 
@@ -143,51 +100,6 @@ REPRO_EXPORT void repro_match_union(
                     acc[w] |= set[w];
             }
         }
-    }
-}
-
-/* AND-reduce n_rows packed rows into out and return its popcount — the
- * streaming buffer's fused tracked-support update.  n_rows must be >= 1. */
-REPRO_EXPORT int64_t repro_and_reduce(
-    const uint64_t *rows, int64_t n_rows, int64_t n_words, uint64_t *out)
-{
-    int64_t i, w, count = 0;
-    for (w = 0; w < n_words; ++w)
-        out[w] = rows[w];
-    for (i = 1; i < n_rows; ++i) {
-        const uint64_t *row = rows + i * n_words;
-        for (w = 0; w < n_words; ++w)
-            out[w] &= row[w];
-    }
-    for (w = 0; w < n_words; ++w)
-        count += REPRO_POPCOUNT(out[w]);
-    return count;
-}
-
-/* Grouped AND-reduce: rows holds n_groups consecutive row groups whose
- * boundaries are offsets[0] .. offsets[n_groups] (offsets[0] == 0);
- * group g AND-reduces into out[g] with its popcount in counts[g].  One
- * call updates every tracked itemset of a stream-buffer side, so the
- * per-call overhead amortises over all of them. */
-REPRO_EXPORT void repro_and_reduce_many(
-    const uint64_t *rows, const int64_t *offsets, int64_t n_groups,
-    int64_t n_words, uint64_t *out, int64_t *counts)
-{
-    int64_t g, i, w;
-    for (g = 0; g < n_groups; ++g) {
-        const uint64_t *first = rows + offsets[g] * n_words;
-        uint64_t *acc = out + g * n_words;
-        int64_t count = 0;
-        for (w = 0; w < n_words; ++w)
-            acc[w] = first[w];
-        for (i = offsets[g] + 1; i < offsets[g + 1]; ++i) {
-            const uint64_t *row = rows + i * n_words;
-            for (w = 0; w < n_words; ++w)
-                acc[w] &= row[w];
-        }
-        for (w = 0; w < n_words; ++w)
-            count += REPRO_POPCOUNT(acc[w]);
-        counts[g] = count;
     }
 }
 

@@ -204,9 +204,9 @@ class EngineInstruments:
         if iterations:
             self._fit_iterations.labels(method=method).inc(iterations)
 
-    def count_bitset(self, op: str, backend: str) -> None:
-        """Count one bitset batch-primitive dispatch."""
-        self._bitset_dispatch.labels(op=op, backend=backend).inc()
+    def count_bitset(self, op: str, engine: str) -> None:
+        """Count one bitset batch-primitive dispatch to ``engine``."""
+        self._bitset_dispatch.labels(op=op, backend=engine).inc()
 
     def stream_append(self, rows: int, window: int) -> None:
         """Record rows appended to the stream buffer and the new window size."""

@@ -148,7 +148,8 @@ def build_translator(method: str, **params):
         method: ``"exact"``, ``"select"``, ``"greedy"`` or ``"beam"``.
         **params: Constructor keyword arguments of the chosen class
             (e.g. ``k``, ``minsup``, ``max_candidates`` for SELECT;
-            ``max_rule_size``, ``n_jobs``, ``backend`` for EXACT).
+            ``max_rule_size``, ``n_jobs``, ``max_nodes_per_search`` for
+            EXACT).
 
     Returns:
         A ready-to-``fit`` translator instance.

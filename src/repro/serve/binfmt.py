@@ -106,16 +106,14 @@ def _direction_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three per-direction sections, via one throwaway compilation.
 
-    The numpy backend is forced: the packed matrices are
-    backend-independent (the backend only selects *kernels*), and
-    publish must not require a C toolchain.
+    Compiling never loads the C kernel (a predictor looks it up only
+    when it predicts), so publishing needs no C toolchain.
     """
     compiled = CompiledPredictor.from_table(
         artifact.table,
         target,
         artifact.n_left if target is Side.RIGHT else artifact.n_right,
         artifact.n_right if target is Side.RIGHT else artifact.n_left,
-        backend="numpy",
     )
     from repro.core.bitset import popcount_rows
 

@@ -34,12 +34,11 @@ that contract over the same compiled matrices:
     (``row & ant == ant``) and the union as a weighted OR of consequent
     words.  Touches 64x less memory per item than the dense paths — the
     right tool when vocabularies are wide and batches enormous — and
-    doubles as the strategy-independent reference.  The packed word ops
-    dispatch through the :mod:`repro.core.bitset` backend layer
-    (``backend="numpy"|"native"|"auto"``): with the native C kernel the
-    whole bulk path collapses into one fused subset-test +
-    consequent-union pass (:func:`repro.core.bitset.match_union_rows`)
-    that never materialises the fired matrix.
+    doubles as the strategy-independent reference.  Where the C kernel
+    of :mod:`repro.native` compiles, the whole bulk path is one fused
+    subset-test + consequent-union pass
+    (:func:`repro.core.bitset.match_union_rows`) that never materialises
+    the fired matrix; elsewhere it runs on numpy.
 
 The ``"blas"`` exactness contract holds while every count involved stays
 at or below ``2**24`` (the largest integer float32 represents exactly).
@@ -48,11 +47,13 @@ count could exceed the bound warns once and routes ``"auto"`` to
 ``"packed"``; requesting ``"blas"`` explicitly on such a predictor
 raises instead of silently returning approximate results.
 
-``"auto"`` otherwise picks BLAS — except on a native-backed predictor
-where the fused packed path is the measured winner: wide compiled
-models (``n_rules x n_ant_words`` past a threshold, 8-19x faster at
-every batch size) and bulk-sized batches on any model.  The dispatch is
-purely a throughput decision; all strategies are bit-identical.
+``"auto"`` otherwise picks BLAS — except where the C kernel loads and
+the fused packed path is the measured winner: wide compiled models
+(``n_rules x n_ant_words`` past a threshold, 8-19x faster at every
+batch size) and bulk-sized batches on any model.  The kernel is looked
+up when a call dispatches, never when a predictor is built, so
+compiling a table (as publishing does) does not load it.  The dispatch
+is purely a throughput decision; all strategies are bit-identical.
 
 Outputs of both strategies are **bit-identical** to the per-rule loop:
 all three compute the same subset test and the same consequent union,
@@ -72,9 +73,7 @@ import numpy as np
 from repro.core.bitset import (
     BitMatrix,
     match_union_rows,
-    or_union_rows,
     popcount_rows,
-    resolve_backend,
     subset_match_rows,
     unpack_mask,
 )
@@ -88,7 +87,7 @@ __all__ = ["CompiledPredictor"]
 #: strategy's "exact float32" contract silently breaks.
 _FLOAT32_EXACT_MAX = 2**24
 
-#: ``strategy="auto"`` dispatch heuristic for native-backed predictors:
+#: ``strategy="auto"`` dispatch heuristic where the C kernel loads:
 #: the fused packed path beats BLAS whenever the compiled model is wide
 #: (``n_rules * n_ant_words`` at or above this — measured 8-19x there at
 #: every batch size) ...
@@ -125,10 +124,6 @@ class CompiledPredictor:
         rules: The rules to compile; only those firing towards
             ``target`` are kept, and rules with an empty antecedent are
             skipped with a warning (they would fire on every row).
-        backend: Word-op backend of the ``packed`` strategy —
-            ``"native"`` (fused C kernel), ``"numpy"``, or ``"auto"``
-            (native when a C toolchain is available; falls back
-            silently).  Both are bit-identical.
 
     Example::
 
@@ -147,7 +142,6 @@ class CompiledPredictor:
         "n_rules",
         "antecedents",
         "consequents",
-        "backend",
         "blas_exact",
         "_ant_operand",
         "_ant_sizes",
@@ -160,12 +154,10 @@ class CompiledPredictor:
         n_source_items: int,
         n_target_items: int,
         rules: Iterable[TranslationRule],
-        backend: str = "auto",
     ) -> None:
         self.target = target
         self.n_source_items = int(n_source_items)
         self.n_target_items = int(n_target_items)
-        self.backend = resolve_backend(backend)
         ant_masks = []
         cons_masks = []
         for rule in rules:
@@ -248,7 +240,6 @@ class CompiledPredictor:
         cls,
         mapped,
         target: Side,
-        backend: str = "auto",
     ) -> "CompiledPredictor":
         """Construct a predictor over a mapped binary artifact, zero-copy.
 
@@ -274,7 +265,6 @@ class CompiledPredictor:
         else:
             obj.n_source_items = mapped.n_right
             obj.n_target_items = mapped.n_left
-        obj.backend = resolve_backend(backend)
         ant_words, cons_words = sections
         obj.n_rules = int(ant_words.shape[0])
         # BitMatrix leaves an already-contiguous uint64 array untouched,
@@ -294,17 +284,16 @@ class CompiledPredictor:
         target: Side,
         n_source_items: int,
         n_target_items: int,
-        backend: str = "auto",
     ) -> "CompiledPredictor":
         """Compile ``table`` for predicting ``target`` from the other view."""
-        return cls(target, n_source_items, n_target_items, table, backend=backend)
+        return cls(target, n_source_items, n_target_items, table)
 
     # ------------------------------------------------------------------
     def _resolve_strategy(self, strategy: str, n_rows: int = 0) -> str:
         """Normalise a strategy spec, enforcing the blas exactness guard.
 
-        ``"auto"`` picks BLAS while its exactness guard holds — except on
-        a native-backed predictor where the fused packed path is the
+        ``"auto"`` picks BLAS while its exactness guard holds — except
+        where the C kernel loads and the fused packed path is the
         measured winner: wide compiled models (many rules x many
         antecedent words) at any batch size, and bulk batches on any
         model.  Every strategy returns bit-identical predictions, so the
@@ -313,12 +302,15 @@ class CompiledPredictor:
         if strategy == "auto":
             if not self.blas_exact:
                 return "packed"
-            if self.backend == "native" and (
+            if (
                 self.n_rules * self.antecedents.n_words
                 >= _NATIVE_PACKED_MIN_RULE_WORDS
                 or n_rows >= _NATIVE_PACKED_MIN_ROWS
             ):
-                return "packed"
+                from repro import native
+
+                if native.available():
+                    return "packed"
             return "blas"
         if strategy == "blas" and not self.blas_exact:
             raise ValueError(
@@ -348,8 +340,8 @@ class CompiledPredictor:
         Rule ``r`` fires on row ``t`` iff its antecedent is a subset of
         the transaction — computed either as an exact float32 count
         (``"blas"``) or as ``row & ant == ant`` on the packed words
-        (``"packed"``, dispatched through the compiled ``backend``);
-        see :meth:`_resolve_strategy` for how ``"auto"`` dispatches.
+        (``"packed"``); see :meth:`_resolve_strategy` for how ``"auto"``
+        dispatches.
         """
         source_matrix = self._validated(source_matrix)
         strategy = self._resolve_strategy(strategy, source_matrix.shape[0])
@@ -358,9 +350,7 @@ class CompiledPredictor:
             counts = source_matrix.astype(np.float32) @ ant_operand
             return counts == ant_sizes
         rows = BitMatrix.from_bool_rows(source_matrix).words
-        return subset_match_rows(
-            rows, self.antecedents.words, backend=self.backend
-        )
+        return subset_match_rows(rows, self.antecedents.words)
 
     def predict(
         self, source_matrix: np.ndarray, strategy: str = "auto"
@@ -379,21 +369,10 @@ class CompiledPredictor:
             emitted = fired.astype(np.float32) @ cons_operand
             return emitted > 0
         n_rows = source_matrix.shape[0]
-        if self.backend == "native":
-            # One fused pass: subset test + consequent union per row,
-            # no (rows, rules) fired matrix in between.
-            rows = BitMatrix.from_bool_rows(source_matrix).words
-            out_words = match_union_rows(
-                rows,
-                self.antecedents.words,
-                self.consequents.words,
-                backend="native",
-            )
-        else:
-            fired = self.matches(source_matrix, strategy="packed")
-            out_words = or_union_rows(
-                fired, self.consequents.words, backend="numpy"
-            )
+        rows = BitMatrix.from_bool_rows(source_matrix).words
+        out_words = match_union_rows(
+            rows, self.antecedents.words, self.consequents.words
+        )
         if self.n_target_items == 0:
             return np.zeros((n_rows, 0), dtype=bool)
         bits = np.unpackbits(

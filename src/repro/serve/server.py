@@ -61,7 +61,6 @@ from collections.abc import Callable
 import numpy as np
 
 from repro import obs as _obs
-from repro.core.bitset import resolve_backend
 from repro.data.dataset import Side
 from repro.resilience.faults import CrashPoint, fault_point
 from repro.resilience.policy import CircuitBreaker, CircuitOpenError, Deadline
@@ -388,7 +387,9 @@ class PredictionService:
     :class:`MicroBatcher` and an :class:`LRUCache` of responses keyed on
     ``(model, version, request hash)``.  :class:`PredictionServer` puts
     it on a socket; tests and benchmarks drive it directly via
-    :meth:`predict` / :meth:`handle`.
+    :meth:`predict` / :meth:`handle`.  The compiled predictors run their
+    packed strategy on the C kernel wherever it compiles and on numpy
+    otherwise, with bit-identical answers.
 
     Args:
         registry: Where models come from.
@@ -404,9 +405,6 @@ class PredictionService:
             consulted again; bounds the hot-swap staleness window after
             a publish without putting O(versions) directory scans on
             every request (cache hits included).
-        backend: Word-op backend forwarded to every compiled predictor
-            (``"numpy"``, ``"native"`` or ``"auto"``); affects the
-            packed strategy only and is bit-identical either way.
         breaker_factory: Builds the per-model
             :class:`~repro.resilience.policy.CircuitBreaker` guarding
             registry artifact loads — after repeated load failures the
@@ -430,7 +428,6 @@ class PredictionService:
         cache_size: int = 1024,
         max_predictors: int = 32,
         latest_ttl_seconds: float = 1.0,
-        backend: str = "auto",
         breaker_factory: Callable[[], CircuitBreaker] | None = None,
         metrics: "_obs.MetricsRegistry | None" = None,
         tracer: "_obs.Tracer | None" = None,
@@ -438,10 +435,6 @@ class PredictionService:
         if max_predictors < 1:
             raise ValueError("max_predictors must be positive")
         self.registry = registry
-        # Resolve eagerly so a misconfigured backend (e.g. "native" on a
-        # compiler-less machine) fails at service construction, not as a
-        # 500 on the first /predict that compiles a predictor.
-        self.backend = resolve_backend(backend)
         self.metrics = metrics if metrics is not None else _obs.MetricsRegistry()
         self.tracer = tracer
         self.batcher = MicroBatcher(
@@ -569,7 +562,7 @@ class PredictionService:
                     artifact.n_right if target is Side.RIGHT else artifact.n_left
                 )
                 cached = CompiledPredictor.from_table(
-                    artifact.table, target, n_source, n_target, backend=self.backend
+                    artifact.table, target, n_source, n_target
                 )
             self._predictors.put(key, cached)
         return cached  # type: ignore[return-value]
@@ -600,7 +593,7 @@ class PredictionService:
             return None
         # The numpy views keep the mapping referenced; the predictor is
         # valid for as long as the LRU holds it.
-        return CompiledPredictor.from_mapped(mapped, target, backend=self.backend)
+        return CompiledPredictor.from_mapped(mapped, target)
 
     def _stats_for(self, name: str) -> ModelStats:
         stats = self.stats.get(name)

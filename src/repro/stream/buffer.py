@@ -46,7 +46,6 @@ from repro.core.bitset import (
     pack_rows_at,
     popcount,
     popcount_rows,
-    resolve_backend,
     shift_rows,
 )
 from repro.core.search import SearchCache
@@ -100,13 +99,10 @@ class StreamBuffer:
             :meth:`window_dataset`.
         capacity: Initial row capacity hint (the buffer grows as
             needed); useful to pre-size for a known window.
-        backend: Word-op backend of the incremental tracked-support
-            updates — ``"native"`` (fused C AND-reduce + popcount),
-            ``"numpy"``, or ``"auto"``.  Tracker regions are only a few
-            words per append, where the measured native gain is parity
-            at best, so ``"auto"`` stays on numpy; pass ``"native"``
-            explicitly to force the C kernel.  Counts are bit-identical
-            either way.
+
+    Tracked supports update through numpy's grouped AND-reduce: the
+    regions are a few words per append, too small for a C kernel to pay
+    off (a fused one ran at 0.94x of numpy on a 32k-row window).
 
     Example::
 
@@ -126,16 +122,11 @@ class StreamBuffer:
         left_names: Sequence[str] | None = None,
         right_names: Sequence[str] | None = None,
         capacity: int = 256,
-        backend: str = "auto",
     ) -> None:
         if n_left < 0 or n_right < 0:
             raise ValueError("vocabulary sizes must be non-negative")
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        # "auto" deliberately stays on numpy: the per-append regions are
-        # a few words, below any size where the native kernel wins
-        # (see BENCH_native.json's stream honesty cell).
-        self.backend = "numpy" if backend == "auto" else resolve_backend(backend)
         cap_rows = n_words_for(capacity) * WORD_BITS
         self._left = _SideStore(n_left, cap_rows)
         self._right = _SideStore(n_right, cap_rows)
@@ -279,9 +270,9 @@ class StreamBuffer:
             # recomputes exactly the bits of this word range; positions
             # below ``offset`` reproduce their previous value, so the
             # count increment is the region's popcount minus theirs.
-            # All of a side's itemsets go through ONE grouped fused
-            # AND-reduce — the regions are only a few words each, so the
-            # win is amortising the dispatch overhead across trackers.
+            # All of a side's itemsets go through ONE grouped AND-reduce —
+            # the regions are only a few words each, so the win is
+            # amortising the per-call overhead across trackers.
             index: list[int] = []
             offsets = [0]
             for tracker in side_trackers:
@@ -290,7 +281,6 @@ class StreamBuffer:
             regions, counts = and_reduce_many_rows(
                 store.words[index, w0:w_hi],
                 np.asarray(offsets, dtype=np.int64),
-                backend=self.backend,
             )
             for tracker, region, region_count in zip(
                 side_trackers, regions, counts
@@ -440,9 +430,7 @@ class StreamBuffer:
         tracker = TrackedItemset(side, items)
         # Bits outside [start, end) are zero in every item column, so the
         # full-width AND is already correctly windowed.
-        tracker.words, tracker.count = and_reduce_rows(
-            store.words[list(items)], backend=self.backend
-        )
+        tracker.words, tracker.count = and_reduce_rows(store.words[list(items)])
         self._trackers.append(tracker)
         return tracker
 

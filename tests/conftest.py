@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,32 @@ from repro.data.synthetic import SyntheticSpec, generate_planted
 #: always, and the C traversal wherever the kernel compiles (a machine
 #: without a C compiler skips it).
 SEARCH_BACKENDS = ("numpy", "native") if native.available() else ("numpy",)
+
+
+@contextlib.contextmanager
+def engine(name: str):
+    """Run the block on one engine, the way the platform would pick it.
+
+    ``"numpy"`` sets ``REPRO_NATIVE_DISABLE=1`` — the path a machine
+    without a C compiler takes — and ``"native"`` clears it; the cached
+    kernel is dropped on entry and on exit, so every consumer re-probes.
+    """
+    if name not in ("numpy", "native"):
+        raise ValueError(f"unknown engine {name!r}")
+    previous = os.environ.get("REPRO_NATIVE_DISABLE")
+    if name == "numpy":
+        os.environ["REPRO_NATIVE_DISABLE"] = "1"
+    else:
+        os.environ.pop("REPRO_NATIVE_DISABLE", None)
+    native.reset()
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_NATIVE_DISABLE", None)
+        else:
+            os.environ["REPRO_NATIVE_DISABLE"] = previous
+        native.reset()
 
 
 @pytest.fixture

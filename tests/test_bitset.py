@@ -22,8 +22,6 @@ from repro.core.bitset import (
     popcount,
     popcount_rows,
     unpack_mask,
-    weight_table,
-    weighted_popcount,
 )
 
 SETTINGS = settings(
@@ -90,26 +88,6 @@ class TestPopcounts:
         np.testing.assert_array_equal(popcount_rows(bits.words), matrix.sum(axis=1))
 
 
-class TestWeightedPopcount:
-    @SETTINGS
-    @given(masks())
-    def test_weighted_popcount_matches_dot(self, mask):
-        rng = np.random.default_rng(mask.size)
-        weights = rng.random(mask.size) * 10.0
-        table = weight_table(weights)
-        expected = float(weights[mask].sum())
-        assert weighted_popcount(pack_mask(mask), table) == pytest.approx(
-            expected, rel=1e-12, abs=1e-12
-        )
-
-    def test_empty_universe(self):
-        assert weighted_popcount(pack_mask(np.zeros(0, dtype=bool)), weight_table(np.zeros(0))) == 0.0
-
-    def test_size_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            weighted_popcount(pack_mask(np.ones(65, dtype=bool)), weight_table(np.ones(64)))
-
-
 class TestBitMatrix:
     @pytest.mark.parametrize("n,items", [(0, 0), (0, 3), (1, 1), (1, 4), (63, 2), (64, 2), (65, 2), (130, 5)])
     def test_roundtrip_columns(self, n, items):
@@ -127,26 +105,6 @@ class TestBitMatrix:
         rows = list(bits)
         assert len(rows) == 2
         np.testing.assert_array_equal(rows[0], bits.row(0))
-
-    @SETTINGS
-    @given(masks(max_bits=100))
-    def test_set_algebra_matches_bool(self, mask):
-        n = mask.size
-        rng = np.random.default_rng(n + 7)
-        matrix = rng.random((n, 4)) < 0.4
-        bits = BitMatrix.from_bool_columns(matrix)
-        mask_words = pack_mask(mask)
-        for item in range(4):
-            column = matrix[:, item]
-            np.testing.assert_array_equal(
-                unpack_mask(bits.and_mask(mask_words)[item], n), column & mask
-            )
-            np.testing.assert_array_equal(
-                unpack_mask(bits.or_mask(mask_words)[item], n), column | mask
-            )
-            np.testing.assert_array_equal(
-                unpack_mask(bits.andnot_mask(mask_words)[item], n), column & ~mask
-            )
 
     def test_support_and_counts(self):
         rng = np.random.default_rng(11)

@@ -38,7 +38,7 @@ from repro.data.dataset import TwoViewDataset
 from repro.data.synthetic import SyntheticSpec, generate_planted
 from repro.resilience import FaultInjector
 from repro.serve.artifact import ArtifactCorruptError
-from tests.conftest import SEARCH_BACKENDS, random_two_view
+from tests.conftest import SEARCH_BACKENDS, engine, random_two_view
 
 pytestmark = pytest.mark.corpus_smoke
 
@@ -385,10 +385,9 @@ class TestAnytimeBudgets:
         }[tamper]
         tampered = dataclasses.replace(checkpoint, **changes)
         for backend in SEARCH_BACKENDS:
-            with pytest.raises(ValueError, match="checkpoint"):
+            with engine(backend), pytest.raises(ValueError, match="checkpoint"):
                 ExactRuleSearch(
-                    CoverState(dataset), max_rule_size=4, checkpoint=tampered,
-                    backend=backend,
+                    CoverState(dataset), max_rule_size=4, checkpoint=tampered
                 ).find_best_rule()
 
     def test_n_jobs_budget_warning(self, planted):
@@ -415,14 +414,14 @@ class TestAnytimeBudgets:
         for name, cycle in schedules.items():
             legs, checkpoint, stats = [], None, None
             while stats is None or not stats.complete:
-                search = ExactRuleSearch(
-                    state,
-                    max_rule_size=3,
-                    max_nodes=(stats.nodes_visited if stats else 0) + every,
-                    checkpoint=checkpoint,
-                    backend=cycle[len(legs) % len(cycle)],
-                )
-                rule, gain, stats = search.find_best_rule()
+                with engine(cycle[len(legs) % len(cycle)]):
+                    search = ExactRuleSearch(
+                        state,
+                        max_rule_size=3,
+                        max_nodes=(stats.nodes_visited if stats else 0) + every,
+                        checkpoint=checkpoint,
+                    )
+                    rule, gain, stats = search.find_best_rule()
                 checkpoint = search.last_checkpoint
                 legs.append((
                     rule, repr(gain), repr(stats.gap_bound), stats.nodes_visited,
@@ -445,10 +444,11 @@ class TestAnytimeBudgets:
     def test_anytime_search_completes_and_matches(self, planted):
         full = ExactRuleSearch(CoverState(planted), max_rule_size=3).find_best_rule()
         for backend in SEARCH_BACKENDS:
-            result = AnytimeSearch(
-                CoverState(planted), time_budget=60.0, slice_nodes=128,
-                max_rule_size=3, backend=backend,
-            ).run()
+            with engine(backend):
+                result = AnytimeSearch(
+                    CoverState(planted), time_budget=60.0, slice_nodes=128,
+                    max_rule_size=3,
+                ).run()
             assert result.stats.complete and result.checkpoint is None
             assert (result.rule, repr(result.gain)) == (full[0], repr(full[1]))
             assert result.n_slices >= 1
@@ -458,10 +458,11 @@ class TestAnytimeBudgets:
     def test_anytime_node_budget_stops(self, planted):
         outcomes = {}
         for backend in SEARCH_BACKENDS:
-            result = AnytimeSearch(
-                CoverState(planted), max_nodes=100, time_budget=60.0,
-                slice_nodes=32, max_rule_size=4, backend=backend,
-            ).run()
+            with engine(backend):
+                result = AnytimeSearch(
+                    CoverState(planted), max_nodes=100, time_budget=60.0,
+                    slice_nodes=32, max_rule_size=4,
+                ).run()
             assert result.stats.nodes_visited == 100
             assert not result.stats.complete
             assert result.checkpoint is not None
@@ -478,10 +479,11 @@ class TestAnytimeBudgets:
         # end in node slices, so the fit equals the unbudgeted one.
         plain = TranslatorExact(max_rule_size=3, max_iterations=3).fit(planted)
         for backend in SEARCH_BACKENDS:
-            sliced = TranslatorExact(
-                max_rule_size=3, max_iterations=3, backend=backend,
-                time_budget_per_search=600.0,
-            ).fit(planted)
+            with engine(backend):
+                sliced = TranslatorExact(
+                    max_rule_size=3, max_iterations=3,
+                    time_budget_per_search=600.0,
+                ).fit(planted)
             assert [(r.rule, repr(r.gain)) for r in sliced.history] == [
                 (r.rule, repr(r.gain)) for r in plain.history
             ]

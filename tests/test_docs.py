@@ -39,7 +39,7 @@ def test_docs_pages_exist():
 
 def test_readme_mentions_the_knobs():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    for needle in ("n_jobs", "backend=", "docs/architecture.md",
+    for needle in ("n_jobs", "REPRO_NATIVE_DISABLE", "docs/architecture.md",
                    "repro-translator sweep", "repro-translator serve",
                    "docs/serving.md"):
         assert needle in readme, f"README should mention {needle!r}"

@@ -2,25 +2,25 @@
 
 Three layers of guarantees:
 
-1. **Primitives** — every backend-dispatched operation in
-   :mod:`repro.core.bitset` (fused AND+popcount, subset match, weighted
-   OR/union, AND-reduce) agrees with a brute-force formulation on
-   randomized inputs, and the native C kernel agrees with the numpy
-   reference bit for bit.
-2. **Consumers** — the three wired call sites (the exact search's
-   traversal, ``NativeKernel.dfs``; the compiled predictor's packed
-   strategy; the stream buffer's tracked supports) return bit-identical
-   results under ``backend="numpy"`` and ``backend="native"``.
-3. **Fallback contract** — ``backend="auto"`` resolves without raising
-   whether or not a C toolchain exists, explicit ``"native"`` raises a
-   clear error when it does not, and ``REPRO_NATIVE_DISABLE=1`` makes a
-   fresh process behave exactly like a compiler-less machine, fitting
-   the same models on numpy.
+1. **Primitives** — every batch operation in :mod:`repro.core.bitset`
+   (fused AND+popcount, subset match, weighted OR/union, AND-reduce)
+   agrees with a brute-force formulation on randomized inputs, and the
+   C kernel's ``and_popcount`` and ``match_union`` agree with the numpy
+   functions bit for bit.
+2. **Consumers** — the exact search's traversal (``NativeKernel.dfs``)
+   and the compiled predictor's packed strategy return bit-identical
+   results on both engines, and the stream buffer's tracked supports
+   equal a recount of the window.
+3. **Fallback contract** — ``REPRO_NATIVE_DISABLE=1`` makes a fresh
+   process behave exactly like a compiler-less machine, fitting the same
+   models on numpy, and publishing a model never loads the kernel.
 
-Everything native-specific is skipped (not failed) when the toolchain
-is unavailable, so the suite passes unchanged on a machine with no C
-compiler.  ``pytest -m native_smoke`` runs this file together with the
-two-backend oracle and checkpoint tests of the search.
+The engine is picked the way the platform picks it, through the
+``engine`` switch of ``tests/conftest.py``.  Everything native-specific
+is skipped (not failed) when the toolchain is unavailable, so the suite
+passes unchanged on a machine with no C compiler.
+``pytest -m native_smoke`` runs this file together with the two-engine
+oracle and checkpoint tests of the search.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 import pytest
 
 from repro import native
-from repro.core import bitset
 from repro.core.bitset import (
     BitMatrix,
     and_popcount_rows,
@@ -46,7 +45,6 @@ from repro.core.bitset import (
     n_words_for,
     or_union_rows,
     pack_mask,
-    resolve_backend,
     subset_match_rows,
     unpack_mask,
 )
@@ -55,6 +53,7 @@ from repro.data.dataset import Side
 from repro.data.synthetic import SyntheticSpec, generate_planted
 from repro.serve.compiled import CompiledPredictor
 from repro.stream.buffer import StreamBuffer
+from tests.conftest import SEARCH_BACKENDS, engine
 
 pytestmark = pytest.mark.native_smoke
 
@@ -62,8 +61,6 @@ NATIVE_AVAILABLE = native.available()
 needs_native = pytest.mark.skipif(
     not NATIVE_AVAILABLE, reason=f"no native kernel: {native.native_error()}"
 )
-
-BACKENDS = ["numpy"] + (["native"] if NATIVE_AVAILABLE else [])
 
 
 def _random_packed(rng, n_rows: int, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -103,48 +100,18 @@ class TestBuild:
         assert info["compiler"]
         assert Path(str(info["library"])).suffix == ".so"
 
-    def test_resolve_backend_validates(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("cuda")
-        assert resolve_backend("numpy") == "numpy"
-        assert resolve_backend("auto") in ("numpy", "native")
-
-    def test_explicit_native_raises_without_toolchain(self, monkeypatch):
-        monkeypatch.setattr(bitset, "_native_available", lambda: False)
-        assert resolve_backend("auto") == "numpy"
-        with pytest.raises(RuntimeError, match="native backend requested"):
-            resolve_backend("native")
-
-    def test_env_can_pin_auto_to_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert resolve_backend("auto") == "numpy"
-
-    def test_env_native_preference_still_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "native")
-        monkeypatch.setattr(bitset, "_native_available", lambda: True)
-        assert resolve_backend("auto") == "native"
-        monkeypatch.setattr(bitset, "_native_available", lambda: False)
-        assert resolve_backend("auto") == "numpy"  # never raises for auto
-
-    def test_env_typo_is_rejected_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpyy")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            resolve_backend("auto")
-
     def test_disable_env_simulates_no_compiler(self, tmp_path):
         # A fresh process with REPRO_NATIVE_DISABLE=1 must behave exactly
-        # like a machine without a C toolchain: auto falls back to numpy
-        # and fits the same model, with the same search statistics, as
-        # the C traversal fits here.
+        # like a machine without a C toolchain: it searches on numpy and
+        # fits the same model, with the same search statistics, as the C
+        # traversal fits here.
         env = dict(os.environ)
         env["REPRO_NATIVE_DISABLE"] = "1"
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         script = (
             "import json\n"
-            "from repro.core.bitset import resolve_backend\n"
             "from repro import native\n"
             "assert not native.available(), 'disable env ignored'\n"
-            "assert resolve_backend('auto') == 'numpy'\n"
             "from repro.core.translator import TranslatorExact\n"
             "from repro.data.synthetic import SyntheticSpec, generate_planted\n"
             "ds, _ = generate_planted(SyntheticSpec(n_transactions=300, seed=4))\n"
@@ -195,10 +162,11 @@ class TestPrimitives:
         bools, rows = _random_packed(rng, n_rows, n_bits)
         mask_bool = rng.random(n_bits) < 0.5
         mask = pack_mask(mask_bool)
-        for backend in BACKENDS:
-            counts = and_popcount_rows(rows, mask, backend=backend)
+        for backend in SEARCH_BACKENDS:
+            with engine(backend):
+                counts = and_popcount_rows(rows, mask)
+                plain = and_popcount_rows(rows)
             assert np.array_equal(counts, (bools & mask_bool).sum(axis=1))
-            plain = and_popcount_rows(rows, backend=backend)
             assert np.array_equal(plain, bools.sum(axis=1))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -221,18 +189,20 @@ class TestPrimitives:
             ],
             dtype=bool,
         ).reshape(n_rows, n_sets)
-        for backend in BACKENDS:
-            fired = subset_match_rows(rows, sets, backend=backend)
-            assert np.array_equal(fired, brute_fired)
-            union = or_union_rows(fired, cons, backend=backend)
-            fused = match_union_rows(rows, sets, cons, backend=backend)
-            assert np.array_equal(union, fused)
-            for i in range(n_rows):
-                expected = np.zeros(n_tgt, dtype=bool)
-                for r in range(n_sets):
-                    if brute_fired[i, r]:
-                        expected |= cons_bools[r]
-                assert np.array_equal(unpack_mask(union[i], n_tgt), expected)
+        fired = subset_match_rows(rows, sets)
+        assert np.array_equal(fired, brute_fired)
+        union = or_union_rows(fired, cons)
+        with engine("numpy"):
+            assert np.array_equal(match_union_rows(rows, sets, cons), union)
+        if NATIVE_AVAILABLE:
+            kernel = native.load_kernel()
+            assert np.array_equal(kernel.match_union(rows, sets, cons), union)
+        for i in range(n_rows):
+            expected = np.zeros(n_tgt, dtype=bool)
+            for r in range(n_sets):
+                if brute_fired[i, r]:
+                    expected |= cons_bools[r]
+            assert np.array_equal(unpack_mask(union[i], n_tgt), expected)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_and_reduce(self, seed):
@@ -241,12 +211,15 @@ class TestPrimitives:
         n_rows = int(rng.integers(1, 8))
         bools, rows = _random_packed(rng, n_rows, n_bits)
         expected = np.logical_and.reduce(bools, axis=0)
-        for backend in BACKENDS:
-            region, count = and_reduce_rows(rows, backend=backend)
-            assert count == int(expected.sum())
-            assert np.array_equal(unpack_mask(region, n_bits), expected)
+        region, count = and_reduce_rows(rows)
+        assert count == int(expected.sum())
+        assert np.array_equal(unpack_mask(region, n_bits), expected)
+        if NATIVE_AVAILABLE:
+            # The region is a subset of every row it was reduced from.
+            masked = native.load_kernel().and_popcount(rows, region)
+            assert np.array_equal(masked, np.full(n_rows, count))
         with pytest.raises(ValueError):
-            and_reduce_rows(np.zeros((0, 2), dtype=np.uint64), backend="numpy")
+            and_reduce_rows(np.zeros((0, 2), dtype=np.uint64))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_and_reduce_many(self, seed):
@@ -255,23 +228,22 @@ class TestPrimitives:
         sizes = [int(rng.integers(1, 5)) for __ in range(int(rng.integers(0, 6)))]
         bools, rows = _random_packed(rng, sum(sizes), n_bits)
         offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        for backend in BACKENDS:
-            regions, counts = and_reduce_many_rows(rows, offsets, backend=backend)
-            assert regions.shape[0] == len(sizes)
-            for g, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-                expected = (
-                    np.logical_and.reduce(bools[lo:hi], axis=0)
-                    if n_bits
-                    else np.zeros(0, dtype=bool)
-                )
-                assert counts[g] == int(expected.sum())
-                assert np.array_equal(unpack_mask(regions[g], n_bits), expected)
-        with pytest.raises(ValueError, match="non-empty"):
-            and_reduce_many_rows(
-                rows, np.array([0, 0, rows.shape[0]]), backend="numpy"
+        regions, counts = and_reduce_many_rows(rows, offsets)
+        assert regions.shape[0] == len(sizes)
+        for g, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            expected = (
+                np.logical_and.reduce(bools[lo:hi], axis=0)
+                if n_bits
+                else np.zeros(0, dtype=bool)
             )
+            assert counts[g] == int(expected.sum())
+            assert np.array_equal(unpack_mask(regions[g], n_bits), expected)
+        if NATIVE_AVAILABLE:
+            assert np.array_equal(native.load_kernel().and_popcount(regions), counts)
+        with pytest.raises(ValueError, match="non-empty"):
+            and_reduce_many_rows(rows, np.array([0, 0, rows.shape[0]]))
         with pytest.raises(ValueError, match="offsets"):
-            and_reduce_many_rows(rows, np.array([1]), backend="numpy")
+            and_reduce_many_rows(rows, np.array([1]))
 
     @needs_native
     def test_fixed_weight_table_layout(self):
@@ -315,12 +287,12 @@ class TestSearchBackends:
                 seed=seed,
             )
         )
-        results = {
-            backend: TranslatorExact(
-                max_iterations=3, max_rule_size=3, backend=backend
-            ).fit(dataset)
-            for backend in ("numpy", "native")
-        }
+        results = {}
+        for backend in ("numpy", "native"):
+            with engine(backend):
+                results[backend] = TranslatorExact(
+                    max_iterations=3, max_rule_size=3
+                ).fit(dataset)
         assert self._fingerprint(results["numpy"]) == self._fingerprint(
             results["native"]
         )
@@ -331,12 +303,12 @@ class TestSearchBackends:
         dataset, __ = generate_planted(
             SyntheticSpec(n_transactions=220, n_left=12, n_right=12, seed=5)
         )
-        serial = TranslatorExact(
-            max_iterations=2, max_rule_size=3, backend="native"
-        ).fit(dataset)
-        sharded = TranslatorExact(
-            max_iterations=2, max_rule_size=3, backend="native", n_jobs=3
-        ).fit(dataset)
+        with engine("native"):
+            serial = TranslatorExact(max_iterations=2, max_rule_size=3).fit(dataset)
+            sharded = TranslatorExact(
+                max_iterations=2, max_rule_size=3, n_jobs=3
+            ).fit(dataset)
+        assert {s.backend for s in sharded.search_stats} == {"native"}
         assert [(r.rule, r.gain) for r in serial.history] == [
             (r.rule, r.gain) for r in sharded.history
         ]
@@ -350,10 +322,10 @@ class TestSearchBackends:
             {"max_rule_size": None, "max_iterations": 2},
             {"max_rule_size": 4, "max_iterations": 2, "max_nodes_per_search": 200},
         ):
-            fits = {
-                backend: TranslatorExact(backend=backend, **kwargs).fit(dataset)
-                for backend in ("numpy", "native")
-            }
+            fits = {}
+            for backend in ("numpy", "native"):
+                with engine(backend):
+                    fits[backend] = TranslatorExact(**kwargs).fit(dataset)
             assert self._fingerprint(fits["numpy"]) == self._fingerprint(
                 fits["native"]
             )
@@ -361,8 +333,8 @@ class TestSearchBackends:
 
     @needs_native
     def test_auto_runs_the_c_traversal_at_every_size(self):
-        # No row-count crossover: auto searches natively on tiny and on
-        # large inputs alike.
+        # No row-count crossover: wherever the kernel builds, the search
+        # runs natively on tiny and on large inputs alike.
         from repro.core.search import ExactRuleSearch
         from repro.core.state import CoverState
 
@@ -426,7 +398,7 @@ class TestSearchBackends:
 # Consumer 2: the compiled predictor's packed strategy
 # ----------------------------------------------------------------------
 class TestCompiledBackends:
-    def _compiled(self, seed, backend):
+    def _compiled(self, seed):
         rng = np.random.default_rng(seed)
         from repro.core.rules import TranslationRule
 
@@ -443,32 +415,29 @@ class TestCompiledBackends:
                 TranslationRule(lhs, rhs, rng.choice(["->", "<-", "<->"]))
             )
         return (
-            CompiledPredictor(Side.RIGHT, n_src, n_tgt, rules, backend=backend),
+            CompiledPredictor(Side.RIGHT, n_src, n_tgt, rules),
             rng.random((33, n_src)) < 0.4,
         )
 
     @needs_native
     @pytest.mark.parametrize("seed", range(4))
     def test_packed_backends_bit_identical(self, seed):
-        numpy_pred, matrix = self._compiled(seed, "numpy")
-        native_pred, __ = self._compiled(seed, "native")
-        assert numpy_pred.backend == "numpy"
-        assert native_pred.backend == "native"
-        blas = numpy_pred.predict(matrix, strategy="blas")
-        for strategy_owner in (numpy_pred, native_pred):
-            packed = strategy_owner.predict(matrix, strategy="packed")
-            assert np.array_equal(packed, blas)
-            fired = strategy_owner.matches(matrix, strategy="packed")
-            assert np.array_equal(
-                fired, numpy_pred.matches(matrix, strategy="blas")
-            )
+        predictor, matrix = self._compiled(seed)
+        blas = predictor.predict(matrix, strategy="blas")
+        fired_blas = predictor.matches(matrix, strategy="blas")
+        for backend in ("numpy", "native"):
+            with engine(backend):
+                packed = predictor.predict(matrix, strategy="packed")
+                fired = predictor.matches(matrix, strategy="packed")
+            assert np.array_equal(packed, blas), backend
+            assert np.array_equal(fired, fired_blas), backend
 
     def test_blas_guard_dispatches_auto_to_packed(self, monkeypatch):
         import repro.serve.compiled as compiled_module
 
         monkeypatch.setattr(compiled_module, "_FLOAT32_EXACT_MAX", 8)
         with pytest.warns(UserWarning, match="dispatch to 'packed'"):
-            predictor, matrix = self._compiled(0, "numpy")
+            predictor, matrix = self._compiled(0)
         assert not predictor.blas_exact
         # auto now silently routes to the packed strategy...
         auto = predictor.predict(matrix, strategy="auto")
@@ -485,7 +454,7 @@ class TestCompiledBackends:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            predictor, matrix = self._compiled(1, "numpy")
+            predictor, matrix = self._compiled(1)
         assert predictor.blas_exact
         assert np.array_equal(
             predictor.predict(matrix, strategy="auto"),
@@ -493,26 +462,23 @@ class TestCompiledBackends:
         )
 
     def test_unknown_strategy_rejected(self):
-        predictor, matrix = self._compiled(2, "numpy")
+        predictor, matrix = self._compiled(2)
         with pytest.raises(ValueError, match="unknown strategy"):
             predictor.predict(matrix, strategy="gpu")
 
     @needs_native
     def test_auto_dispatches_to_native_packed_where_it_wins(self):
-        # A numpy-backed predictor's auto stays on blas; a native-backed
-        # one routes wide models (any batch) and bulk batches (any
-        # model) to the fused packed path.  Narrow model + small batch
-        # stays on blas even with the native backend.
-        numpy_pred, __ = self._compiled(0, "numpy")
-        native_pred, __ = self._compiled(0, "native")
-        assert numpy_pred._resolve_strategy("auto", n_rows=4096) == "blas"
-        assert native_pred._resolve_strategy("auto", n_rows=8) == "blas"
-        assert native_pred._resolve_strategy("auto", n_rows=4096) == "packed"
+        # Without the kernel, auto stays on blas; with it, wide models
+        # (any batch) and bulk batches (any model) take the fused packed
+        # path, while a narrow model with a small batch stays on blas.
+        predictor, __ = self._compiled(0)
+        with engine("numpy"):
+            assert predictor._resolve_strategy("auto", n_rows=4096) == "blas"
         import repro.serve.compiled as compiled_module
 
         wide_words = compiled_module._NATIVE_PACKED_MIN_RULE_WORDS
         assert (
-            native_pred.n_rules * native_pred.antecedents.n_words < wide_words
+            predictor.n_rules * predictor.antecedents.n_words < wide_words
         ), "fixture model unexpectedly counts as wide"
         rng = np.random.default_rng(0)
         from repro.core.rules import TranslationRule
@@ -522,62 +488,77 @@ class TestCompiledBackends:
             TranslationRule((int(rng.integers(n_src)),), (0,), "->")
             for __ in range(16)
         ]
-        wide = CompiledPredictor(Side.RIGHT, n_src, 4, rules, backend="native")
-        assert wide._resolve_strategy("auto", n_rows=1) == "packed"
+        wide = CompiledPredictor(Side.RIGHT, n_src, 4, rules)
+        with engine("native"):
+            assert predictor._resolve_strategy("auto", n_rows=8) == "blas"
+            assert predictor._resolve_strategy("auto", n_rows=4096) == "packed"
+            assert wide._resolve_strategy("auto", n_rows=1) == "packed"
+
+    def test_publishing_never_loads_the_kernel(self, tmp_path, monkeypatch):
+        # Publishing compiles the table for the mmap sidecar; the
+        # predictor looks the kernel up only when it predicts, so a
+        # publish never probes the toolchain.
+        from repro.serve import ModelArtifact, ModelRegistry
+
+        dataset, __ = generate_planted(SyntheticSpec(n_transactions=120, seed=2))
+        result = TranslatorExact(max_iterations=3, max_rule_size=2).fit(dataset)
+        assert result.n_rules
+        calls = []
+        load_kernel = native.load_kernel
+
+        def counting_load_kernel():
+            calls.append(1)
+            return load_kernel()
+
+        monkeypatch.setattr(native, "load_kernel", counting_load_kernel)
+        registry = ModelRegistry(tmp_path)
+        published = registry.publish(ModelArtifact.from_result("demo", dataset, result))
+        assert registry.sidecar_path("demo", published.version).is_file()
+        assert calls == []
 
 
 # ----------------------------------------------------------------------
-# Consumer 3: the stream buffer's tracked supports
+# Consumer 3: the stream buffer's tracked supports (numpy)
 # ----------------------------------------------------------------------
 class TestStreamBackends:
-    @needs_native
     @pytest.mark.parametrize("seed", range(4))
     def test_tracked_supports_bit_identical(self, seed):
+        # After every append and evict, each tracker's incremental count
+        # and words equal a recount of the live window.
         rng = np.random.default_rng(seed)
-        buffers = {
-            backend: StreamBuffer(n_left=7, n_right=6, backend=backend)
-            for backend in ("numpy", "native")
-        }
-        trackers = {
-            backend: [
-                buffer.track(Side.LEFT, (0, 2)),
-                buffer.track(Side.RIGHT, (1,)),
-            ]
-            for backend, buffer in buffers.items()
-        }
+        buffer = StreamBuffer(n_left=7, n_right=6)
+        trackers = [buffer.track(Side.LEFT, (0, 2)), buffer.track(Side.RIGHT, (1,))]
         for step in range(60):
             k = int(rng.integers(0, 5))
-            left = rng.random((k, 7)) < 0.4
-            right = rng.random((k, 6)) < 0.5
-            for buffer in buffers.values():
-                buffer.append(left, right)
-            if rng.random() < 0.4 and len(buffers["numpy"]):
-                evict = int(rng.integers(0, len(buffers["numpy"]) + 1))
-                for buffer in buffers.values():
-                    buffer.evict(evict)
-            for numpy_tracker, native_tracker in zip(
-                trackers["numpy"], trackers["native"]
-            ):
-                assert numpy_tracker.count == native_tracker.count, f"step {step}"
-                assert np.array_equal(numpy_tracker.words, native_tracker.words)
-        # Counts also agree with a from-scratch recount of the window.
-        window = buffers["numpy"].window_dataset()
-        expected = (window.left[:, 0] & window.left[:, 2]).sum()
-        assert trackers["numpy"][0].count == expected
+            buffer.append(rng.random((k, 7)) < 0.4, rng.random((k, 6)) < 0.5)
+            if rng.random() < 0.4 and len(buffer):
+                buffer.evict(int(rng.integers(0, len(buffer) + 1)))
+            window = buffer.window_dataset()
+            for tracker in trackers:
+                view = window.left if tracker.side is Side.LEFT else window.right
+                expected = int(view[:, list(tracker.items)].all(axis=1).sum())
+                assert tracker.count == expected, f"step {step}"
+                columns = buffer._store(tracker.side).words[list(tracker.items)]
+                assert np.array_equal(
+                    tracker.words, np.bitwise_and.reduce(columns, axis=0)
+                ), f"step {step}"
 
     @needs_native
     def test_refit_context_native_matches_batch_fit(self):
         rng = np.random.default_rng(11)
-        buffer = StreamBuffer(n_left=9, n_right=9, backend="native")
+        buffer = StreamBuffer(n_left=9, n_right=9)
         buffer.append(rng.random((140, 9)) < 0.4, rng.random((140, 9)) < 0.4)
         buffer.evict(30)
         dataset, cache = buffer.refit_context()
-        incremental = TranslatorExact(
-            max_iterations=2, max_rule_size=3, backend="native"
-        ).fit(dataset, cache=cache)
-        batch = TranslatorExact(
-            max_iterations=2, max_rule_size=3, backend="numpy"
-        ).fit(buffer.window_dataset())
+        with engine("native"):
+            incremental = TranslatorExact(max_iterations=2, max_rule_size=3).fit(
+                dataset, cache=cache
+            )
+        with engine("numpy"):
+            batch = TranslatorExact(max_iterations=2, max_rule_size=3).fit(
+                buffer.window_dataset()
+            )
+        assert {s.backend for s in incremental.search_stats} == {"native"}
         assert [(r.rule, r.gain) for r in incremental.history] == [
             (r.rule, r.gain) for r in batch.history
         ]

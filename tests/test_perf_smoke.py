@@ -48,11 +48,11 @@ def test_stream_benchmark_tiny_mode(tmp_path):
 def test_native_benchmark_tiny_mode(tmp_path):
     # Asserts numpy<->native bit-equivalence on every cell that could
     # run; on a machine with no C compiler the native cells are skipped
-    # gracefully and the fallback probe still proves auto -> numpy.
+    # gracefully and the fallback probe still proves it searches on numpy.
     bench = _load_bench_module("bench_native")
     report = bench.run_grid(tiny=True)
     assert report["mode"] == "tiny"
-    assert report["all_identical"], "backends disagreed"
+    assert report["all_identical"], "engines disagreed"
     for row in report["search"]:
         if report["native_available"]:
             assert row["identical_results"], f"search cell diverged: {row}"
@@ -60,10 +60,9 @@ def test_native_benchmark_tiny_mode(tmp_path):
             assert row["skipped"]
     if report["native_available"]:
         assert report["bulk_predict"]["identical_results"]
-        assert report["stream"]["identical_results"]
     fallback = report["fallback"]
     assert fallback["identical_results"]
-    assert fallback["subprocess_auto_resolves_to"] == "numpy"
+    assert fallback["subprocess_engine"] == "numpy"
     assert fallback["subprocess_native_available"] is False
     # The JSON entry point must work end to end.
     output = tmp_path / "BENCH_native.json"

@@ -247,21 +247,20 @@ class TestSerialisationRoundtrips:
 @pytest.mark.native_smoke
 class TestSearchExactnessProperty:
     """The DFS search equals brute force on arbitrary small datasets, on
-    every backend, and the backends agree bit for bit."""
+    every engine, and the engines agree bit for bit."""
 
     @SETTINGS
     @given(datasets(max_n=15, max_items=4))
     def test_search_matches_brute_force(self, dataset):
-        from repro.core.search import ExactRuleSearch
-        from tests.conftest import SEARCH_BACKENDS
-        from tests.test_search import assert_backends_agree, brute_force_best
+        from tests.test_search import (
+            assert_backends_agree,
+            brute_force_best,
+            search_each_engine,
+        )
 
         state = CoverState(dataset)
         __, expected = brute_force_best(state)
-        outcomes = {
-            backend: ExactRuleSearch(state, backend=backend).find_best_rule()
-            for backend in SEARCH_BACKENDS
-        }
+        outcomes = search_each_engine(state)
         for __, gain, stats in outcomes.values():
             assert gain == pytest.approx(expected, abs=1e-9)
             assert stats.complete
@@ -270,9 +269,11 @@ class TestSearchExactnessProperty:
     @SETTINGS
     @given(datasets_with_rules(max_rules=3))
     def test_search_exact_after_arbitrary_rules(self, payload):
-        from repro.core.search import ExactRuleSearch
-        from tests.conftest import SEARCH_BACKENDS
-        from tests.test_search import assert_backends_agree, brute_force_best
+        from tests.test_search import (
+            assert_backends_agree,
+            brute_force_best,
+            search_each_engine,
+        )
 
         dataset, rules = payload
         if dataset.n_left > 4 or dataset.n_right > 4:
@@ -281,10 +282,7 @@ class TestSearchExactnessProperty:
         for rule in rules:
             state.add_rule(rule)
         __, expected = brute_force_best(state)
-        outcomes = {
-            backend: ExactRuleSearch(state, backend=backend).find_best_rule()
-            for backend in SEARCH_BACKENDS
-        }
+        outcomes = search_each_engine(state)
         for __, gain, __ in outcomes.values():
             assert gain == pytest.approx(expected, abs=1e-9)
         assert_backends_agree(outcomes)

@@ -5,7 +5,8 @@ itemset pairs by brute force and evaluates all three directions with the
 cover state's gain function; the DFS search must return a rule achieving
 the same maximum gain.  This independent oracle is what every fast path
 of the search is checked against: the exactness tests run both
-traversals (``SEARCH_BACKENDS``: numpy, and the C one when it compiles)
+traversals (``SEARCH_BACKENDS``: numpy, and the C one when it compiles,
+each selected through the ``engine`` switch of ``tests/conftest.py``)
 and also require them to agree with each other bit for bit.
 """
 
@@ -23,7 +24,7 @@ from repro.core.search import ExactRuleSearch, SearchCache
 from repro.core.state import CoverState
 from repro.core.beam import TranslatorBeam
 from repro.core.translator import TranslatorExact, TranslatorGreedy, TranslatorSelect
-from tests.conftest import SEARCH_BACKENDS, random_two_view
+from tests.conftest import SEARCH_BACKENDS, engine, random_two_view
 
 
 def brute_force_best(state: CoverState, max_size: int | None = None):
@@ -131,6 +132,15 @@ EMPTY_TABLE_CASES = [
 ]
 
 
+def search_each_engine(state: CoverState, **options) -> dict:
+    """``find_best_rule`` outcomes keyed by every engine of ``SEARCH_BACKENDS``."""
+    outcomes = {}
+    for name in SEARCH_BACKENDS:
+        with engine(name):
+            outcomes[name] = ExactRuleSearch(state, **options).find_best_rule()
+    return outcomes
+
+
 def assert_backends_agree(outcomes: dict) -> None:
     """The traversals return the same rule, gain and statistics, bit for bit."""
     signatures = {
@@ -148,11 +158,8 @@ class TestExactnessSmall:
         __, expected_gain = brute_force_best(
             state, max_size=options.get("max_rule_size")
         )
-        outcomes = {}
-        for backend in SEARCH_BACKENDS:
-            search = ExactRuleSearch(state, backend=backend, **options)
-            outcomes[backend] = search.find_best_rule()
-            rule, gain, stats = outcomes[backend]
+        outcomes = search_each_engine(state, **options)
+        for backend, (rule, gain, stats) in outcomes.items():
             assert stats.backend == backend
             assert_matches_oracle(
                 state, rule, gain, stats, expected_gain,
@@ -170,12 +177,7 @@ class TestExactnessSmall:
         # Compare every search of a greedy run of n_rules exact rules.
         for __ in range(n_rules + 1):
             __, expected_gain = brute_force_best(state, max_size=max_size)
-            outcomes = {
-                backend: ExactRuleSearch(
-                    state, max_rule_size=max_size, backend=backend
-                ).find_best_rule()
-                for backend in SEARCH_BACKENDS
-            }
+            outcomes = search_each_engine(state, max_rule_size=max_size)
             for rule, gain, stats in outcomes.values():
                 assert_matches_oracle(state, rule, gain, stats, expected_gain)
             assert_backends_agree(outcomes)
@@ -188,7 +190,8 @@ class TestExactnessSmall:
         rng = np.random.default_rng(3)
         dataset = random_two_view(rng, n=40, n_left=6, n_right=6, density=0.35)
         for backend in SEARCH_BACKENDS:
-            result = TranslatorExact(backend=backend).fit(dataset)
+            with engine(backend):
+                result = TranslatorExact().fit(dataset)
             assert result.converged and result.history
             assert {stats.backend for stats in result.search_stats} == {backend}
             state = CoverState(dataset)

@@ -7,8 +7,9 @@ the serial / sharded equivalence.  The contract (see
 therefore every fitted model — are bit-identical to ``n_jobs=1``;
 pruning statistics may legitimately differ (shards explore with weaker
 incumbents), so they are not compared.  Every check runs on both search
-backends (``SEARCH_BACKENDS``); the C traversal's shards run truly in
-parallel, since each is one GIL-releasing call.
+engines (``SEARCH_BACKENDS``, selected through the ``engine`` switch of
+``tests/conftest.py``); the C traversal's shards run truly in parallel,
+since each is one GIL-releasing call.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from repro.core.search import ExactRuleSearch
 from repro.core.state import CoverState
 from repro.core.translator import TranslatorExact
 from repro.runtime.executor import ParallelExecutor
-from tests.conftest import SEARCH_BACKENDS, random_two_view
+from tests.conftest import SEARCH_BACKENDS, engine, random_two_view
 from tests.test_properties import SETTINGS, datasets
 
 
-def best_rule(state, **kwargs):
-    return ExactRuleSearch(state, **kwargs).find_best_rule()
+def best_rule(state, backend, **kwargs):
+    with engine(backend):
+        return ExactRuleSearch(state, **kwargs).find_best_rule()
 
 
 @pytest.mark.native_smoke
@@ -105,11 +107,13 @@ class TestShardedSearchIdentity:
 class TestTranslatorParallelIdentity:
     @pytest.mark.native_smoke
     def test_exact_fit_identical(self, planted_dataset):
-        serial = TranslatorExact(max_rule_size=3, backend="numpy").fit(planted_dataset)
+        with engine("numpy"):
+            serial = TranslatorExact(max_rule_size=3).fit(planted_dataset)
         for backend in SEARCH_BACKENDS:
-            sharded = TranslatorExact(
-                max_rule_size=3, n_jobs=4, backend=backend
-            ).fit(planted_dataset)
+            with engine(backend):
+                sharded = TranslatorExact(max_rule_size=3, n_jobs=4).fit(
+                    planted_dataset
+                )
             assert [(r.rule, r.gain) for r in serial.history] == [
                 (r.rule, r.gain) for r in sharded.history
             ], backend
