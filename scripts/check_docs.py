@@ -1,6 +1,6 @@
-"""Documentation lint: executable README, documented public API.
+"""Documentation lint: executable README, documented API and fault points.
 
-Two checks keep the docs honest, runnable standalone::
+Three checks keep the docs honest, runnable standalone::
 
     PYTHONPATH=src python scripts/check_docs.py
 
@@ -14,10 +14,17 @@ and inside tier-1 via ``tests/test_docs.py`` (``pytest -m docs_smoke``):
    ``__all__`` of every public package resolves to an object with a
    non-empty docstring, and every documentation page referenced from
    the README/docs tree exists.
+3. **Every fault point is documented** — every chaos-hook name the code
+   can fire (a string literal passed to ``fault_point``, or a
+   ``durable_write`` ``site=`` and its ``.bytes``/``.replace`` hooks,
+   found in the syntax tree of ``src/``) appears in the "Fault points
+   currently wired in" list of ``docs/resilience.md``; an f-string's
+   fields render as ``<name>``, as in ``serve.<name>.request``.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -46,6 +53,7 @@ PUBLIC_PACKAGES = [
     "repro.obs.metrics",
     "repro.obs.trace",
     "repro.resilience",
+    "repro.resilience.container",
     "repro.runtime",
     "repro.serve",
     "repro.serve.binfmt",
@@ -55,6 +63,8 @@ PUBLIC_PACKAGES = [
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 _MD_LINK = re.compile(r"\]\(([^)#]+\.md)(?:#[^)]*)?\)")
+_FAULT_LIST = re.compile(r"Fault points currently wired in:(.*?)\n\n", re.DOTALL)
+_CODE_SPAN = re.compile(r"`([^`]+)`")
 
 
 def extract_python_blocks(markdown_path: Path) -> list[str]:
@@ -123,6 +133,49 @@ def broken_doc_links() -> list[str]:
     return problems
 
 
+def _hook_name(node: ast.expr) -> str | None:
+    """A fault-point name from a string literal or an f-string, else ``None``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if not isinstance(node, ast.JoinedStr):
+        return None
+    parts = []
+    for value in node.values:
+        if isinstance(value, ast.Constant):
+            parts.append(str(value.value))
+        else:
+            expr = value.value
+            parts.append(f"<{getattr(expr, 'attr', getattr(expr, 'id', 'expr'))}>")
+    return "".join(parts)
+
+
+def code_fault_points() -> set[str]:
+    """Every fault-point name the code in ``src/`` can fire."""
+    names: set[str] = set()
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee == "fault_point" and node.args:
+                names.add(_hook_name(node.args[0]))
+            elif callee == "durable_write":
+                for keyword in node.keywords:
+                    if keyword.arg == "site" and _hook_name(keyword.value):
+                        site = _hook_name(keyword.value)
+                        names |= {f"{site}.bytes", f"{site}.replace"}
+    return names - {None}
+
+
+def undocumented_fault_points() -> list[str]:
+    """Fault points fired in ``src/`` but missing from docs/resilience.md's list."""
+    match = _FAULT_LIST.search(
+        (REPO_ROOT / "docs" / "resilience.md").read_text(encoding="utf-8")
+    )
+    documented = set(_CODE_SPAN.findall(match.group(1))) if match else set()
+    return sorted(code_fault_points() - documented)
+
+
 def main() -> int:
     failures = 0
     undocumented = missing_docstrings()
@@ -142,6 +195,15 @@ def main() -> int:
             print(f"  {line}")
     else:
         print("links: all documentation links resolve")
+
+    undocumented_hooks = undocumented_fault_points()
+    if undocumented_hooks:
+        failures += 1
+        print("fault points missing from docs/resilience.md:")
+        for line in undocumented_hooks:
+            print(f"  {line}")
+    else:
+        print("fault points: every hook in src/ is documented")
 
     try:
         count = run_markdown_blocks(REPO_ROOT / "README.md")

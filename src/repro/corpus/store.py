@@ -8,26 +8,24 @@ step and then streamed **word-block by word-block** through the same
 numpy / native popcount kernels, so a discovery query's peak RSS is
 O(block), not O(rows).
 
-Layout (one file, magic ``RPROCOL1``, version 1) — the conventions are
-shared with the serving sidecar (``RPROBIN1`` in
-:mod:`repro.serve.binfmt`): a fixed prelude, a JSON header, then
-64-byte-aligned binary payload::
-
-    [ 0:48)      prelude  <8sII32s: magic, version, header length H,
-                 SHA-256 of the header bytes
-    [48:48+H)    JSON header (utf-8)
-    [P:...)      payload, P = align64(48 + H); every offset in the
-                 header is relative to P
+The file is the ``RPROCOL1`` schema (:data:`STORE`) of the one verified
+container in :mod:`repro.resilience.container` (shared with the
+``RPROBIN1`` serving sidecar and the window checkpoint), which owns the
+prelude, the JSON header, the exact size, the section table and the
+durable write.  What is particular to the store: the prelude digest
+signs only the header, and every offset in the header counts from the
+payload start ``P`` — because the payload is verified piecewise.
 
 The payload is **block-major**: block ``b`` covers transactions
 ``[b*64*block_words, (b+1)*64*block_words)`` and stores the left view's
 ``(n_left, block_words)`` uint64 words followed by the right view's
 ``(n_right, block_words)`` words, contiguously, each block start
-64-byte aligned.  A scan touches one block at a time; a block is the
-unit of IO, of kernel dispatch and of integrity checking — the header
-carries a SHA-256 digest *per block* (and per sketch section), so
-verification cost is also O(block) and a truncated or bit-flipped file
-raises :class:`~repro.serve.artifact.ArtifactCorruptError` before a
+64-byte aligned; the sketch sections follow the last block.  A scan
+touches one block at a time; a block is the unit of IO, of kernel
+dispatch and of integrity checking — the header carries a SHA-256
+digest *per block* (and per sketch section), so verification cost is
+also O(block) and a truncated or bit-flipped file raises
+:class:`~repro.resilience.container.ArtifactCorruptError` before a
 single damaged word reaches a kernel.
 
 The header additionally stores the **exact** per-column supports and
@@ -39,17 +37,17 @@ two-phase for exactly this reason: blocks are streamed to a temporary
 payload first while supports and sketches accumulate, then — once the
 final counts fix the code lengths — the temporary payload is re-read
 block by block to compute the per-transaction bound maxima the scale
-depends on, and the finished file is composed atomically
-(temp + fsync + rename).
+depends on, and the finished file is streamed through
+:func:`~repro.resilience.container.durable_write`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
-import struct
 import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -60,12 +58,21 @@ from repro import obs as _obs
 
 from repro.core.bitset import BitMatrix, and_popcount_rows, n_words_for
 from repro.data.dataset import TwoViewDataset
+from repro.resilience.container import (
+    MAX_DIM,
+    Schema,
+    align64,
+    durable_write,
+    frame,
+    lay_out,
+    open_container,
+)
 from repro.resilience.faults import fault_point
-from repro.serve.artifact import ArtifactCorruptError, ArtifactError, _fsync_directory
 
 from .sketch import ColumnSketches, SketchBuilder
 
 __all__ = [
+    "STORE",
     "STORE_MAGIC",
     "STORE_VERSION",
     "ColumnStore",
@@ -78,31 +85,24 @@ STORE_MAGIC = b"RPROCOL1"
 #: Current store format version.
 STORE_VERSION = 1
 
-_PRELUDE = struct.Struct("<8sII32s")
-_ALIGN = 64
+#: The store's container schema.
+STORE = Schema(
+    "column store", STORE_MAGIC, STORE_VERSION, ("uint64", "int64"),
+    signs_payload=False, payload_offsets=True,
+)
+
 _WORD_BYTES = 8
-_MAX_DIM = 100_000_000
-_MAX_HEADER = 256 * 1024 * 1024
 # Mirrors the engine's fixed-point scale clamp (search._MAX_FRACTION_BITS).
 _MAX_FRACTION_BITS = 42
-_SECTION_DTYPES = {"uint64": np.uint64, "int64": np.int64}
 
 
-def _align(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+def _is_number(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _corrupt(path: Path, reason: str) -> ArtifactCorruptError:
-    return ArtifactCorruptError(f"column store {path} is corrupt: {reason}")
-
-
-def _header_int(meta: dict, field: str, path: Path, minimum: int = 0) -> int:
-    value = meta.get(field)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise _corrupt(path, f"header field {field!r} is invalid: {value!r}")
-    if value > max(_MAX_DIM, _MAX_HEADER):
-        raise _corrupt(path, f"header field {field!r} is implausibly large")
-    return value
+def _is_list(value, length: int, check) -> bool:
+    """Whether ``value`` is a JSON list of ``length`` items passing ``check``."""
+    return isinstance(value, list) and len(value) == length and all(map(check, value))
 
 
 def _weights_from_counts(counts: np.ndarray, n_transactions: int) -> np.ndarray:
@@ -149,11 +149,6 @@ class _BlockAccumulator:
         self.blocks: list[dict] = []
         self.offset = 0  # relative payload offset of the next byte
 
-    def _pad_to(self, target: int) -> None:
-        if target > self.offset:
-            self.stream.write(b"\0" * (target - self.offset))
-            self.offset = target
-
     def add_block(self, left_rows: np.ndarray, right_rows: np.ndarray) -> None:
         rows = left_rows.shape[0]
         words = np.zeros(
@@ -167,17 +162,11 @@ class _BlockAccumulator:
             right_rows
         ).words
         raw = words.tobytes()
-        start = _align(self.offset)
-        self._pad_to(start)
-        self.stream.write(raw)
+        start = align64(self.offset)
+        self.stream.write(bytes(start - self.offset) + raw)
         self.offset = start + len(raw)
-        self.blocks.append(
-            {
-                "offset": start,
-                "nbytes": len(raw),
-                "digest": hashlib.sha256(raw).hexdigest(),
-            }
-        )
+        digest = hashlib.sha256(raw).hexdigest()
+        self.blocks.append({"offset": start, "nbytes": len(raw), "digest": digest})
 
 
 def ingest_chunks(
@@ -225,7 +214,7 @@ def ingest_chunks(
     path = Path(path)
     if n_transactions <= 0 or n_left <= 0 or n_right <= 0:
         raise ValueError("n_transactions, n_left and n_right must be positive")
-    if max(n_transactions, n_left, n_right) > _MAX_DIM:
+    if max(n_transactions, n_left, n_right) > MAX_DIM:
         raise ValueError("corpus dimensions exceed the format limit")
     if block_words <= 0:
         raise ValueError("block_words must be positive")
@@ -254,7 +243,6 @@ def ingest_chunks(
     payload_fd, payload_tmp = tempfile.mkstemp(
         dir=path.parent, prefix=".ingest-", suffix=".payload"
     )
-    final_tmp: str | None = None
     try:
         with os.fdopen(payload_fd, "wb") as payload_stream:
             acc = _BlockAccumulator(payload_stream, n_left, n_right, block_words)
@@ -319,7 +307,6 @@ def ingest_chunks(
         # maxima the engine's fixed-point scale depends on.
         weights_left = _weights_from_counts(counts_left, n_transactions)
         weights_right = _weights_from_counts(counts_right, n_transactions)
-        tub_max = 0.0
         tub_max_left = 0.0
         tub_max_right = 0.0
         block_nbytes = acc.block_nbytes
@@ -347,29 +334,9 @@ def ingest_chunks(
         bits = quantization_bits(tub_max, weights_left, weights_right, n_transactions)
 
         sketches = builder.finish()
-        sections: list[dict] = []
-        section_payload: list[bytes] = []
-        offset = _align(acc.offset)
-        section_base_pad = offset - acc.offset
-        for sec_name, array in sketches.sections():
-            raw = np.ascontiguousarray(array).tobytes()
-            start = _align(offset)
-            if start > offset:
-                section_payload.append(b"\0" * (start - offset))
-                offset = start
-            section_payload.append(raw)
-            sections.append(
-                {
-                    "name": sec_name,
-                    "dtype": str(array.dtype),
-                    "shape": list(array.shape),
-                    "offset": start,
-                    "nbytes": len(raw),
-                    "digest": hashlib.sha256(raw).hexdigest(),
-                }
-            )
-            offset += len(raw)
-        payload_nbytes = offset
+        sections, section_pieces, payload_nbytes = lay_out(
+            sketches.sections(), acc.offset, digests=True
+        )
 
         header = {
             "format": STORE_MAGIC.decode("ascii"),
@@ -395,40 +362,18 @@ def ingest_chunks(
             "sections": sections,
         }
         encoded = json.dumps(header, sort_keys=True).encode("utf-8")
-        digest = hashlib.sha256(encoded).hexdigest()
-        prelude = _PRELUDE.pack(
-            STORE_MAGIC, STORE_VERSION, len(encoded), bytes.fromhex(digest)
-        )
-        payload_start = _align(_PRELUDE.size + len(encoded))
-        head = prelude + encoded
-        head += b"\0" * (payload_start - len(head))
-        head = bytes(fault_point("corpus.store.bytes", data=head))
 
-        fd, final_tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".ingest-", suffix=".col"
-        )
-        with os.fdopen(fd, "wb") as out:
-            out.write(head)
+        def payload() -> Iterator[bytes]:
             with open(payload_tmp, "rb") as payload_stream:
-                while True:
-                    piece = payload_stream.read(1 << 20)
-                    if not piece:
-                        break
-                    out.write(piece)
-            if section_base_pad:
-                out.write(b"\0" * section_base_pad)
-            for piece in section_payload:
-                out.write(piece)
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(final_tmp, path)
-        final_tmp = None
-        _fsync_directory(path.parent)
-        return digest
+                while piece := payload_stream.read(1 << 20):
+                    yield piece
+            yield from section_pieces
+
+        head = frame(STORE, encoded)
+        durable_write(path, itertools.chain([head], payload()), site="corpus.store")
+        return hashlib.sha256(encoded).hexdigest()
     finally:
-        for leftover in (payload_tmp, final_tmp):
-            if leftover is not None and os.path.exists(leftover):
-                os.unlink(leftover)
+        os.unlink(payload_tmp)
 
 
 def ingest_dataset(
@@ -467,12 +412,12 @@ def ingest_dataset(
 class ColumnStore:
     """Read side of an ``RPROCOL1`` packed column file.
 
-    Opening validates the prelude and the header's SHA-256 and checks
-    the file length against the header's payload size, so truncation is
-    caught before any scan.  Block reads (:meth:`read_block`,
-    :meth:`iter_blocks`) verify each block's own digest, so a bit-flip
-    anywhere in the payload raises
-    :class:`~repro.serve.artifact.ArtifactCorruptError` rather than
+    Opening runs the container checks (prelude, the header's SHA-256,
+    the exact file length, the section table) and the store's own header
+    checks, so truncation or a forged header is caught before any scan.
+    Block reads (:meth:`read_block`, :meth:`iter_blocks`) verify each
+    block's own digest, so a bit-flip anywhere in the payload raises
+    :class:`~repro.resilience.container.ArtifactCorruptError` rather than
     mis-decoding — and the check costs O(block), like the read itself.
 
     The store is the out-of-core counterpart of
@@ -498,144 +443,84 @@ class ColumnStore:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         fault_point("corpus.store.open")
-        try:
-            self._file = open(self.path, "rb")
-        except OSError as error:
-            raise ArtifactError(f"cannot open column store {self.path}: {error}")
+        self._container = open_container(self.path, STORE)
         try:
             self._parse_header()
-        except Exception:
-            self._file.close()
+        except BaseException:
+            self._container.close()
             raise
+        self._sketches: ColumnSketches | None = None
 
     # -- header ---------------------------------------------------------
     def _parse_header(self) -> None:
-        path = self.path
-        prelude = self._file.read(_PRELUDE.size)
-        if len(prelude) != _PRELUDE.size:
-            raise _corrupt(path, "file shorter than the prelude")
-        magic, version, header_len, digest = _PRELUDE.unpack(prelude)
-        if magic != STORE_MAGIC:
-            raise _corrupt(path, f"bad magic {magic!r}")
-        if version != STORE_VERSION:
-            raise ArtifactError(
-                f"column store {path} has unsupported version {version}"
-            )
-        if not 0 < header_len <= _MAX_HEADER:
-            raise _corrupt(path, f"implausible header length {header_len}")
-        encoded = self._file.read(header_len)
-        if len(encoded) != header_len:
-            raise _corrupt(path, "truncated header")
-        if hashlib.sha256(encoded).digest() != digest:
-            raise _corrupt(path, "header hash mismatch")
-        try:
-            meta = json.loads(encoded.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise _corrupt(path, f"undecodable header ({error})")
+        """The store's own header fields and block table."""
+        container = self._container
+        meta, corrupt = container.meta, container.corrupt
+        header_int = container.header_int
         if meta.get("format") != STORE_MAGIC.decode("ascii"):
-            raise _corrupt(path, "header format field mismatch")
+            raise corrupt("header format field mismatch")
+        self.name = meta.get("name", "corpus")
+        if not isinstance(self.name, str):
+            raise corrupt(f"header field 'name' is {self.name!r}, not a string")
+        self.n_transactions = header_int("n_transactions", minimum=1)
+        self.n_left = header_int("n_left", minimum=1)
+        self.n_right = header_int("n_right", minimum=1)
+        self.block_words = header_int("block_words", minimum=1)
+        self.quant_bits = header_int("quant_bits", maximum=_MAX_FRACTION_BITS)
+        self.rows_per_block = 64 * self.block_words
+        self.n_blocks = -(-self.n_transactions // self.rows_per_block)
+        n_items = self.n_left + self.n_right
+        self.block_nbytes = n_items * self.block_words * _WORD_BYTES
+        geometry = ("rows_per_block", "n_blocks", "block_nbytes")
+        if list(map(meta.get, geometry)) != [getattr(self, key) for key in geometry]:
+            raise corrupt("block geometry does not match n_transactions and the views")
+        tub_max = [meta.get("tub_max_left"), meta.get("tub_max_right")]
+        if not all(_is_number(value) and math.isfinite(value) for value in tub_max):
+            raise corrupt(f"tub_max_left/tub_max_right are {tub_max}, not finite")
+        self.tub_max_left, self.tub_max_right = map(float, tub_max)
+        self._sketch_params = sketch = meta.get("sketch")
+        if not isinstance(sketch, dict):
+            raise corrupt(f"sketch parameters are {sketch!r}, not an object")
+        header_int("seed", maximum=None, meta=sketch)
+        header_int("sample_size", meta=sketch)
+        header_int("n_hashes", meta=sketch)
 
-        self.name = str(meta.get("name", "corpus"))
-        self.n_transactions = _header_int(meta, "n_transactions", path, minimum=1)
-        self.n_left = _header_int(meta, "n_left", path, minimum=1)
-        self.n_right = _header_int(meta, "n_right", path, minimum=1)
-        self.block_words = _header_int(meta, "block_words", path, minimum=1)
-        self.rows_per_block = _header_int(meta, "rows_per_block", path, minimum=1)
-        self.n_blocks = _header_int(meta, "n_blocks", path, minimum=1)
-        self.block_nbytes = _header_int(meta, "block_nbytes", path, minimum=8)
-        self.quant_bits = _header_int(meta, "quant_bits", path)
-        self.tub_max_left = float(meta.get("tub_max_left", 0.0))
-        self.tub_max_right = float(meta.get("tub_max_right", 0.0))
-        payload_nbytes = _header_int(meta, "payload_nbytes", path, minimum=8)
-        if self.rows_per_block != 64 * self.block_words:
-            raise _corrupt(path, "rows_per_block does not match block_words")
-        expected_blocks = -(-self.n_transactions // self.rows_per_block)
-        if self.n_blocks != expected_blocks:
-            raise _corrupt(path, "block count does not match n_transactions")
-        if self.block_nbytes != (
-            (self.n_left + self.n_right) * self.block_words * _WORD_BYTES
-        ):
-            raise _corrupt(path, "block byte size does not match the views")
+        def is_count(value) -> bool:
+            return _is_number(value, int) and 0 <= value <= self.n_transactions
 
-        self.left_names = [str(x) for x in meta.get("left_names", [])]
-        self.right_names = [str(x) for x in meta.get("right_names", [])]
-        if len(self.left_names) != self.n_left or len(self.right_names) != self.n_right:
-            raise _corrupt(path, "item name lists do not match the view widths")
-        counts_left = meta.get("counts_left")
-        counts_right = meta.get("counts_right")
-        if (
-            not isinstance(counts_left, list)
-            or not isinstance(counts_right, list)
-            or len(counts_left) != self.n_left
-            or len(counts_right) != self.n_right
-        ):
-            raise _corrupt(path, "support count tables do not match the views")
-        self.counts_left = np.asarray(counts_left, dtype=np.int64)
-        self.counts_right = np.asarray(counts_right, dtype=np.int64)
-        if (
-            self.counts_left.min(initial=0) < 0
-            or self.counts_right.min(initial=0) < 0
-            or self.counts_left.max(initial=0) > self.n_transactions
-            or self.counts_right.max(initial=0) > self.n_transactions
-        ):
-            raise _corrupt(path, "support counts out of range")
+        for side, width in (("left", self.n_left), ("right", self.n_right)):
+            names, counts = meta.get(f"{side}_names"), meta.get(f"counts_{side}")
+            if not _is_list(names, width, lambda name: isinstance(name, str)):
+                raise corrupt("item name lists do not match the view widths")
+            if not _is_list(counts, width, is_count):
+                raise corrupt("support count tables do not match the views")
+        self.left_names, self.right_names = meta["left_names"], meta["right_names"]
+        self.counts_left = np.asarray(meta["counts_left"], dtype=np.int64)
+        self.counts_right = np.asarray(meta["counts_right"], dtype=np.int64)
 
         blocks = meta.get("blocks")
         if not isinstance(blocks, list) or len(blocks) != self.n_blocks:
-            raise _corrupt(path, "block table does not match n_blocks")
+            raise corrupt("block table does not match n_blocks")
+        self._payload_start = container.payload_start
         self._blocks = []
         for entry in blocks:
-            if not isinstance(entry, dict):
-                raise _corrupt(path, "malformed block table entry")
-            offset = entry.get("offset")
-            digest_hex = entry.get("digest")
-            if (
-                not isinstance(offset, int)
-                or offset < 0
-                or offset % _ALIGN
-                or entry.get("nbytes") != self.block_nbytes
-                or not isinstance(digest_hex, str)
-                or len(digest_hex) != 64
-            ):
-                raise _corrupt(path, "malformed block table entry")
-            if offset + self.block_nbytes > payload_nbytes:
-                raise _corrupt(path, "block extends past the payload")
-            self._blocks.append((offset, digest_hex))
-
-        sections = meta.get("sections", [])
-        if not isinstance(sections, list):
-            raise _corrupt(path, "malformed section table")
-        self._sections: dict[str, dict] = {}
-        for entry in sections:
             if (
                 not isinstance(entry, dict)
-                or not isinstance(entry.get("name"), str)
-                or entry.get("dtype") not in _SECTION_DTYPES
-                or not isinstance(entry.get("shape"), list)
-                or not isinstance(entry.get("offset"), int)
-                or not isinstance(entry.get("nbytes"), int)
+                or entry.get("nbytes") != self.block_nbytes
                 or not isinstance(entry.get("digest"), str)
+                or len(entry["digest"]) != 64
             ):
-                raise _corrupt(path, "malformed section table entry")
-            if entry["offset"] < 0 or entry["offset"] + entry["nbytes"] > payload_nbytes:
-                raise _corrupt(path, "section extends past the payload")
-            self._sections[entry["name"]] = entry
-
-        self._sketch_params = meta.get("sketch", {})
-        self._payload_start = _align(_PRELUDE.size + header_len)
-        expected_size = self._payload_start + payload_nbytes
-        actual_size = os.fstat(self._file.fileno()).st_size
-        if actual_size < expected_size:
-            raise _corrupt(
-                path,
-                f"file is {actual_size} bytes, header promises {expected_size}",
-            )
-        self._sketches: ColumnSketches | None = None
+                raise corrupt("malformed block table entry")
+            offset = header_int("offset", maximum=None, meta=entry)
+            end = self._payload_start + offset + self.block_nbytes
+            if offset % 64 or end > container.size:
+                raise corrupt("block extends past the payload")
+            self._blocks.append((offset, entry["digest"]))
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
         """Close the underlying file handle."""
-        self._file.close()
+        self._container.close()
 
     def __enter__(self) -> "ColumnStore":
         return self
@@ -644,27 +529,21 @@ class ColumnStore:
         self.close()
 
     # -- block access ---------------------------------------------------
-    def _pread(self, offset: int, nbytes: int) -> bytes:
-        return os.pread(self._file.fileno(), nbytes, self._payload_start + offset)
-
     def read_block(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """One verified block as ``(left_words, right_words)`` uint64 arrays.
 
         Shapes are ``(n_left, block_words)`` / ``(n_right, block_words)``;
         bit ``t`` of word ``w`` of row ``i`` is transaction
         ``block_lo + 64*w + t`` of item ``i``.  Raises
-        :class:`~repro.serve.artifact.ArtifactCorruptError` if the bytes
+        :class:`~repro.resilience.container.ArtifactCorruptError` if the bytes
         on disk do not match the block's recorded SHA-256.
         """
         if not 0 <= index < self.n_blocks:
             raise IndexError(f"block {index} out of range (n_blocks={self.n_blocks})")
         offset, digest_hex = self._blocks[index]
-        raw = self._pread(offset, self.block_nbytes)
-        raw = bytes(fault_point("corpus.store.block.bytes", data=raw))
-        if len(raw) != self.block_nbytes:
-            raise _corrupt(self.path, f"block {index} is truncated")
-        if hashlib.sha256(raw).hexdigest() != digest_hex:
-            raise _corrupt(self.path, f"block {index} hash mismatch")
+        raw = self._container.pread(self._payload_start + offset, self.block_nbytes)
+        raw = fault_point("corpus.store.block.bytes", data=raw)
+        self._container.checked(raw, self.block_nbytes, digest_hex, f"block {index}")
         words = np.frombuffer(raw, dtype=np.uint64).reshape(
             self.n_left + self.n_right, self.block_words
         )
@@ -711,14 +590,22 @@ class ColumnStore:
         return self.counts_left.copy(), self.counts_right.copy()
 
     def verify(self) -> None:
-        """Full integrity pass: every block digest plus support recount.
+        """Full integrity pass: layout, every block and section digest, supports.
 
-        Streams the whole payload once (still O(block) memory), checks
-        each block and section digest, and recomputes the per-column
-        supports, raising
-        :class:`~repro.serve.artifact.ArtifactCorruptError` on any
+        Checks that the blocks and sections tile the payload with only
+        zero padding between them (the prelude digest signs only the
+        header), then streams the whole payload once (still O(block)
+        memory), checks each block and section digest, and recomputes
+        the per-column supports, raising
+        :class:`~repro.resilience.container.ArtifactCorruptError` on any
         disagreement with the header.
         """
+        sections = self._container.sections
+        start, nbytes = self._payload_start, self.block_nbytes
+        self._container.check_layout(
+            [(start + offset, nbytes) for offset, __ in self._blocks]
+            + [(section.offset, section.nbytes) for section in sections.values()]
+        )
         counts_left = np.zeros(self.n_left, dtype=np.int64)
         counts_right = np.zeros(self.n_right, dtype=np.int64)
         for left_words, right_words in self.iter_blocks():
@@ -727,27 +614,14 @@ class ColumnStore:
         if not np.array_equal(counts_left, self.counts_left) or not np.array_equal(
             counts_right, self.counts_right
         ):
-            raise _corrupt(self.path, "payload supports disagree with the header")
-        for entry in self._sections.values():
-            self.section(entry["name"])
+            raise self._container.corrupt("payload supports disagree with the header")
+        for name in sections:
+            self.section(name)
 
     # -- sketches -------------------------------------------------------
     def section(self, name: str) -> np.ndarray:
         """A verified sketch section as a numpy array (fresh copy)."""
-        entry = self._sections.get(name)
-        if entry is None:
-            raise ArtifactError(f"column store {self.path} has no section {name!r}")
-        raw = self._pread(entry["offset"], entry["nbytes"])
-        if len(raw) != entry["nbytes"]:
-            raise _corrupt(self.path, f"section {name!r} is truncated")
-        if hashlib.sha256(raw).hexdigest() != entry["digest"]:
-            raise _corrupt(self.path, f"section {name!r} hash mismatch")
-        dtype = _SECTION_DTYPES[entry["dtype"]]
-        array = np.frombuffer(raw, dtype=dtype)
-        shape = tuple(int(x) for x in entry["shape"])
-        if array.size != int(np.prod(shape, dtype=np.int64)):
-            raise _corrupt(self.path, f"section {name!r} shape mismatch")
-        return array.reshape(shape).copy()
+        return self._container.read(name)
 
     def sketches(self) -> ColumnSketches:
         """The per-column sketches (cached after the first read)."""

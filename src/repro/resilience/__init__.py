@@ -5,7 +5,7 @@ maintenance process to be individually crash-safe before it can be
 replicated: a malformed input line, a torn artifact write or a stalled
 client must degrade one request — never the whole process.  This
 package is the dependency-free layer that provides (and *proves*) that,
-in three modules:
+in four modules:
 
 * :mod:`~repro.resilience.policy` — :class:`RetryPolicy` (exponential
   backoff with deterministic seeded jitter), :class:`Deadline` and
@@ -25,7 +25,10 @@ in three modules:
   :class:`~repro.stream.buffer.StreamBuffer` window and its source
   offset, from which a restarted
   :class:`~repro.stream.maintenance.MaintenanceLoop` resumes and
-  publishes models bit-identical to an uncrashed run.
+  publishes models bit-identical to an uncrashed run;
+* :mod:`~repro.resilience.container` — the one verified container
+  under every binary file and the one durable atomic writer under every
+  file the system keeps.
 
 The serving stack builds on this: graceful drain and ``/readyz`` in
 :class:`~repro.serve.server.PredictionServer`, last-good degradation

@@ -11,8 +11,8 @@ Two halves, used together by the streaming maintenance subsystem:
   :attr:`Supervisor.events`.
 * :class:`WindowCheckpoint` + :func:`save_checkpoint` /
   :func:`load_checkpoint` — an atomic, fsynced, hash-verified snapshot
-  of a stream window (both Boolean view matrices) and its source
-  offset (``rows_seen``).  A restarted
+  of a stream window (both views) and its source offset
+  (``rows_seen``).  A restarted
   :class:`~repro.stream.maintenance.MaintenanceLoop` restores the
   window, skips the already-consumed rows of its (replayable) source
   and continues — because incremental packing is bit-identical to
@@ -20,33 +20,40 @@ Two halves, used together by the streaming maintenance subsystem:
   **bit-identical** to an uncrashed run (enforced by
   ``tests/test_resilience.py``).
 
-The checkpoint file is a single ``.npz`` (zip CRCs catch torn tails)
-holding the two packed-origin Boolean window matrices plus a JSON
-metadata entry with a SHA-256 over the array bytes; it is written to a
-temp file, fsynced, then ``os.replace``\\ d — a crash can only ever
-leave the *previous* complete checkpoint behind, never a torn one.
+The checkpoint file is the ``RPROWIN1`` schema (:data:`CHECKPOINT`) of
+:mod:`repro.resilience.container`: ``model_name``, ``rows_seen`` and the
+counters in the header, the two views as packed uint64 words in the
+sections, a SHA-256 over every byte after the prelude.  It goes through
+the durable writer, so a crash leaves the *previous* complete
+checkpoint behind, never a torn one.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import hashlib
-import io
-import json
 import logging
 import os
-import tempfile
 from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
 
 from repro import obs as _obs
-from repro.resilience.faults import CrashPoint, fault_point
+from repro.core.bitset import BitMatrix, n_words_for
+from repro.resilience.container import (
+    ArtifactError,
+    Container,
+    Schema,
+    durable_write,
+    encode,
+    open_container,
+)
+from repro.resilience.faults import CrashPoint
 from repro.resilience.policy import RetryPolicy
 
 __all__ = [
+    "CHECKPOINT",
     "CheckpointError",
     "RestartEvent",
     "Supervisor",
@@ -57,12 +64,19 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Schema version of the checkpoint file format.
-CHECKPOINT_SCHEMA_VERSION = 1
+#: The window checkpoint's container schema.
+CHECKPOINT = Schema(
+    "window checkpoint", b"RPROWIN1", 1, ("uint64",),
+    signs_payload=True, payload_offsets=True,
+)
 
 
-class CheckpointError(RuntimeError):
-    """A checkpoint file is unreadable, torn or hash-mismatched."""
+#: The checkpoint's counter fields: non-negative integers.
+_COUNTERS = ("rows_seen", "rows_since_check", "appended_total", "evicted_total")
+
+
+class CheckpointError(ArtifactError):
+    """A checkpoint file is unreadable, torn, hash-mismatched or foreign."""
 
 
 @dataclasses.dataclass
@@ -245,60 +259,28 @@ class WindowCheckpoint:
         buffer.restore_counters(self.appended_total, self.evicted_total)
 
     def _meta(self) -> dict:
-        return {
-            "checkpoint_schema_version": CHECKPOINT_SCHEMA_VERSION,
+        meta = {field: getattr(self, field) for field in _COUNTERS}
+        return meta | {
             "model_name": self.model_name,
-            "rows_seen": self.rows_seen,
-            "rows_since_check": self.rows_since_check,
-            "appended_total": self.appended_total,
-            "evicted_total": self.evicted_total,
+            "n_rows": len(self.left),
             "published_version": self.published_version,
-            "array_sha256": _array_digest(self.left, self.right),
         }
 
 
-def _array_digest(left: np.ndarray, right: np.ndarray) -> str:
-    digest = hashlib.sha256()
-    digest.update(repr((left.shape, right.shape)).encode("ascii"))
-    digest.update(np.ascontiguousarray(left).tobytes())
-    digest.update(np.ascontiguousarray(right).tobytes())
-    return digest.hexdigest()
-
-
 def save_checkpoint(path: str | os.PathLike, checkpoint: WindowCheckpoint) -> Path:
-    """Atomically write ``checkpoint`` to ``path`` (fsync + ``os.replace``).
+    """Write ``checkpoint`` to ``path``; returns the path written.
 
-    The bytes are fully serialised first, fsynced to a temp file in the
-    target directory, then swapped in — a crash at any instant leaves
-    either the previous checkpoint or the new one, never a torn file.
-    Returns the path written.
+    Fully serialised, then through the durable writer: a crash at any
+    instant leaves the previous checkpoint or the new one, never a torn file.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    buffer = io.BytesIO()
-    meta = json.dumps(checkpoint._meta(), sort_keys=True).encode("utf-8")
-    np.savez(
-        buffer,
-        left=checkpoint.left,
-        right=checkpoint.right,
-        meta=np.frombuffer(meta, dtype=np.uint8),
-    )
-    data = fault_point("checkpoint.bytes", data=buffer.getvalue())
-    handle, temp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-ckpt-")
-    try:
-        with os.fdopen(handle, "wb") as stream:
-            stream.write(data)
-            stream.flush()
-            os.fsync(stream.fileno())
-        fault_point("checkpoint.replace")
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-    _fsync_directory(path.parent)
+    sections = [
+        (name, BitMatrix.from_bool_columns(view).words)
+        for name, view in (("left", checkpoint.left), ("right", checkpoint.right))
+    ]
+    blob = encode(CHECKPOINT, checkpoint._meta(), sections)
+    durable_write(path, blob, site="checkpoint")
     return path
 
 
@@ -306,53 +288,43 @@ def load_checkpoint(path: str | os.PathLike) -> WindowCheckpoint | None:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Returns ``None`` when no checkpoint exists; raises
-    :class:`CheckpointError` for a file that exists but is unreadable,
-    schema-incompatible or hash-mismatched — callers (the maintenance
-    loop) treat that as "no usable checkpoint" and start fresh rather
+    :class:`CheckpointError` (the container's error as its cause) for a
+    file that is unreadable, of another version, hash-mismatched or
+    breaks the schema — the maintenance loop then starts fresh rather
     than resuming from damaged state.
     """
     path = Path(path)
     if not path.exists():
         return None
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            left = np.ascontiguousarray(archive["left"], dtype=bool)
-            right = np.ascontiguousarray(archive["right"], dtype=bool)
-            meta = json.loads(bytes(archive["meta"].tobytes()).decode("utf-8"))
-    except Exception as error:
+        container = open_container(path, CHECKPOINT)
+        try:
+            return _decode_checkpoint(container)
+        finally:
+            container.close()
+    except ArtifactError as error:
         raise CheckpointError(f"unreadable checkpoint {path}: {error}") from error
-    schema = meta.get("checkpoint_schema_version")
-    if schema != CHECKPOINT_SCHEMA_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint schema {schema!r} in {path} "
-            f"(this library reads version {CHECKPOINT_SCHEMA_VERSION})"
-        )
-    if meta.get("array_sha256") != _array_digest(left, right):
-        raise CheckpointError(
-            f"checkpoint {path} failed its content hash — refusing to "
-            "resume from corrupt state"
-        )
+
+
+def _decode_checkpoint(container: Container) -> WindowCheckpoint:
+    """The checkpoint's own header fields and two views, type-checked."""
+    meta, header_int = container.meta, container.header_int
+    model_name = meta.get("model_name")
+    if not isinstance(model_name, str):
+        raise container.corrupt(f"model_name is {model_name!r}, not a string")
+    counters = {field: header_int(field, maximum=None) for field in _COUNTERS}
+    if meta.get("published_version") is not None:
+        header_int("published_version", maximum=None)
+    n_rows = header_int("n_rows")
+    views = {}
+    for name in ("left", "right"):
+        shape = getattr(container.sections.get(name), "shape", ())
+        if len(shape) != 2 or shape[1] != n_words_for(n_rows):
+            raise container.corrupt(f"section {name!r} does not hold {n_rows} rows")
+        views[name] = BitMatrix(container.read(name), n_rows).to_bool_columns()
     return WindowCheckpoint(
-        model_name=str(meta["model_name"]),
-        rows_seen=int(meta["rows_seen"]),
-        rows_since_check=int(meta.get("rows_since_check") or 0),
-        left=left,
-        right=right,
-        appended_total=int(meta.get("appended_total") or 0),
-        evicted_total=int(meta.get("evicted_total") or 0),
+        model_name=model_name,
         published_version=meta.get("published_version"),
+        **counters,
+        **views,
     )
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Best-effort directory fsync so the rename itself is durable."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir-open
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fs without dir-fsync
-        pass
-    finally:
-        os.close(fd)

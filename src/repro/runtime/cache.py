@@ -15,7 +15,8 @@ library version), so
   manual).
 
 Values are JSON documents (one ``<key>.json`` file per entry, written
-atomically via a temporary file + ``os.replace``) so cache directories
+through the durable atomic writer
+:func:`repro.resilience.container.durable_write`) so cache directories
 are portable, inspectable and safe under concurrent writers producing
 identical content.
 """
@@ -26,8 +27,9 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
+
+from repro.resilience.container import durable_write
 
 __all__ = ["CacheStats", "ResultCache", "content_key"]
 
@@ -114,20 +116,8 @@ class ResultCache:
     def put(self, key: str, value: object) -> None:
         """Store ``value`` (JSON-serialisable) under ``key`` atomically."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(value, sort_keys=True)
-        handle, temp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                stream.write(payload)
-            os.replace(temp_name, self.path_for(key))
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        payload = json.dumps(value, sort_keys=True).encode("utf-8")
+        durable_write(self.path_for(key), payload, site="runtime.cache")
         self.stats.stores += 1
 
     def __contains__(self, key: str) -> bool:

@@ -26,15 +26,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import tempfile
 import time
 from pathlib import Path
 
 from repro.core.table import TranslationTable
 from repro.data.dataset import TwoViewDataset
 from repro.data.schema import ViewSchema
-from repro.resilience.faults import fault_point
+from repro.resilience.container import (
+    ArtifactCorruptError,
+    ArtifactError,
+    durable_write,
+)
 from repro.runtime.cache import content_key
 
 __all__ = [
@@ -48,20 +50,6 @@ __all__ = [
 
 #: Current schema version of the artifact JSON document.
 ARTIFACT_SCHEMA_VERSION = 1
-
-
-class ArtifactError(ValueError):
-    """A model artifact is corrupt, mismatched or otherwise unusable."""
-
-
-class ArtifactCorruptError(ArtifactError):
-    """The artifact's *bytes* are damaged: torn write, bit rot, tampering.
-
-    Distinct from other :class:`ArtifactError` causes (say an artifact
-    written by a newer schema, which is perfectly intact) because the
-    registry reacts differently: corrupt files are quarantined into
-    ``_corrupt/``, schema mismatches are left alone.
-    """
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,51 +230,15 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> str:
     """Write ``artifact`` to ``path`` as JSON; returns its content hash.
 
     The write is crash-safe against the *machine*, not just the
-    process: the document goes to a temp file in the target directory,
-    is flushed and **fsynced**, then ``os.replace``\\ d over ``path``
-    (followed by a best-effort directory fsync).  A power loss at any
+    process (:func:`~repro.resilience.container.durable_write`: temp
+    file, fsync, atomic rename, directory fsync).  A power loss at any
     instant leaves either the old file or the complete new one — never
     a torn artifact a ``LATEST`` pointer could be aimed at.
     """
-    path = Path(path)
     payload = artifact.payload()
-    encoded = (
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    ).encode("utf-8")
-    # Chaos hook: a fault plan may corrupt or truncate the bytes here,
-    # simulating the torn write this function's fsync discipline is
-    # designed to confine (tests/test_resilience.py).
-    encoded = fault_point("registry.artifact.bytes", data=encoded)
-    handle, temp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-artifact-")
-    try:
-        with os.fdopen(handle, "wb") as stream:
-            stream.write(encoded)
-            stream.flush()
-            os.fsync(stream.fileno())
-        fault_point("registry.artifact.replace")
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-    _fsync_directory(path.parent)
+    encoded = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    durable_write(path, encoded, site="registry.artifact")
     return str(payload["content_hash"])
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Best-effort directory fsync: make the rename itself durable."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir-open
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fs without dir-fsync
-        pass
-    finally:
-        os.close(fd)
 
 
 def load_artifact(path: str | Path, verify: bool = True) -> ModelArtifact:

@@ -14,8 +14,8 @@ a served file.  Layout::
             LATEST            # text file holding e.g. "2"
 
 Publishing writes the artifact under the next free version directory
-and atomically updates ``LATEST`` (temp file + ``os.replace``, the same
-discipline as :class:`repro.runtime.cache.ResultCache`).  Version
+and atomically updates ``LATEST``, every file through the one durable
+writer :func:`repro.resilience.container.durable_write`.  Version
 directories are never overwritten: re-publishing produces a new
 version, and attempting to force a taken version raises.
 """
@@ -25,10 +25,10 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 import time
 from pathlib import Path
 
+from repro.resilience.container import durable_write
 from repro.resilience.faults import fault_point
 from repro.serve.artifact import (
     ArtifactCorruptError,
@@ -256,34 +256,19 @@ class ModelRegistry:
         return stamped
 
     def set_latest(self, name: str, version: int) -> None:
-        """Atomically point ``latest`` at a published ``version``.
+        """Atomically and durably point ``latest`` at a published ``version``.
 
-        The pointer temp file is flushed and **fsynced** before the
-        ``os.replace`` swap: without the fsync the rename can reach
-        disk before the pointer's *contents* do, and a machine crash
-        would then publish a pointer to garbage — atomic w.r.t. a
-        process crash but not a power loss.
+        Through :func:`~repro.resilience.container.durable_write`, so a
+        power loss can neither publish a pointer to garbage (the file is
+        fsynced before the swap) nor lose the swap (the directory after).
         """
         if version not in self.versions(name):
             raise KeyError(f"model {name!r} has no version {version}")
-        directory = self.model_dir(name)
-        handle, temp_name = tempfile.mkstemp(dir=directory, prefix=".tmp-LATEST-")
-        try:
-            data = fault_point(
-                "registry.latest.bytes", data=f"{version}\n".encode("ascii")
-            )
-            with os.fdopen(handle, "wb") as stream:
-                stream.write(data)
-                stream.flush()
-                os.fsync(stream.fileno())
-            fault_point("registry.latest.replace")
-            os.replace(temp_name, directory / "LATEST")
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        durable_write(
+            self.model_dir(name) / "LATEST",
+            f"{version}\n".encode("ascii"),
+            site="registry.latest",
+        )
 
     def load(
         self, name: str, version: int | str | None = None, verify: bool = True

@@ -135,12 +135,12 @@ class MaintenanceLoop:
             its threshold flags through this).
         checkpoint_dir: Optional directory for crash-recovery
             checkpoints.  After every drift check the loop atomically
-            snapshots its window and source offset
+            snapshots its window and source offset to ``<model>.ckpt``
             (:func:`repro.resilience.supervisor.save_checkpoint`); a
             restarted loop (fresh buffer, replayed source) restores the
             window, skips the already-consumed rows and continues —
             publishing models bit-identical to an uncrashed run.  An
-            unreadable or stale-schema checkpoint is ignored (fresh
+            unreadable or other-version checkpoint is ignored (fresh
             start) and noted in :attr:`checkpoint_recovery_error`.
 
     Example::
@@ -185,7 +185,7 @@ class MaintenanceLoop:
         """Where this loop's checkpoint lives (``None`` when disabled)."""
         if self.checkpoint_dir is None:
             return None
-        return self.checkpoint_dir / f"{self.model_name}.ckpt.npz"
+        return self.checkpoint_dir / f"{self.model_name}.ckpt"
 
     # ------------------------------------------------------------------
     def _adopt_published(self) -> None:

@@ -6,8 +6,9 @@ strict-decode discipline of the packed-frame codec tests: the
 to the JSON ``artifact -> from_table`` path on randomized tables (both
 directions, both strategies), the mapped views must be genuinely
 zero-copy, and every corruption mode — bad magic, truncated tail,
-flipped bit anywhere, garbage header, trailing bytes — must raise
-:class:`~repro.serve.ArtifactCorruptError`, never mis-decode.
+flipped bit anywhere, garbage header, trailing bytes, the cases of
+``tests/container_cases.py`` that every container schema runs — must
+raise :class:`~repro.serve.ArtifactCorruptError`, never mis-decode.
 
 Also holds the registry/sidecar regression tests: ``quarantine`` moves
 the binary sidecar together with the JSON (satellite of ISSUE 7), and
@@ -33,7 +34,8 @@ from repro.serve import (
     verify_sidecar,
     write_compiled,
 )
-from repro.serve.binfmt import _PRELUDE, BINFMT_MAGIC
+from repro.serve.binfmt import SIDECAR
+from tests.container_cases import ContainerCorruptionCases, forge
 
 pytestmark = pytest.mark.serve_smoke
 
@@ -163,77 +165,32 @@ class TestRoundTrip:
         del view
 
 
-class TestCorruption:
-    """Every damaged byte pattern must raise ArtifactCorruptError."""
+class TestCorruption(ContainerCorruptionCases):
+    """Every damaged byte pattern must raise ArtifactCorruptError.
+
+    The container-level cases come from the suite every schema shares;
+    the two below are particular to mapping a sidecar.
+    """
+
+    schema = SIDECAR
+
+    @pytest.fixture()
+    def container_file(self, sidecar):
+        return sidecar[1]
+
+    def load(self, path):
+        map_artifact(path)
 
     def test_missing_file_is_plain_artifact_error(self, tmp_path):
         with pytest.raises(ArtifactError) as excinfo:
             map_artifact(tmp_path / "nope.bin")
         assert not isinstance(excinfo.value, ArtifactCorruptError)
 
-    @pytest.mark.parametrize("size", [0, 1, 16, _PRELUDE.size - 1])
-    def test_short_prelude(self, tmp_path, size):
-        path = tmp_path / "short.bin"
-        path.write_bytes(b"\x00" * size)
-        with pytest.raises(ArtifactCorruptError):
-            map_artifact(path)
-
-    def test_bad_magic(self, sidecar):
+    def test_forged_vocabulary_is_rejected(self, sidecar):
+        """A re-signed header whose n_left no longer fits the section shapes."""
         __, path = sidecar
-        blob = bytearray(path.read_bytes())
-        blob[:8] = b"NOTMAGIC"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ArtifactCorruptError, match="magic"):
-            map_artifact(path)
-
-    def test_future_format_version_is_not_corruption(self, sidecar):
-        __, path = sidecar
-        blob = bytearray(path.read_bytes())
-        blob[8:12] = (99).to_bytes(4, "little")
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ArtifactError) as excinfo:
-            map_artifact(path)
-        assert not isinstance(excinfo.value, ArtifactCorruptError)
-
-    @pytest.mark.parametrize("drop", [1, 7, 64, 4096])
-    def test_truncated_tail(self, sidecar, drop):
-        __, path = sidecar
-        blob = path.read_bytes()
-        if drop >= len(blob):
-            pytest.skip("file smaller than the truncation")
-        path.write_bytes(blob[:-drop])
-        with pytest.raises(ArtifactCorruptError):
-            map_artifact(path)
-
-    def test_trailing_bytes(self, sidecar):
-        __, path = sidecar
-        path.write_bytes(path.read_bytes() + b"\x00" * 9)
-        with pytest.raises(ArtifactCorruptError, match="trailing"):
-            map_artifact(path)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_flipped_bit_anywhere_is_rejected(self, sidecar, seed):
-        """Fuzz: one random bit flipped past the prelude never decodes.
-
-        (A flip inside the stored digest itself is also caught — the
-        recomputed hash then disagrees with the stored one.)
-        """
-        __, path = sidecar
-        rng = np.random.default_rng(seed)
-        blob = bytearray(path.read_bytes())
-        position = int(rng.integers(8, len(blob)))  # past the magic
-        blob[position] ^= 1 << int(rng.integers(0, 8))
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ArtifactCorruptError):
-            map_artifact(path)
-
-    def test_garbage_header_json(self, sidecar):
-        __, path = sidecar
-        blob = bytearray(path.read_bytes())
-        start = _PRELUDE.size
-        blob[start : start + 4] = b"!!!!"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ArtifactCorruptError):
+        forge(path, SIDECAR, lambda meta: meta.update(n_left=99))
+        with pytest.raises(ArtifactCorruptError, match="inconsistent"):
             map_artifact(path)
 
     def test_unverified_map_still_rejects_structure_damage(self, sidecar):
@@ -243,37 +200,6 @@ class TestCorruption:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ArtifactCorruptError):
             map_artifact(path, verify=False)
-
-    def test_tampered_section_table_is_rejected(self, tmp_path):
-        """A forged header (valid hash!) with absurd shapes is refused.
-
-        Rebuilds the file around a modified header and a recomputed
-        digest — simulating an attacker or a buggy writer, not bit rot
-        — so the shape/bounds cross-checks are what must catch it.
-        """
-        import hashlib
-        import json as jsonlib
-
-        rng = np.random.default_rng(3)
-        artifact = make_artifact(rng)
-        path = tmp_path / "forged.bin"
-        write_compiled(artifact, path)
-        blob = bytearray(path.read_bytes())
-        magic, version, header_len, __ = _PRELUDE.unpack(blob[: _PRELUDE.size])
-        meta = jsonlib.loads(blob[_PRELUDE.size : _PRELUDE.size + header_len])
-        meta["sections"][0]["offset"] = 0  # before the payload region
-        forged = jsonlib.dumps(meta, sort_keys=True).encode("utf-8")
-        body = bytearray(blob[_PRELUDE.size :])
-        if len(forged) > header_len:
-            pytest.skip("forged header does not fit in place")
-        body[: len(forged)] = forged
-        body[len(forged) : header_len] = b" " * (header_len - len(forged))
-        digest = hashlib.sha256(bytes(body)).digest()
-        path.write_bytes(
-            _PRELUDE.pack(magic, version, header_len, digest) + bytes(body)
-        )
-        with pytest.raises(ArtifactCorruptError):
-            map_artifact(path)
 
 
 class TestRegistrySidecar:

@@ -34,11 +34,13 @@ from repro.corpus import (
     ingest_dataset,
     topk_pairs,
 )
+from repro.corpus.store import STORE
 from repro.data.dataset import TwoViewDataset
 from repro.data.synthetic import SyntheticSpec, generate_planted
 from repro.resilience import FaultInjector
-from repro.serve.artifact import ArtifactCorruptError
+from repro.resilience.container import PRELUDE, ArtifactCorruptError
 from tests.conftest import SEARCH_BACKENDS, engine, random_two_view
+from tests.container_cases import ContainerCorruptionCases, forge
 
 pytestmark = pytest.mark.corpus_smoke
 
@@ -102,8 +104,61 @@ class TestStoreRoundTrip:
         assert not (tmp_path / "short.col").exists()
 
 
-class TestStoreCorruption:
-    """Chaos contract: a damaged store raises, never mis-decodes."""
+class TestStoreCorruption(ContainerCorruptionCases):
+    """Chaos contract: a damaged store raises, never mis-decodes.
+
+    The container-level cases come from the suite every schema shares.
+    """
+
+    schema = STORE
+
+    @pytest.fixture()
+    def container_file(self, store_path):
+        return store_path
+
+    def load(self, path):
+        with ColumnStore(path) as store:
+            store.verify()
+
+    def test_flipped_padding_bit_is_rejected(self, store_path, tmp_path):
+        """No digest signs the padding; the layout checks still refuse it."""
+        blob = store_path.read_bytes()
+        with ColumnStore(store_path) as store:
+            payload_start = store._payload_start
+            extents = sorted(
+                (section.offset, section.offset + section.nbytes)
+                for section in store._container.sections.values()
+            )
+        header_end = PRELUDE.size + PRELUDE.unpack_from(blob)[2]
+        gap = next(
+            end for (__, end), (start, __) in zip(extents, extents[1:]) if end < start
+        )
+        assert header_end < payload_start, "the header padding is not empty"
+        for position in (header_end, gap):
+            damaged = bytearray(blob)
+            damaged[position] ^= 1
+            path = tmp_path / f"padding-{position}.col"
+            path.write_bytes(bytes(damaged))
+            self.rejects(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: meta["sections"][0].update(shape=["x"]),
+            lambda meta: meta["sections"][0].update(nbytes=-8),
+            lambda meta: meta.update(tub_max_left="abc"),
+            lambda meta: meta.update(sketch=5),
+            lambda meta: meta.update(left_names=7),
+        ],
+        ids=["shape-x", "nbytes-negative", "tub-max-str", "sketch-int", "names-int"],
+    )
+    def test_forged_header_is_rejected(self, store_path, edit):
+        """A re-signed header that breaks the store's schema never decodes."""
+        forge(store_path, STORE, edit)
+        with pytest.raises(ArtifactCorruptError):
+            with ColumnStore(store_path) as store:
+                store.verify()
+                store.sketches()
 
     def test_truncated_file_raises_at_open(self, store_path, tmp_path):
         clipped = tmp_path / "clipped.col"

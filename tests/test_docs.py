@@ -1,8 +1,9 @@
 """Documentation smoke tests (``pytest -m docs_smoke``).
 
 Tier-1 wiring for :mod:`scripts.check_docs`: the README's python code
-blocks must execute, every public symbol must carry a docstring, and
-the docs tree's internal links must resolve.  These run in the default
+blocks must execute, every public symbol must carry a docstring, the
+docs tree's internal links must resolve, and every fault point in
+``src/`` must be listed in ``docs/resilience.md``.  These run in the default
 suite (markers select, they do not exclude), so documentation breakage
 fails CI like any other regression.
 """
@@ -28,6 +29,10 @@ def test_every_public_symbol_has_a_docstring():
 
 def test_documentation_links_resolve():
     assert check_docs.broken_doc_links() == []
+
+
+def test_every_fault_point_is_documented():
+    assert check_docs.undocumented_fault_points() == []
 
 
 def test_docs_pages_exist():

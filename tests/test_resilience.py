@@ -37,6 +37,7 @@ from repro.resilience import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.resilience.supervisor import CHECKPOINT
 from repro.serve import (
     ArtifactError,
     ModelArtifact,
@@ -48,6 +49,7 @@ from repro.serve import (
 )
 from repro.stream import MaintenanceLoop, RefitPolicy, StreamBuffer
 from repro.stream.source import JsonlSource
+from tests.container_cases import ContainerCorruptionCases, forge
 
 pytestmark = pytest.mark.chaos_smoke
 
@@ -382,7 +384,7 @@ class TestCheckpoints:
         checkpoint = WindowCheckpoint.capture(
             buffer, "live", rows_seen=10, rows_since_check=3, published_version=4
         )
-        path = save_checkpoint(tmp_path / "live.ckpt.npz", checkpoint)
+        path = save_checkpoint(tmp_path / "live.ckpt", checkpoint)
         loaded = load_checkpoint(path)
         assert loaded is not None
         assert (loaded.model_name, loaded.rows_seen) == ("live", 10)
@@ -406,18 +408,18 @@ class TestCheckpoints:
         assert np.array_equal(checkpoint.left, before)
 
     def test_missing_returns_none(self, tmp_path):
-        assert load_checkpoint(tmp_path / "absent.npz") is None
+        assert load_checkpoint(tmp_path / "absent.ckpt") is None
 
     def test_garbage_file_raises(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        path.write_bytes(b"this is not an npz archive")
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"this is not a checkpoint")
         with pytest.raises(CheckpointError, match="unreadable"):
             load_checkpoint(path)
 
     def test_torn_tail_raises(self, tmp_path):
         buffer = self.filled_buffer()
         path = save_checkpoint(
-            tmp_path / "live.ckpt.npz",
+            tmp_path / "live.ckpt",
             WindowCheckpoint.capture(buffer, "live", rows_seen=10),
         )
         data = path.read_bytes()
@@ -435,7 +437,7 @@ class TestCheckpoints:
             checkpoint.restore_into(StreamBuffer(N_LEFT + 1, N_RIGHT))
 
     def test_crash_during_save_preserves_previous_checkpoint(self, tmp_path):
-        path = tmp_path / "live.ckpt.npz"
+        path = tmp_path / "live.ckpt"
         save_checkpoint(
             path, WindowCheckpoint.capture(self.filled_buffer(), "live", rows_seen=10)
         )
@@ -450,6 +452,61 @@ class TestCheckpoints:
                 )
         survivor = load_checkpoint(path)
         assert survivor is not None and survivor.rows_seen == 10
+
+
+class TestCheckpointCorruption(ContainerCorruptionCases):
+    """A damaged or forged checkpoint raises CheckpointError, never resumes.
+
+    The container-level cases come from the suite every schema shares;
+    ``load_checkpoint`` raises them as :class:`CheckpointError` with the
+    container's error as the cause.
+    """
+
+    schema = CHECKPOINT
+
+    @pytest.fixture()
+    def container_file(self, tmp_path):
+        rng = np.random.default_rng(0)
+        buffer = StreamBuffer(N_LEFT, N_RIGHT)
+        buffer.append(rng.random((70, N_LEFT)) < 0.4, rng.random((70, N_RIGHT)) < 0.4)
+        checkpoint = WindowCheckpoint.capture(buffer, "live", rows_seen=70)
+        return save_checkpoint(tmp_path / "live.ckpt", checkpoint)
+
+    def load(self, path):
+        try:
+            load_checkpoint(path)
+        except ArtifactError as error:
+            assert isinstance(error, CheckpointError), "the loop catches only these"
+            raise
+
+    @pytest.mark.parametrize(
+        "field, value, resign",
+        [
+            ("rows_seen", 10000, False),
+            ("rows_seen", -5, False),
+            ("rows_seen", -5, True),
+            ("rows_seen", "x", True),
+            ("model_name", None, True),
+            ("model_name", 7, True),
+            ("published_version", "3", True),
+            ("n_rows", 10**6, True),
+        ],
+    )
+    def test_forged_metadata_raises(self, container_file, field, value, resign):
+        """The digest signs the header; re-signed fields are type-checked.
+
+        A ``value`` of ``None`` deletes the field.
+        """
+
+        def edit(meta):
+            if value is None:
+                del meta[field]
+            else:
+                meta[field] = value
+
+        forge(container_file, CHECKPOINT, edit, resign=resign)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(container_file)
 
 
 # ----------------------------------------------------------------------
@@ -792,16 +849,25 @@ class TestCrashResume:
         write_rows(rows_path, 40, seed=5)
         checkpoint_dir = tmp_path / "ckpt"
         checkpoint_dir.mkdir()
-        (checkpoint_dir / "live.ckpt.npz").write_bytes(b"garbage, not an npz")
-        registry = ModelRegistry(tmp_path / "registry")
-        loop = make_loop(rows_path, registry, checkpoint_dir)
-        asyncio.run(loop.run())
-        assert loop.checkpoint_recovery_error is not None
-        assert loop.resumed_rows == 0
-        assert loop.rows_seen == 40
-        assert registry.versions("live"), "the run still publishes"
-        # The bad checkpoint was overwritten by a good one at the next check.
-        assert load_checkpoint(checkpoint_dir / "live.ckpt.npz") is not None
+        path = checkpoint_dir / "live.ckpt"
+        save_checkpoint(
+            path,
+            WindowCheckpoint.capture(StreamBuffer(N_LEFT, N_RIGHT), "live", 8),
+        )
+        # A re-signed checkpoint missing a field, then plain garbage.
+        forge(path, CHECKPOINT, lambda meta: meta.pop("model_name"))
+        damages = (path.read_bytes(), b"garbage, not a checkpoint")
+        for attempt, damage in enumerate(damages):
+            path.write_bytes(damage)
+            registry = ModelRegistry(tmp_path / f"registry-{attempt}")
+            loop = make_loop(rows_path, registry, checkpoint_dir)
+            asyncio.run(loop.run())
+            assert loop.checkpoint_recovery_error is not None
+            assert loop.resumed_rows == 0
+            assert loop.rows_seen == 40
+            assert registry.versions("live"), "the run still publishes"
+            # The bad checkpoint was overwritten by a good one at the next check.
+            assert load_checkpoint(path) is not None
 
 
 # ----------------------------------------------------------------------
@@ -829,7 +895,7 @@ class TestResilienceCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "1 malformed source line(s) skipped" in out
-        assert load_checkpoint(checkpoint_dir / "live.ckpt.npz") is not None
+        assert load_checkpoint(checkpoint_dir / "live.ckpt") is not None
 
     def test_serve_flags_parse(self):
         from repro.cli import build_parser
