@@ -16,9 +16,9 @@ ROADMAP flags as the numpy kernel's known limits:
   pinned to the rule count and node total of an offline numpy run and
   reported next to the ROADMAP's numpy baseline and the paper's C++
   time;
-* **bulk predict** — one huge 4096-row ``CompiledPredictor.predict``
-  call over a wide vocabulary, packed strategy on both engines plus
-  the blas strategy as the served-regime reference;
+* **bulk predict** — one huge 4096-row call of each compiled path of
+  ``CompiledPredictor`` over a wide vocabulary, reached through its
+  private per-path methods: packed on both engines, plus blas;
 * **fallback** — a subprocess with ``REPRO_NATIVE_DISABLE=1`` proving
   that a machine without a C toolchain searches on numpy (as its
   ``SearchStats.backend`` reports) and fits the *same model*
@@ -38,7 +38,6 @@ marked skipped — not failed — when no compiler is available.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import statistics
@@ -58,7 +57,10 @@ from repro.core.translator import TranslatorExact  # noqa: E402
 from repro.data.dataset import Side  # noqa: E402
 from repro.data.registry import make_dataset  # noqa: E402
 from repro.data.synthetic import SyntheticSpec, generate_planted  # noqa: E402
-from repro.serve.compiled import CompiledPredictor  # noqa: E402
+from repro.core.compiled import CompiledPredictor  # noqa: E402
+
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+from bench_serve import engine, time_paths  # noqa: E402
 
 FULL_SETTINGS = {
     "search_transactions": [400, 1728, 5000, 20000, 50000],
@@ -103,29 +105,6 @@ CAR_ROADMAP_NUMPY_SECONDS = 684.8
 CAR_PAPER_SECONDS = 74.0
 
 
-@contextlib.contextmanager
-def _engine(name: str):
-    """Run the block on ``name``: numpy sets ``REPRO_NATIVE_DISABLE=1``.
-
-    The toolchain is re-probed on entry, outside any timed region.
-    """
-    previous = os.environ.get("REPRO_NATIVE_DISABLE")
-    if name == "numpy":
-        os.environ["REPRO_NATIVE_DISABLE"] = "1"
-    else:
-        os.environ.pop("REPRO_NATIVE_DISABLE", None)
-    native.reset()
-    native.available()
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NATIVE_DISABLE", None)
-        else:
-            os.environ["REPRO_NATIVE_DISABLE"] = previous
-        native.reset()
-
-
 def _fingerprint(result) -> list:
     """JSON-serialisable identity of a fitted model (rules + gains)."""
     return [
@@ -167,7 +146,7 @@ def search_cells(settings: dict, native_available: bool) -> list[dict]:
                 row["skipped"] = "C kernel unavailable"
                 break
             elapsed = []
-            with _engine(backend):
+            with engine(backend):
                 for __ in range(settings["search_repetitions"]):
                     start = time.perf_counter()
                     result = _fit(dataset, settings)
@@ -192,7 +171,7 @@ def car_cells(settings: dict, native_available: bool) -> dict:
         if backend == "native" and not native_available:
             cell["skipped"] = "C kernel unavailable"
             break
-        with _engine(backend):
+        with engine(backend):
             start = time.perf_counter()
             result = TranslatorExact(
                 max_rule_size=settings["car_max_rule_size"]
@@ -217,7 +196,7 @@ def car_cells(settings: dict, native_available: bool) -> dict:
     elif not native_available:
         unbudgeted["skipped"] = "C kernel unavailable"
     else:
-        with _engine("native"):
+        with engine("native"):
             start = time.perf_counter()
             result = TranslatorExact().fit(dataset)
             unbudgeted["native_seconds"] = time.perf_counter() - start
@@ -257,28 +236,18 @@ def bulk_predict_cell(settings: dict, native_available: bool) -> dict:
         "n_rules": settings["predict_rules"],
         "n_source_items": settings["predict_source_items"],
     }
-    predictor = CompiledPredictor(
+    predictor = CompiledPredictor.from_table(
+        rules,
         Side.RIGHT,
         settings["predict_source_items"],
         settings["predict_target_items"],
-        rules,
     )
-    outputs = {}
-    for label, backend, strategy in (
-        ("blas", "numpy", "blas"),
-        ("packed_numpy", "numpy", "packed"),
-        ("packed_native", "native", "packed"),
-    ):
-        if backend == "native" and not native_available:
-            cell["skipped"] = "C kernel unavailable"
-            continue
-        elapsed = []
-        with _engine(backend):
-            for __ in range(settings["predict_repetitions"]):
-                start = time.perf_counter()
-                outputs[label] = predictor.predict(matrix, strategy=strategy)
-                elapsed.append(time.perf_counter() - start)
-        cell[f"{label}_seconds"] = min(elapsed)
+    seconds, outputs = time_paths(
+        predictor, matrix, settings["predict_repetitions"]
+    )
+    if not native_available:
+        cell["skipped"] = "C kernel unavailable"
+    cell.update({f"{label}_seconds": value for label, value in seconds.items()})
     cell["identical_results"] = all(
         np.array_equal(outputs["blas"], output) for output in outputs.values()
     )

@@ -50,6 +50,7 @@ from repro.data import (
 from repro.core import (
     BitMatrix,
     CodeLengthModel,
+    CompiledPredictor,
     TranslatorBeam,
     CorrectionTables,
     CoverState,
@@ -80,7 +81,6 @@ from repro.runtime import (
     run_sweep,
 )
 from repro.serve import (
-    CompiledPredictor,
     ModelArtifact,
     ModelRegistry,
     PredictionServer,

@@ -4,6 +4,10 @@
   ``X -> Y`` / ``X <- Y`` / ``X <-> Y`` and translation tables (Section 3).
 * :mod:`~repro.core.translate` — the TRANSLATE scheme and correction
   tables providing lossless translation (Algorithm 1).
+* :mod:`~repro.core.compiled` — :class:`CompiledPredictor`, the one
+  batched implementation of TRANSLATE: a table compiled into packed
+  antecedent/consequent matrices, behind ``translate_view``,
+  ``predict_view`` and the prediction service.
 * :mod:`~repro.core.encoding` — MDL encoded lengths: per-item Shannon
   codes, ``L(X|D)``, ``L(T)``, ``L(C|T)`` (Section 4).
 * :mod:`~repro.core.state` — incremental cover state on packed rows with
@@ -24,6 +28,7 @@
 from repro.core.rules import Direction, TranslationRule
 from repro.core.table import TranslationTable
 from repro.core.encoding import CodeLengthModel
+from repro.core.compiled import CompiledPredictor
 from repro.core.translate import (
     CorrectionTables,
     corrections,
@@ -66,6 +71,7 @@ __all__ = [
     "TranslationRule",
     "TranslationTable",
     "CodeLengthModel",
+    "CompiledPredictor",
     "CorrectionTables",
     "corrections",
     "reconstruct",

@@ -38,12 +38,13 @@ Engines
 Two batch primitives run on the fused C kernel of :mod:`repro.native`
 wherever it compiles, and on the vectorised numpy paths of this module
 otherwise: :func:`and_popcount_rows` (column-store scans) and
-:func:`match_union_rows` (bulk predict).  The platform alone picks the
-engine, per call: the kernel is compiled on demand with the system
-``cc`` and loaded via ctypes, and a machine without a compiler (or a
-process with ``REPRO_NATIVE_DISABLE=1``) silently takes the numpy path.
-:func:`subset_match_rows`, :func:`or_union_rows`, :func:`and_reduce_rows`
-and :func:`and_reduce_many_rows` are numpy only.
+:func:`match_union_rows` (the packed TRANSLATE path of
+:mod:`repro.core.compiled`).  The platform alone picks the engine, per
+call: the kernel is compiled on demand with the system ``cc`` and
+loaded via ctypes, and a machine without a compiler (or a process with
+``REPRO_NATIVE_DISABLE=1``) silently takes the numpy path.
+:func:`and_reduce_rows` and :func:`and_reduce_many_rows` are numpy
+only.
 
 Both engines are **bit-identical**: every primitive is exact integer
 arithmetic (counts, word ops) whose result does not depend on the
@@ -79,11 +80,9 @@ __all__ = [
     "fixed_weight_table",
     "match_union_rows",
     "n_words_for",
-    "or_union_rows",
     "pack_mask",
     "pack_rows_at",
     "shift_rows",
-    "subset_match_rows",
     "unpack_mask",
     "unpack_rows",
     "popcount",
@@ -260,51 +259,15 @@ def and_popcount_rows(rows: np.ndarray, mask: np.ndarray | None = None) -> np.nd
     return popcount_rows(rows if mask is None else rows & mask)
 
 
-def subset_match_rows(rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """``(n_rows, n_sets)`` Boolean packed subset test.
-
-    Entry ``(i, r)`` is true iff ``sets[r]`` is a subset of ``rows[i]``
-    (``rows[i] & sets[r] == sets[r]``), evaluated as a chunked broadcast.
-    """
-    rows = np.ascontiguousarray(rows, dtype=np.uint64)
-    sets = np.ascontiguousarray(sets, dtype=np.uint64)
-    out = np.empty((rows.shape[0], sets.shape[0]), dtype=bool)
-    for start in range(0, rows.shape[0], _CHUNK_ROWS):
-        chunk = rows[start : start + _CHUNK_ROWS]
-        conjunction = chunk[:, None, :] & sets[None, :, :]
-        out[start : start + _CHUNK_ROWS] = (
-            conjunction == sets[None, :, :]
-        ).all(axis=2)
-    return out
-
-
-def or_union_rows(fired: np.ndarray, cons: np.ndarray) -> np.ndarray:
-    """Weighted OR: per row, the union of the selected consequent rows.
-
-    ``fired`` is a ``(n_rows, n_sets)`` Boolean selector and ``cons`` a
-    ``(n_sets, n_words)`` packed matrix; row ``i`` of the result is the
-    OR of the ``cons`` rows whose flag is set (zero words when none is).
-    """
-    fired = np.asarray(fired, dtype=bool)
-    cons = np.ascontiguousarray(cons, dtype=np.uint64)
-    out = np.zeros((fired.shape[0], cons.shape[1]), dtype=np.uint64)
-    for start in range(0, fired.shape[0], _CHUNK_ROWS):
-        chunk = fired[start : start + _CHUNK_ROWS]
-        if not chunk.any():
-            continue
-        selected = np.where(chunk[:, :, None], cons[None, :, :], np.uint64(0))
-        out[start : start + _CHUNK_ROWS] = np.bitwise_or.reduce(selected, axis=1)
-    return out
-
-
 def match_union_rows(rows: np.ndarray, ant: np.ndarray, cons: np.ndarray) -> np.ndarray:
-    """Fused subset test + consequent union (the bulk predict primitive).
+    """Fused subset test + consequent union (the packed TRANSLATE path).
 
     Row ``i`` of the result is the OR of ``cons[r]`` over every rule
     ``r`` whose packed antecedent ``ant[r]`` is a subset of ``rows[i]``
-    — one pass over the packed words in the C kernel, never
-    materialising the intermediate fired matrix; the numpy path is
-    :func:`subset_match_rows` followed by :func:`or_union_rows`.
+    (``rows[i] & ant[r] == ant[r]``) — one pass over the packed words in
+    the C kernel, never materialising the intermediate fired matrix;
+    the numpy path evaluates the subset test and the OR as chunked
+    broadcasts.
     """
     kernel = _kernel()
     if _obs.ACTIVE is not None:
@@ -313,7 +276,18 @@ def match_union_rows(rows: np.ndarray, ant: np.ndarray, cons: np.ndarray) -> np.
         )
     if kernel is not None:
         return kernel.match_union(rows, ant, cons)
-    return or_union_rows(subset_match_rows(rows, ant), cons)
+    rows = np.ascontiguousarray(rows, dtype=np.uint64)
+    ant = np.ascontiguousarray(ant, dtype=np.uint64)
+    cons = np.ascontiguousarray(cons, dtype=np.uint64)
+    out = np.zeros((rows.shape[0], cons.shape[1]), dtype=np.uint64)
+    for start in range(0, rows.shape[0], _CHUNK_ROWS):
+        chunk = rows[start : start + _CHUNK_ROWS]
+        conjunction = chunk[:, None, :] & ant[None, :, :]
+        fired = (conjunction == ant[None, :, :]).all(axis=2)
+        if fired.any():
+            selected = np.where(fired[:, :, None], cons[None, :, :], np.uint64(0))
+            out[start : start + _CHUNK_ROWS] = np.bitwise_or.reduce(selected, axis=1)
+    return out
 
 
 def and_reduce_many_rows(

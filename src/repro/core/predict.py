@@ -19,12 +19,12 @@ compress well predict well on data from the same distribution.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from collections.abc import Iterable
 
 import numpy as np
 
 from repro.data.dataset import Side, TwoViewDataset
+from repro.core.compiled import CompiledPredictor, rules_towards
 from repro.core.rules import TranslationRule
 from repro.core.table import TranslationTable
 
@@ -66,59 +66,33 @@ def predict_view(
     table: TranslationTable | Iterable[TranslationRule],
     target: Side,
     n_target_items: int,
-    engine: str = "auto",
+    engine: str = "compiled",
 ) -> np.ndarray:
     """Predict the ``target`` view for new source-view transactions.
 
     ``source_matrix`` is a Boolean matrix over the *opposite* view's
     vocabulary (same column order as the training data).  Applies every
     rule firing towards ``target`` — i.e. the TRANSLATE algorithm on
-    unseen data, without correction tables.
+    unseen data, without correction tables — through
+    :class:`repro.core.compiled.CompiledPredictor`.
 
-    ``engine`` selects the implementation: ``"loop"`` is the per-rule
-    reference path below, ``"compiled"`` routes through
-    :class:`repro.serve.CompiledPredictor` (packed-bitset matrix ops,
-    bit-identical outputs, much faster on batches), and ``"auto"``
-    picks the compiled path whenever there is more than one row to
-    predict.
-
-    Rules whose antecedent towards ``target`` is empty are skipped with
-    a warning: an empty itemset is contained in every transaction, so
-    such a rule would fire on every row and silence real signal.
+    ``engine="loop"`` runs a per-rule reference loop instead, with
+    bit-identical outputs; the serve-predict workload of ``perfbench/``
+    computes its expected answers with it.  Rules whose antecedent
+    towards ``target`` is empty are skipped with a warning on both.
     """
     source_matrix = np.asarray(source_matrix, dtype=bool)
-    if engine not in ("auto", "loop", "compiled"):
-        raise ValueError(f"unknown prediction engine {engine!r}")
-    if engine == "auto":
-        engine = "compiled" if source_matrix.shape[0] > 1 else "loop"
     if engine == "compiled":
-        # Imported lazily (and only on this path) so the core layer has
-        # no import-time dependency on the serving package; compilation
-        # is one pass over the rules, cheaper than the loop it replaces.
-        try:
-            from repro.serve.compiled import CompiledPredictor
-        except ImportError:  # serving layer unavailable: reference path
-            engine = "loop"
-        else:
-            compiled = CompiledPredictor.from_table(
-                table, target, source_matrix.shape[1], n_target_items
-            )
-            return compiled.predict(source_matrix)
+        return CompiledPredictor.from_table(
+            table, target, source_matrix.shape[1], n_target_items
+        ).predict(source_matrix)
+    if engine != "loop":
+        raise ValueError(f"unknown prediction engine {engine!r}")
     predicted = np.zeros((source_matrix.shape[0], n_target_items), dtype=bool)
-    for rule in table:
-        if not rule.applies_towards(target):
-            continue
-        antecedent = list(rule.antecedent(target))
-        if not antecedent:
-            warnings.warn(
-                f"skipping rule {rule!r}: empty antecedent towards "
-                f"{target} would fire on every transaction",
-                stacklevel=2,
-            )
-            continue
-        rows = source_matrix[:, antecedent].all(axis=1)
+    for antecedent, consequent in rules_towards(table, target):
+        rows = source_matrix[:, list(antecedent)].all(axis=1)
         if rows.any():
-            predicted[np.ix_(rows, list(rule.consequent(target)))] = True
+            predicted[np.ix_(rows, list(consequent))] = True
     return predicted
 
 

@@ -22,6 +22,7 @@ from collections.abc import Iterable, Set
 import numpy as np
 
 from repro.data.dataset import Side, TwoViewDataset
+from repro.core.compiled import CompiledPredictor
 from repro.core.rules import TranslationRule
 from repro.core.table import TranslationTable
 
@@ -41,21 +42,16 @@ def translate_view(
 ) -> np.ndarray:
     """Translate the opposite view of ``dataset`` towards ``target``.
 
-    Vectorised application of Algorithm 1 to all transactions at once:
-    returns a Boolean matrix of shape ``(n, |I_target|)`` containing the
-    union of the consequents of all firing rules per transaction.
+    Algorithm 1 applied to all transactions at once, through
+    :class:`repro.core.compiled.CompiledPredictor`: returns a Boolean
+    matrix of shape ``(n, |I_target|)`` containing the union of the
+    consequents of all firing rules per transaction.
     """
     source = target.opposite
-    translated = np.zeros(
-        (dataset.n_transactions, dataset.n_side(target)), dtype=bool
+    compiled = CompiledPredictor.from_table(
+        table, target, dataset.n_side(source), dataset.n_side(target)
     )
-    for rule in table:
-        if not rule.applies_towards(target):
-            continue
-        rows = dataset.support_mask(source, rule.antecedent(target))
-        if rows.any():
-            translated[np.ix_(rows, rule.consequent(target))] = True
-    return translated
+    return compiled.predict(dataset.view(source))
 
 
 def translate_transaction(
@@ -67,6 +63,8 @@ def translate_transaction(
 
     ``source_items`` is the set of item indices present in the source view
     of the transaction.  Returns the translated itemset for ``target``.
+    It shares no code with :func:`translate_view`, which is why the
+    tests use it as the oracle of every batched path.
     """
     translated: set[int] = set()
     for rule in table:

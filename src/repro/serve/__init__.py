@@ -1,13 +1,12 @@
-"""Model serving: compiled predictors, artifacts, registry, server.
+"""Model serving: artifacts, registry, server.
 
 The paper's TRANSLATE application (Section 2.3) turns a fitted
-translation table into a cross-view *predictor*; this package turns
-that predictor into a deployable service, in four layers:
+translation table into a cross-view *predictor*
+(:class:`~repro.core.compiled.CompiledPredictor`, re-exported here,
+which compiles a table into packed-bitset antecedent/consequent
+matrices); this package turns that predictor into a deployable
+service, in three layers:
 
-* :mod:`~repro.serve.compiled` — :class:`CompiledPredictor` compiles a
-  table into packed-bitset antecedent/consequent matrices so batched
-  prediction is a handful of vectorised word ops, bit-identical to the
-  per-rule reference loop;
 * :mod:`~repro.serve.artifact` / :mod:`~repro.serve.registry` —
   schema-versioned, content-hashed JSON model artifacts organised into
   named models with immutable versions and a ``latest`` pointer;
@@ -29,6 +28,7 @@ topology, and ``benchmarks/bench_serve.py`` / ``bench_cluster.py`` for
 throughput numbers (``BENCH_serve.json`` / ``BENCH_cluster.json``).
 """
 
+from repro.core.compiled import CompiledPredictor
 from repro.serve.artifact import (
     ARTIFACT_SCHEMA_VERSION,
     ArtifactCorruptError,
@@ -44,7 +44,6 @@ from repro.serve.binfmt import (
     verify_sidecar,
     write_compiled,
 )
-from repro.serve.compiled import CompiledPredictor
 from repro.serve.registry import ModelRegistry
 from repro.serve.router import (
     Replica,

@@ -93,6 +93,18 @@ class ModelArtifact:
     left_schema: object = None
     right_schema: object = None
 
+    def __post_init__(self) -> None:
+        # Every way to build an artifact (from_result, from_payload,
+        # with_version) passes here, so a table naming items outside its
+        # vocabularies never reaches the sidecar compiler or a server.
+        n_left, n_right = len(self.left_names), len(self.right_names)
+        for rule in self.table:
+            if rule.lhs[-1] >= n_left or rule.rhs[-1] >= n_right:
+                raise ArtifactError(
+                    f"rule {rule} names an item outside the vocabularies "
+                    f"({n_left} left items, {n_right} right items)"
+                )
+
     # ------------------------------------------------------------------
     @classmethod
     def from_result(

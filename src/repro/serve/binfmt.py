@@ -4,7 +4,7 @@ The JSON artifact (:mod:`repro.serve.artifact`) is the portable,
 inspectable source of truth — but every server process that loads it
 pays the same cold start: parse the rule list, rebuild the Boolean
 masks, re-pack them into the uint64 matrices
-:class:`~repro.serve.compiled.CompiledPredictor` runs on.  This module
+:class:`~repro.core.compiled.CompiledPredictor` runs on.  This module
 writes those matrices out **once**, at publish time, in a fixed binary
 layout that any number of worker processes can ``mmap`` afterwards:
 construction becomes a handful of header reads plus zero-copy numpy
@@ -38,7 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.bitset import n_words_for
+from repro.core.bitset import n_words_for, popcount_rows
+from repro.core.compiled import CompiledPredictor
 from repro.data.dataset import Side
 from repro.resilience.container import (
     PRELUDE,
@@ -49,7 +50,6 @@ from repro.resilience.container import (
     open_container,
 )
 from repro.serve.artifact import ModelArtifact
-from repro.serve.compiled import CompiledPredictor
 
 __all__ = [
     "BINFMT_MAGIC",
@@ -89,8 +89,6 @@ def _direction_arrays(
         artifact.n_left if target is Side.RIGHT else artifact.n_right,
         artifact.n_right if target is Side.RIGHT else artifact.n_left,
     )
-    from repro.core.bitset import popcount_rows
-
     weights = popcount_rows(compiled.antecedents.words).astype(np.uint32)
     return compiled.antecedents.words, compiled.consequents.words, weights
 

@@ -61,12 +61,12 @@ from collections.abc import Callable
 import numpy as np
 
 from repro import obs as _obs
+from repro.core.compiled import CompiledPredictor
 from repro.data.dataset import Side
 from repro.resilience.faults import CrashPoint, fault_point
 from repro.resilience.policy import CircuitBreaker, CircuitOpenError, Deadline
 from repro.runtime.cache import content_key
 from repro.serve.artifact import ArtifactError, ModelArtifact
-from repro.serve.compiled import CompiledPredictor
 from repro.serve.registry import ModelRegistry
 
 __all__ = [
@@ -387,9 +387,11 @@ class PredictionService:
     :class:`MicroBatcher` and an :class:`LRUCache` of responses keyed on
     ``(model, version, request hash)``.  :class:`PredictionServer` puts
     it on a socket; tests and benchmarks drive it directly via
-    :meth:`predict` / :meth:`handle`.  The compiled predictors run their
-    packed strategy on the C kernel wherever it compiles and on numpy
-    otherwise, with bit-identical answers.
+    :meth:`predict` / :meth:`handle`.  Each compiled predictor picks its
+    path from its own shape (:mod:`repro.core.compiled`): the narrow
+    models it typically serves run blas, and models whose antecedents
+    span many words run the packed path on the C kernel where it loads;
+    the answers are bit-identical either way.
 
     Args:
         registry: Where models come from.

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from repro import native
+from repro.core.translate import translate_transaction
 from repro.data.dataset import TwoViewDataset
 from repro.data.synthetic import SyntheticSpec, generate_planted
 
-#: Exact-search backends the oracle and checkpoint tests run on: numpy
-#: always, and the C traversal wherever the kernel compiles (a machine
-#: without a C compiler skips it).
+#: Engines the two-engine tests run on (the exact search's oracle and
+#: checkpoint tests, the packed TRANSLATE path): numpy always, and the C
+#: kernel wherever it compiles (a machine without a C compiler skips it).
 SEARCH_BACKENDS = ("numpy", "native") if native.available() else ("numpy",)
 
 
@@ -42,6 +43,35 @@ def engine(name: str):
         else:
             os.environ["REPRO_NATIVE_DISABLE"] = previous
         native.reset()
+
+
+def oracle(source_matrix, table, target, n_target: int) -> np.ndarray:
+    """Algorithm 1, literally: ``translate_transaction`` row by row.
+
+    The oracle of every translation test; it shares no code with the
+    compiled paths or with ``predict_view``'s reference loop.
+    """
+    out = np.zeros((len(source_matrix), n_target), dtype=bool)
+    for index, row in enumerate(np.asarray(source_matrix, dtype=bool)):
+        items = translate_transaction(set(np.flatnonzero(row).tolist()), table, target)
+        out[index, sorted(items)] = True
+    return out
+
+
+def path_outputs(predictor, path: str, batch) -> list[tuple[str, np.ndarray]]:
+    """``(label, output)`` of one compiled path on every engine it runs on.
+
+    ``path`` is ``"blas"`` or ``"packed"``; each is reached through the
+    predictor's private per-path method, bypassing the selection.
+    """
+    batch = np.asarray(batch, dtype=bool)
+    if path == "blas":
+        return [("blas", predictor._predict_blas(batch))]
+    outputs = []
+    for name in SEARCH_BACKENDS:
+        with engine(name):
+            outputs.append((f"packed/{name}", predictor._predict_packed(batch)))
+    return outputs
 
 
 @pytest.fixture

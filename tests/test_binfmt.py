@@ -4,7 +4,8 @@ Property/fuzz coverage of :mod:`repro.serve.binfmt`, mirroring the
 strict-decode discipline of the packed-frame codec tests: the
 ``write -> mmap -> CompiledPredictor`` path must be **bit-identical**
 to the JSON ``artifact -> from_table`` path on randomized tables (both
-directions, both strategies), the mapped views must be genuinely
+directions, every compiled path, checked against the literal
+``translate_transaction``), the mapped views must be genuinely
 zero-copy, and every corruption mode — bad magic, truncated tail,
 flipped bit anywhere, garbage header, trailing bytes, the cases of
 ``tests/container_cases.py`` that every container schema runs — must
@@ -20,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.predict import predict_view
 from repro.core.rules import TranslationRule
 from repro.core.table import TranslationTable
 from repro.data.dataset import Side, TwoViewDataset
@@ -35,6 +35,7 @@ from repro.serve import (
     write_compiled,
 )
 from repro.serve.binfmt import SIDECAR
+from tests.conftest import oracle, path_outputs
 from tests.container_cases import ContainerCorruptionCases, forge
 
 pytestmark = pytest.mark.serve_smoke
@@ -111,9 +112,10 @@ class TestRoundTrip:
             from_map.consequents.words, from_json.consequents.words
         )
         batch = rng.random((31, n_source)) < 0.35
-        loop = predict_view(batch, artifact.table, target, n_target, engine="loop")
-        for strategy in ("blas", "packed"):
-            assert np.array_equal(from_map.predict(batch, strategy=strategy), loop)
+        expected = oracle(batch, artifact.table, target, n_target)
+        for path in ("blas", "packed"):
+            for label, output in path_outputs(from_map, path, batch):
+                assert np.array_equal(output, expected), label
 
     def test_mapped_views_are_zero_copy(self, sidecar):
         __, path = sidecar

@@ -3,14 +3,14 @@
 Three layers of guarantees:
 
 1. **Primitives** — every batch operation in :mod:`repro.core.bitset`
-   (fused AND+popcount, subset match, weighted OR/union, AND-reduce)
-   agrees with a brute-force formulation on randomized inputs, and the
-   C kernel's ``and_popcount`` and ``match_union`` agree with the numpy
-   functions bit for bit.
+   (fused AND+popcount, fused subset test + consequent union,
+   AND-reduce) agrees with a brute-force formulation on randomized
+   inputs on both engines.
 2. **Consumers** — the exact search's traversal (``NativeKernel.dfs``)
-   and the compiled predictor's packed strategy return bit-identical
-   results on both engines, and the stream buffer's tracked supports
-   equal a recount of the window.
+   and the compiled predictor's packed path return bit-identical
+   results on both engines, the predictor picks its path from its own
+   shape, and the stream buffer's tracked supports equal a recount of
+   the window.
 3. **Fallback contract** — ``REPRO_NATIVE_DISABLE=1`` makes a fresh
    process behave exactly like a compiler-less machine, fitting the same
    models on numpy, and publishing a model never loads the kernel.
@@ -43,17 +43,17 @@ from repro.core.bitset import (
     fixed_weight_table,
     match_union_rows,
     n_words_for,
-    or_union_rows,
     pack_mask,
-    subset_match_rows,
     unpack_mask,
 )
 from repro.core.translator import TranslatorExact
 from repro.data.dataset import Side
 from repro.data.synthetic import SyntheticSpec, generate_planted
-from repro.serve.compiled import CompiledPredictor
+from repro import obs
+from repro.core.compiled import CompiledPredictor
+from repro.core.rules import TranslationRule
 from repro.stream.buffer import StreamBuffer
-from tests.conftest import SEARCH_BACKENDS, engine
+from tests.conftest import SEARCH_BACKENDS, engine, oracle, path_outputs
 
 pytestmark = pytest.mark.native_smoke
 
@@ -189,20 +189,15 @@ class TestPrimitives:
             ],
             dtype=bool,
         ).reshape(n_rows, n_sets)
-        fired = subset_match_rows(rows, sets)
-        assert np.array_equal(fired, brute_fired)
-        union = or_union_rows(fired, cons)
-        with engine("numpy"):
-            assert np.array_equal(match_union_rows(rows, sets, cons), union)
-        if NATIVE_AVAILABLE:
-            kernel = native.load_kernel()
-            assert np.array_equal(kernel.match_union(rows, sets, cons), union)
-        for i in range(n_rows):
-            expected = np.zeros(n_tgt, dtype=bool)
-            for r in range(n_sets):
-                if brute_fired[i, r]:
-                    expected |= cons_bools[r]
-            assert np.array_equal(unpack_mask(union[i], n_tgt), expected)
+        for backend in SEARCH_BACKENDS:
+            with engine(backend):
+                union = match_union_rows(rows, sets, cons)
+            for i in range(n_rows):
+                expected = np.zeros(n_tgt, dtype=bool)
+                for r in range(n_sets):
+                    if brute_fired[i, r]:
+                        expected |= cons_bools[r]
+                assert np.array_equal(unpack_mask(union[i], n_tgt), expected), backend
 
     @pytest.mark.parametrize("seed", range(6))
     def test_and_reduce(self, seed):
@@ -395,16 +390,31 @@ class TestSearchBackends:
 
 
 # ----------------------------------------------------------------------
-# Consumer 2: the compiled predictor's packed strategy
+# Consumer 2: the compiled predictor's packed path and its selection
 # ----------------------------------------------------------------------
-class TestCompiledBackends:
-    def _compiled(self, seed):
-        rng = np.random.default_rng(seed)
-        from repro.core.rules import TranslationRule
+def _match_union_dispatches(predictor, matrix) -> float:
+    """``match_union_rows`` dispatches (either engine) of one ``predict``."""
+    registry = obs.MetricsRegistry()
+    obs.instrument(registry=registry)
+    try:
+        predictor.predict(matrix)
+    finally:
+        obs.instrument(enabled=False)
+    __, samples = obs.parse_exposition(registry.render())
+    return sum(
+        value
+        for name, labels, value in samples
+        if name == "repro_bitset_dispatch_total"
+        and labels.get("op") == "match_union_rows"
+    )
 
-        n_src, n_tgt = 17, 13
+
+class TestCompiledBackends:
+    def _compiled(self, seed, n_src=17, n_rules=9):
+        rng = np.random.default_rng(seed)
+        n_tgt = 13
         rules = []
-        for __ in range(9):
+        for __ in range(n_rules):
             lhs = tuple(
                 sorted(rng.choice(n_src, size=rng.integers(1, 4), replace=False))
             )
@@ -415,84 +425,69 @@ class TestCompiledBackends:
                 TranslationRule(lhs, rhs, rng.choice(["->", "<-", "<->"]))
             )
         return (
-            CompiledPredictor(Side.RIGHT, n_src, n_tgt, rules),
+            CompiledPredictor.from_table(rules, Side.RIGHT, n_src, n_tgt),
+            rules,
             rng.random((33, n_src)) < 0.4,
         )
 
     @needs_native
     @pytest.mark.parametrize("seed", range(4))
     def test_packed_backends_bit_identical(self, seed):
-        predictor, matrix = self._compiled(seed)
-        blas = predictor.predict(matrix, strategy="blas")
-        fired_blas = predictor.matches(matrix, strategy="blas")
-        for backend in ("numpy", "native"):
-            with engine(backend):
-                packed = predictor.predict(matrix, strategy="packed")
-                fired = predictor.matches(matrix, strategy="packed")
-            assert np.array_equal(packed, blas), backend
-            assert np.array_equal(fired, fired_blas), backend
+        predictor, rules, matrix = self._compiled(seed)
+        expected = oracle(matrix, rules, Side.RIGHT, predictor.n_target_items)
+        for path in ("blas", "packed"):
+            for label, output in path_outputs(predictor, path, matrix):
+                assert np.array_equal(output, expected), label
 
     def test_blas_guard_dispatches_auto_to_packed(self, monkeypatch):
-        import repro.serve.compiled as compiled_module
+        import repro.core.compiled as compiled_module
 
         monkeypatch.setattr(compiled_module, "_FLOAT32_EXACT_MAX", 8)
-        with pytest.warns(UserWarning, match="dispatch to 'packed'"):
-            predictor, matrix = self._compiled(0)
+        with pytest.warns(UserWarning, match="predicts on the packed path"):
+            predictor, rules, matrix = self._compiled(0)
         assert not predictor.blas_exact
-        # auto now silently routes to the packed strategy...
-        auto = predictor.predict(matrix, strategy="auto")
-        packed = predictor.predict(matrix, strategy="packed")
-        assert np.array_equal(auto, packed)
-        # ...and an explicit blas request refuses to return wrong answers.
-        with pytest.raises(ValueError, match="float32 exact-integer bound"):
-            predictor.predict(matrix, strategy="blas")
-        with pytest.raises(ValueError, match="float32 exact-integer bound"):
-            predictor.matches(matrix, strategy="blas")
+        expected = oracle(matrix, rules, Side.RIGHT, predictor.n_target_items)
+        for backend in SEARCH_BACKENDS:
+            with engine(backend):
+                assert np.array_equal(predictor.predict(matrix), expected), backend
 
     def test_blas_guard_is_quiet_within_bounds(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            predictor, matrix = self._compiled(1)
+            predictor, __, matrix = self._compiled(1)
         assert predictor.blas_exact
         assert np.array_equal(
-            predictor.predict(matrix, strategy="auto"),
-            predictor.predict(matrix, strategy="blas"),
+            predictor.predict(matrix), predictor._predict_blas(matrix)
         )
 
-    def test_unknown_strategy_rejected(self):
-        predictor, matrix = self._compiled(2)
-        with pytest.raises(ValueError, match="unknown strategy"):
-            predictor.predict(matrix, strategy="gpu")
-
     @needs_native
-    def test_auto_dispatches_to_native_packed_where_it_wins(self):
-        # Without the kernel, auto stays on blas; with it, wide models
-        # (any batch) and bulk batches (any model) take the fused packed
-        # path, while a narrow model with a small batch stays on blas.
-        predictor, __ = self._compiled(0)
-        with engine("numpy"):
-            assert predictor._resolve_strategy("auto", n_rows=4096) == "blas"
-        import repro.serve.compiled as compiled_module
-
-        wide_words = compiled_module._NATIVE_PACKED_MIN_RULE_WORDS
-        assert (
-            predictor.n_rules * predictor.antecedents.n_words < wide_words
-        ), "fixture model unexpectedly counts as wide"
-        rng = np.random.default_rng(0)
-        from repro.core.rules import TranslationRule
-
-        n_src = 64 * (wide_words // 16)  # 16 rules x enough words
-        rules = [
-            TranslationRule((int(rng.integers(n_src)),), (0,), "->")
-            for __ in range(16)
-        ]
-        wide = CompiledPredictor(Side.RIGHT, n_src, 4, rules)
+    @pytest.mark.serve_smoke
+    def test_selection_follows_antecedent_words_not_rows(self, monkeypatch):
+        # A one-word model stays on blas even at 4,096 rows; a 512-rule
+        # model over 2,048 items takes the packed path from 8 rows; with
+        # no kernel both stay on blas; past the blas guard both engines
+        # run packed.
+        narrow, __, __ = self._compiled(0)
+        wide, __, __ = self._compiled(1, n_src=2048, n_rules=512)
+        rng = np.random.default_rng(4)
+        narrow_rows = rng.random((4096, narrow.n_source_items)) < 0.4
+        wide_rows = rng.random((8, wide.n_source_items)) < 0.05
         with engine("native"):
-            assert predictor._resolve_strategy("auto", n_rows=8) == "blas"
-            assert predictor._resolve_strategy("auto", n_rows=4096) == "packed"
-            assert wide._resolve_strategy("auto", n_rows=1) == "packed"
+            assert _match_union_dispatches(narrow, narrow_rows) == 0
+            assert _match_union_dispatches(wide, wide_rows) == 1
+        with engine("numpy"):
+            assert _match_union_dispatches(narrow, narrow_rows) == 0
+            assert _match_union_dispatches(wide, wide_rows) == 0
+        import repro.core.compiled as compiled_module
+
+        monkeypatch.setattr(compiled_module, "_FLOAT32_EXACT_MAX", 8)
+        with pytest.warns(UserWarning, match="packed path"):
+            guarded, __, matrix = self._compiled(0)
+        for backend in ("native", "numpy"):
+            with engine(backend):
+                assert _match_union_dispatches(guarded, matrix) == 1, backend
 
     def test_publishing_never_loads_the_kernel(self, tmp_path, monkeypatch):
         # Publishing compiles the table for the mmap sidecar; the

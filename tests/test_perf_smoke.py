@@ -128,9 +128,10 @@ def test_serve_benchmark_tiny_mode(tmp_path):
     assert report["mode"] == "tiny"
     assert report["grid"], "tiny serving grid must not be empty"
     for cell in report["grid"]:
-        assert cell["identical_results"], f"engines disagreed on {cell}"
-        assert cell["loop_seconds"] > 0 and cell["compiled_seconds"] > 0
+        assert cell["identical_results"], f"a path disagreed with the oracle on {cell}"
+        assert cell["blas_seconds"] > 0 and cell["selected_seconds"] > 0
     assert report["all_identical"]
+    assert report["narrow_models_select_blas"]
     assert report["cache"]["warm_cached"], "second identical request must hit the cache"
     # The JSON entry point must work end to end.
     output = tmp_path / "BENCH_serve.json"

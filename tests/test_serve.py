@@ -1,12 +1,14 @@
 """Serving subsystem tests (``pytest -m serve_smoke``).
 
-Covers the three layers of :mod:`repro.serve` — the compiled predictor
-(bit-identity against the per-rule loop on synthetic and ``car``-derived
-tables, both strategies), artifacts and the registry (hash verification,
-immutable versions, ``latest`` resolution), and the async service
-(micro-batch coalescing, LRU response cache, HTTP round trips) — plus
-the serving-adjacent regressions: the empty-antecedent guard in
-``predict_view`` and the serving CLI commands.
+Covers the compiled predictor every translation runs through — each of
+its paths, ``translate_view``, both ``predict_view`` engines and the
+service's ``/predict`` answer, all against one oracle:
+:func:`~repro.core.translate.translate_transaction` applied row by row,
+the literal Algorithm 1 — then artifacts and the registry (hash
+verification, vocabulary checks, immutable versions, ``latest``
+resolution), and the async service (micro-batch coalescing, LRU
+response cache, HTTP round trips), plus the empty-antecedent guard and
+the serving CLI commands.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ import pytest
 from repro.core.predict import predict_view
 from repro.core.rules import TranslationRule
 from repro.core.table import TranslationTable
+from repro.core.translate import translate_view
 from repro.core.translator import TranslatorGreedy
 from repro.data.dataset import Side, TwoViewDataset
 from repro.data.registry import make_dataset
+from repro.runtime.cache import content_key
 from repro.serve import (
     ArtifactError,
     CompiledPredictor,
@@ -35,24 +39,72 @@ from repro.serve import (
     ReplicaRouter,
     load_artifact,
     local_replica_factory,
+    map_artifact,
     save_artifact,
+    write_compiled,
 )
+from tests.conftest import oracle, path_outputs
 
 pytestmark = pytest.mark.serve_smoke
 
-STRATEGIES = ("blas", "packed")
+#: The compiled paths, reached through their private per-path methods;
+#: ``"packed"`` runs on every engine the platform offers.
+PATHS = ("blas", pytest.param("packed", marks=pytest.mark.native_smoke))
+#: Row and source-item counts around the 64-bit word edges.
+ROW_COUNTS = (1, 63, 64, 65, 257)
+SOURCE_ITEMS = (1, 64, 65, 130)
 
 
 def random_table(rng, n_left, n_right, n_rules=12) -> TranslationTable:
     rules = set()
     while len(rules) < n_rules:
-        lhs = tuple(sorted(rng.choice(n_left, size=int(rng.integers(1, 4)), replace=False)))
-        rhs = tuple(sorted(rng.choice(n_right, size=int(rng.integers(1, 4)), replace=False)))
+        lhs = tuple(sorted(rng.choice(
+            n_left, size=int(rng.integers(1, min(4, n_left + 1))), replace=False
+        )))
+        rhs = tuple(sorted(rng.choice(
+            n_right, size=int(rng.integers(1, min(4, n_right + 1))), replace=False
+        )))
         direction = ("->", "<-", "<->")[int(rng.integers(0, 3))]
         rules.add((lhs, rhs, direction))
     return TranslationTable(
         TranslationRule(lhs, rhs, direction) for lhs, rhs, direction in sorted(rules)
     )
+
+
+def oracle_cases(rng, n_source, target):
+    """``(label, table, n_target)``: random, empty, other-way, no target items."""
+    n_target = 13
+    shape = (n_source, n_target) if target is Side.RIGHT else (n_target, n_source)
+    away = "<-" if target is Side.RIGHT else "->"
+    return [
+        ("random", random_table(rng, *shape), n_target),
+        ("no rules", TranslationTable(), n_target),
+        (
+            "other way only",
+            TranslationTable(dict.fromkeys(
+                rule.with_direction(away) for rule in random_table(rng, *shape)
+            )),
+            n_target,
+        ),
+        ("no target items", TranslationTable(), 0),
+    ]
+
+
+def compile_by(build, table, target, n_source, n_target, path) -> CompiledPredictor:
+    """Compile with ``from_table``, or write a sidecar and ``from_mapped`` it."""
+    if build == "from_table":
+        return CompiledPredictor.from_table(table, target, n_source, n_target)
+    n_left, n_right = (
+        (n_source, n_target) if target is Side.RIGHT else (n_target, n_source)
+    )
+    artifact = ModelArtifact(
+        "oracle",
+        table,
+        tuple(f"l{item}" for item in range(n_left)),
+        tuple(f"r{item}" for item in range(n_right)),
+    )
+    write_compiled(artifact, path)
+    return CompiledPredictor.from_mapped(map_artifact(path), target)
 
 
 @pytest.fixture(scope="module")
@@ -76,18 +128,19 @@ def registry(tmp_path, car_model):
 
 class TestCompiledPredictor:
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_bit_identical_to_loop_on_synthetic(self, seed, strategy):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_bit_identical_to_loop_on_synthetic(self, seed, path):
         rng = np.random.default_rng(seed)
         n_left, n_right = 14, 11
         table = random_table(rng, n_left, n_right)
         batch = rng.random((73, n_left)) < 0.35
-        loop = predict_view(batch, table, Side.RIGHT, n_right, engine="loop")
+        expected = oracle(batch, table, Side.RIGHT, n_right)
         compiled = CompiledPredictor.from_table(table, Side.RIGHT, n_left, n_right)
-        assert np.array_equal(compiled.predict(batch, strategy=strategy), loop)
+        for label, output in path_outputs(compiled, path, batch):
+            assert np.array_equal(output, expected), label
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_bit_identical_to_loop_on_car(self, car_model, strategy):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_bit_identical_to_loop_on_car(self, car_model, path):
         dataset, result = car_model
         rng = np.random.default_rng(3)
         for target, n_source, n_target, names in (
@@ -95,35 +148,73 @@ class TestCompiledPredictor:
             (Side.LEFT, dataset.n_right, dataset.n_left, "backward"),
         ):
             batch = rng.random((257, n_source)) < 0.3
-            loop = predict_view(batch, result.table, target, n_target, engine="loop")
+            expected = oracle(batch, result.table, target, n_target)
             compiled = CompiledPredictor.from_table(
                 result.table, target, n_source, n_target
             )
-            assert np.array_equal(
-                compiled.predict(batch, strategy=strategy), loop
-            ), f"{strategy} disagreed with the loop ({names})"
+            for label, output in path_outputs(compiled, path, batch):
+                assert np.array_equal(
+                    output, expected
+                ), f"{label} disagreed with the oracle ({names})"
+
+    @pytest.mark.parametrize("build", ("from_table", "from_mapped"))
+    @pytest.mark.parametrize("path", PATHS)
+    def test_every_path_equals_the_oracle(self, tmp_path, path, build):
+        # Word edges in rows and source items, empty and one-way tables,
+        # an empty target view; both constructors.
+        rng = np.random.default_rng(11)
+        for n_source in SOURCE_ITEMS:
+            for target in (Side.RIGHT, Side.LEFT):
+                cases = oracle_cases(rng, n_source, target)
+                for number, (label, table, n_target) in enumerate(cases):
+                    compiled = compile_by(
+                        build, table, target, n_source, n_target,
+                        tmp_path / f"{n_source}-{target.value}-{number}.bin",
+                    )
+                    for n_rows in ROW_COUNTS:
+                        batch = rng.random((n_rows, n_source)) < 0.4
+                        expected = oracle(batch, table, target, n_target)
+                        for run, output in path_outputs(compiled, path, batch):
+                            assert np.array_equal(output, expected), (
+                                label, n_source, target, n_rows, run,
+                            )
 
     def test_engine_dispatch_in_predict_view(self, car_model):
+        # translate_view and both predict_view engines against the oracle,
+        # on car and across the word edges of rows and source items.
         dataset, result = car_model
-        batch = dataset.left[:64]
-        expected = predict_view(
-            batch, result.table, Side.RIGHT, dataset.n_right, engine="loop"
-        )
-        for engine in ("compiled", "auto"):
-            assert np.array_equal(
-                predict_view(
-                    batch, result.table, Side.RIGHT, dataset.n_right, engine=engine
-                ),
-                expected,
-            )
+        rng = np.random.default_rng(5)
+        cases = [(dataset, result.table)]
+        for n_rows in ROW_COUNTS:
+            for n_source in SOURCE_ITEMS:
+                cases.append((
+                    TwoViewDataset(
+                        rng.random((n_rows, n_source)) < 0.4,
+                        rng.random((n_rows, 13)) < 0.4,
+                    ),
+                    random_table(rng, n_source, 13),
+                ))
+        for data, table in cases:
+            for target in (Side.RIGHT, Side.LEFT):
+                source = data.view(target.opposite)
+                n_target = data.n_side(target)
+                expected = oracle(source, table, target, n_target)
+                assert np.array_equal(translate_view(data, table, target), expected)
+                for name in ("compiled", "loop"):
+                    assert np.array_equal(
+                        predict_view(source, table, target, n_target, engine=name),
+                        expected,
+                    ), name
         with pytest.raises(ValueError, match="engine"):
-            predict_view(batch, result.table, Side.RIGHT, dataset.n_right, engine="gpu")
+            predict_view(
+                dataset.left, result.table, Side.RIGHT, dataset.n_right, engine="auto"
+            )
 
     def test_single_row_and_empty_batch(self):
         table = TranslationTable([TranslationRule((0, 1), (2,), "->")])
         compiled = CompiledPredictor.from_table(table, Side.RIGHT, 3, 3)
-        assert compiled.predict_row([True, True, False]).tolist() == [
-            False, False, True,
+        assert compiled.predict([[True, True, False]]).tolist() == [
+            [False, False, True],
         ]
         assert compiled.predict(np.zeros((0, 3), dtype=bool)).shape == (0, 3)
 
@@ -147,10 +238,12 @@ class TestCompiledPredictor:
         rng = np.random.default_rng(9)
         table = random_table(rng, 130, 70, n_rules=20)
         batch = rng.random((40, 130)) < 0.4
-        loop = predict_view(batch, table, Side.RIGHT, 70, engine="loop")
+        expected = oracle(batch, table, Side.RIGHT, 70)
         compiled = CompiledPredictor.from_table(table, Side.RIGHT, 130, 70)
-        for strategy in STRATEGIES:
-            assert np.array_equal(compiled.predict(batch, strategy=strategy), loop)
+        assert np.array_equal(compiled.predict(batch), expected)
+        for path in ("blas", "packed"):
+            for label, output in path_outputs(compiled, path, batch):
+                assert np.array_equal(output, expected), label
 
 
 class _EmptyAntecedentRule:
@@ -299,6 +392,22 @@ class TestRegistry:
         (registry.root / ".DS_Store").mkdir()
         assert registry.models() == ["car"]
         assert [row["name"] for row in registry.describe()] == ["car"]
+
+    def test_publish_rejects_items_outside_the_vocabulary(self, tmp_path, car_model):
+        # A table fitted on all of car's left items, against a dataset
+        # cut to 10 of them: nothing reaches the version directory.
+        dataset, result = car_model
+        assert any(rule.lhs[-1] >= 10 for rule in result.table)
+        cut = TwoViewDataset(
+            dataset.left[:, :10],
+            dataset.right,
+            left_names=dataset.left_names[:10],
+            right_names=dataset.right_names,
+        )
+        registry = ModelRegistry(tmp_path / "cut")
+        with pytest.raises(ArtifactError, match="10 left items"):
+            registry.publish(ModelArtifact.from_result("car", cut, result))
+        assert not registry.model_dir("car").exists()
 
     def test_describe(self, registry):
         rows = registry.describe()
@@ -453,9 +562,9 @@ class TestPredictionService:
         calls = []
 
         class CountingPredictor:
-            def predict(self, batch, strategy="auto"):
+            def predict(self, batch):
                 calls.append(batch.shape[0])
-                return predictor.predict(batch, strategy=strategy)
+                return predictor.predict(batch)
 
         service._predictors[("car", 1, Side.RIGHT.value)] = CountingPredictor()
 
@@ -489,19 +598,43 @@ class TestPredictionService:
         assert service.stats["car"].cache_hits == 1
 
     def test_predictions_match_loop_engine(self, registry, car_model):
+        # The /predict answer, both directions, against the oracle.
         dataset, result = car_model
-        batch = dataset.left[:16]
-        rows = [sorted(np.flatnonzero(row).tolist()) for row in batch]
         service = PredictionService(registry, max_delay_ms=0.0)
-        response = asyncio.run(
-            service.predict({"model": "car", "target": "R", "rows": rows})
+        for target, source, n_target in (
+            (Side.RIGHT, dataset.left[:65], dataset.n_right),
+            (Side.LEFT, dataset.right[:65], dataset.n_left),
+        ):
+            rows = [sorted(np.flatnonzero(row).tolist()) for row in source]
+            response = asyncio.run(service.predict(
+                {"model": "car", "target": target.value, "rows": rows}
+            ))
+            expected = oracle(source, result.table, target, n_target)
+            assert response["predictions"] == [
+                np.flatnonzero(row).tolist() for row in expected
+            ]
+
+    def test_out_of_vocabulary_version_answers_from_last_good(self, registry):
+        # v2 is re-signed, so it loads past the hash check, but a rule
+        # names a left item the vocabulary does not have: the load is an
+        # ArtifactError and v1, which served before, answers stale.
+        service = PredictionService(registry, max_delay_ms=0.0, cache_size=0)
+        request = {"model": "car", "target": "R", "rows": [[0, 3]]}
+        good = asyncio.run(service.predict(request))
+        registry.publish(registry.load("car", 1), sidecar=False)
+        path = registry.artifact_path("car", 2)
+        payload = json.loads(path.read_text())
+        n_left = len(payload["vocab"]["left"])
+        payload["table"]["rules"][0]["lhs"] = [n_left + 5]
+        payload["content_hash"] = content_key(
+            {key: value for key, value in payload.items() if key != "content_hash"}
         )
-        loop = predict_view(
-            batch, result.table, Side.RIGHT, dataset.n_right, engine="loop"
-        )
-        assert response["predictions"] == [
-            np.flatnonzero(row).tolist() for row in loop
-        ]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ArtifactError, match=f"{n_left} left items"):
+            load_artifact(path)
+        response = asyncio.run(service.predict({**request, "version": 2}))
+        assert response["stale"] is True and response["version"] == 1
+        assert response["predictions"] == good["predictions"]
 
     def test_request_validation(self, registry):
         service = PredictionService(registry, max_delay_ms=0.0)
