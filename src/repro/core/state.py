@@ -239,13 +239,20 @@ class CoverState:
 
         Equals ``L(D, T) - L(D, T ∪ {rule})``: the data-length reduction of
         the applicable directions minus the encoded length of the rule.
+        It is computed as exactly that difference of :meth:`total_length`
+        values, with the terms :meth:`add_rule` adds in the order it adds
+        them, so its sign always agrees with what adding the rule does to
+        the total.  (Summing the deltas and the rule length first can round
+        a zero gain to ``+4e-16`` while the total stays unchanged.)
         """
-        delta = 0.0
+        left = self.correction_bits_left
+        right = self.correction_bits_right
         if rule.direction.applies_forward:
-            delta += self.delta_forward(rule.lhs, rule.rhs)
+            right -= self.delta_forward(rule.lhs, rule.rhs)
         if rule.direction.applies_backward:
-            delta += self.delta_backward(rule.lhs, rule.rhs)
-        return delta - self.codes.rule_length(rule)
+            left -= self.delta_backward(rule.lhs, rule.rhs)
+        after = self.table_bits + self.codes.rule_length(rule) + left + right
+        return self.total_length() - after
 
     def best_direction(
         self,
