@@ -19,6 +19,13 @@ ROADMAP flags as the numpy kernel's known limits:
 * **bulk predict** — one huge 4096-row call of each compiled path of
   ``CompiledPredictor`` over a wide vocabulary, reached through its
   private per-path methods: packed on both engines, plus blas;
+* **mining** — candidate mining on house (the itemset miner runs one
+  ``and_popcount_rows`` per lattice node): ``auto_minsup`` at a
+  10,000-candidate target, with each halving pass's threshold, mined
+  itemsets and time (the pass that goes over budget stops at the
+  budget), and ``two_view_candidates`` at minsup 27, serve-predict's
+  mining; full mode compares the tuned candidates with perfbench's
+  select-house pin;
 * **fallback** — a subprocess with ``REPRO_NATIVE_DISABLE=1`` proving
   that a machine without a C toolchain searches on numpy (as its
   ``SearchStats.backend`` reports) and fits the *same model*
@@ -58,9 +65,13 @@ from repro.data.dataset import Side  # noqa: E402
 from repro.data.registry import make_dataset  # noqa: E402
 from repro.data.synthetic import SyntheticSpec, generate_planted  # noqa: E402
 from repro.core.compiled import CompiledPredictor  # noqa: E402
+from repro.mining import twoview  # noqa: E402
 
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 from bench_serve import engine, time_paths  # noqa: E402
+
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+from workloads import PINNED_CANDIDATES, candidates_digest  # noqa: E402
 
 FULL_SETTINGS = {
     "search_transactions": [400, 1728, 5000, 20000, 50000],
@@ -77,6 +88,10 @@ FULL_SETTINGS = {
     "fallback_transactions": 400,
     "car_max_rule_size": 4,
     "car_unbudgeted": True,
+    "mining_scale": 1.0,
+    "mining_target": 10_000,
+    "mining_minsup": 27,
+    "mining_repetitions": 3,
 }
 TINY_SETTINGS = {
     "search_transactions": [400],
@@ -93,6 +108,10 @@ TINY_SETTINGS = {
     "fallback_transactions": 120,
     "car_max_rule_size": 2,
     "car_unbudgeted": False,
+    "mining_scale": 0.3,
+    "mining_target": 1_000,
+    "mining_minsup": 13,
+    "mining_repetitions": 1,
 }
 
 #: One offline numpy run of the unbudgeted car EXACT fit (1,728 rows,
@@ -261,6 +280,85 @@ def bulk_predict_cell(settings: dict, native_available: bool) -> dict:
     return cell
 
 
+def _mining_passes(run) -> tuple[object, list[dict]]:
+    """``run()``'s result and one record per itemset pass it started.
+
+    A pass is timed from its ``itemsets`` call to the next pass's, or to
+    ``run``'s return, so it includes the caller's work on its output.
+    """
+    passes = []
+    original = twoview.itemsets
+
+    def counted(bits, minsup, *args):
+        record = {"minsup": minsup, "itemsets": 0, "start": time.perf_counter()}
+        passes.append(record)
+        for pair in original(bits, minsup, *args):
+            record["itemsets"] += 1
+            yield pair
+
+    twoview.itemsets = counted
+    try:
+        result = run()
+    finally:
+        twoview.itemsets = original
+    ends = [record["start"] for record in passes[1:]] + [time.perf_counter()]
+    return result, [
+        {"minsup": r["minsup"], "itemsets": r["itemsets"], "seconds": end - r["start"]}
+        for r, end in zip(passes, ends)
+    ]
+
+
+def mining_cell(settings: dict, native_available: bool) -> dict:
+    """house candidate mining: tuned ``auto_minsup`` and one fixed threshold."""
+    dataset = make_dataset("house", scale=settings["mining_scale"])
+    target, minsup = settings["mining_target"], settings["mining_minsup"]
+    cell: dict = {
+        "dataset": "house",
+        "scale": settings["mining_scale"],
+        "n_transactions": dataset.n_transactions,
+    }
+    tuned: dict = {"target_candidates": target}
+    fixed: dict = {"minsup": minsup}
+    found: dict[str, tuple] = {}
+    for backend in ("numpy", "native"):
+        if backend == "native" and not native_available:
+            cell["skipped"] = "C kernel unavailable"
+            break
+        with engine(backend):
+            start = time.perf_counter()
+            (chosen, candidates), passes = _mining_passes(
+                lambda: twoview.auto_minsup(dataset, target_candidates=target)
+            )
+            tuned[f"{backend}_seconds"] = time.perf_counter() - start
+            tuned[f"{backend}_passes"] = passes
+            elapsed = []
+            for __ in range(settings["mining_repetitions"]):
+                start = time.perf_counter()
+                mined = twoview.two_view_candidates(dataset, minsup)
+                elapsed.append(time.perf_counter() - start)
+            fixed[f"{backend}_seconds"] = min(elapsed)
+        found[backend] = (chosen, candidates, mined)
+    chosen, candidates, mined = found["numpy"]
+    tuned.update(
+        minsup=chosen, candidates=len(candidates), digest=candidates_digest(candidates)
+    )
+    fixed.update(candidates=len(mined), digest=candidates_digest(mined))
+    if settings["mining_scale"] == 1.0:
+        tuned["equals_perfbench_pin"] = {
+            "minsup": chosen,
+            "count": len(candidates),
+            "digest": tuned["digest"],
+        } == PINNED_CANDIDATES
+    if "native" in found:
+        identical = found["numpy"] == found["native"]
+        tuned["identical_results"] = fixed["identical_results"] = identical
+        tuned["speedup"] = tuned["numpy_seconds"] / tuned["native_seconds"]
+        fixed["speedup"] = fixed["numpy_seconds"] / fixed["native_seconds"]
+    cell["auto_minsup"] = tuned
+    cell["two_view_candidates"] = fixed
+    return cell
+
+
 def fallback_cell(settings: dict, native_available: bool) -> dict:
     """Prove the no-compiler path: the search runs on numpy, same model."""
     n = settings["fallback_transactions"]
@@ -329,9 +427,10 @@ def run_grid(tiny: bool = False) -> dict:
     search = search_cells(settings, native_available)
     car = car_cells(settings, native_available)
     bulk = bulk_predict_cell(settings, native_available)
+    mining = mining_cell(settings, native_available)
     fallback = fallback_cell(settings, native_available)
     compared = [row for row in search if "identical_results" in row]
-    for extra in (car["converged"], car["unbudgeted"], bulk):
+    for extra in (car["converged"], car["unbudgeted"], bulk, mining["auto_minsup"]):
         if "identical_results" in extra:
             compared.append(extra)
     speedups = [row["speedup"] for row in search if "speedup" in row]
@@ -350,6 +449,7 @@ def run_grid(tiny: bool = False) -> dict:
         "search": search,
         "car": car,
         "bulk_predict": bulk,
+        "mining": mining,
         "fallback": fallback,
         "all_identical": (
             all(row["identical_results"] for row in compared)
@@ -413,6 +513,24 @@ def main(argv: list[str] | None = None) -> int:
             f"packed(native)={bulk['packed_native_seconds']:.3f}s  "
             f"-> {bulk['speedup_vs_blas']:.2f}x vs blas, "
             f"{bulk['speedup_vs_packed_numpy']:.2f}x vs packed"
+        )
+    mining = report["mining"]
+    tuned, fixed = mining["auto_minsup"], mining["two_view_candidates"]
+    if "native_seconds" in tuned:
+        passes = ", ".join(
+            f"{p['minsup']}: {p['itemsets']} in {p['seconds']:.2f}s"
+            for p in tuned["native_passes"]
+        )
+        print(
+            f"mining auto_minsup: numpy={tuned['numpy_seconds']:.2f}s  "
+            f"native={tuned['native_seconds']:.2f}s  -> minsup {tuned['minsup']}, "
+            f"{tuned['candidates']} candidates  identical={tuned['identical_results']}"
+            f"\n  passes (minsup: itemsets mined): {passes}"
+        )
+        print(
+            f"mining two_view_candidates minsup={fixed['minsup']}: "
+            f"numpy={fixed['numpy_seconds']:.2f}s  native={fixed['native_seconds']:.2f}s  "
+            f"{fixed['candidates']} candidates  identical={fixed['identical_results']}"
         )
     fallback = report["fallback"]
     print(

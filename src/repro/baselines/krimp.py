@@ -26,12 +26,14 @@ Implementation notes (faithful to the original):
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 
 import numpy as np
 
-from repro.mining.eclat import eclat
+from repro.core.bitset import BitMatrix
+from repro.mining.itemsets import itemsets
 
 __all__ = ["CodeTable", "Krimp", "KrimpResult"]
 
@@ -192,11 +194,10 @@ class Krimp:
     prune:
         Enable post-acceptance pruning (the paper's standard setting).
     max_candidates:
-        Safety cap on the mined candidate count.
-    adaptive:
-        When the candidate mining would exceed ``max_candidates``, double
-        ``minsup`` and retry instead of failing; the threshold actually
-        used is reported as ``result.effective_minsup``.
+        Cap on the mined candidate count.  When mining at ``minsup``
+        would exceed it, ``minsup`` is doubled and mining retried (a
+        ``RuntimeError`` once it reaches the transaction count); the
+        threshold actually used is reported as ``result.effective_minsup``.
     """
 
     def __init__(
@@ -205,32 +206,30 @@ class Krimp:
         max_size: int | None = None,
         prune: bool = True,
         max_candidates: int = 200_000,
-        adaptive: bool = True,
     ) -> None:
         self.minsup = minsup
         self.max_size = max_size
         self.prune = prune
         self.max_candidates = max_candidates
-        self.adaptive = adaptive
 
     def _mine_candidates(self, matrix: np.ndarray) -> tuple[list, int]:
+        bits = BitMatrix.from_bool_columns(matrix)
         minsup = self.minsup
-        n = matrix.shape[0]
+        n = bits.n_bits
         while True:
-            try:
-                return (
-                    eclat(
-                        matrix,
-                        minsup,
-                        max_size=self.max_size,
-                        max_itemsets=self.max_candidates,
-                    ),
-                    minsup,
+            # Each pass stops at the first itemset past the cap.
+            mined = list(itertools.islice(
+                itemsets(bits, minsup, closed=False, max_size=self.max_size),
+                self.max_candidates + 1,
+            ))
+            if len(mined) <= self.max_candidates:
+                return mined, minsup
+            if minsup >= n:
+                raise RuntimeError(
+                    f"KRIMP mined more than max_candidates={self.max_candidates} "
+                    f"itemsets even at minsup={minsup}"
                 )
-            except RuntimeError:
-                if not self.adaptive or minsup >= n:
-                    raise
-                minsup = min(n, 2 * minsup)
+            minsup = min(n, 2 * minsup)
 
     def fit(self, matrix: np.ndarray) -> KrimpResult:
         """Run KRIMP on a Boolean transaction matrix."""

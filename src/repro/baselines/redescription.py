@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.stats import binom
 
 from repro.data.dataset import Side, TwoViewDataset
 from repro.core.rules import Direction, TranslationRule
@@ -67,6 +66,9 @@ def redescription_p_value(
     the p-value is the probability of seeing at least the observed
     intersection, ``P[Binomial(n, p) >= intersection]``.
     """
+    # Imported here so that ``import repro`` does not load scipy.stats.
+    from scipy.stats import binom
+
     if n == 0:
         return 1.0
     if intersection <= 0:

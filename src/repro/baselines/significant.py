@@ -31,11 +31,11 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.stats import fisher_exact
 
 from repro.data.dataset import Side, TwoViewDataset
+from repro.core.bitset import BitMatrix
 from repro.core.rules import Direction, TranslationRule
-from repro.mining.eclat import eclat
+from repro.mining.itemsets import itemsets
 
 __all__ = ["SignificantRule", "SignificantRuleMiner"]
 
@@ -64,6 +64,9 @@ def _fisher_p(
     antecedent_mask: np.ndarray, consequent_mask: np.ndarray
 ) -> float:
     """One-sided Fisher exact p-value for positive association."""
+    # Imported here so that ``import repro`` does not load scipy.stats.
+    from scipy.stats import fisher_exact
+
     both = int((antecedent_mask & consequent_mask).sum())
     only_antecedent = int((antecedent_mask & ~consequent_mask).sum())
     only_consequent = int((~antecedent_mask & consequent_mask).sum())
@@ -131,11 +134,13 @@ class SignificantRuleMiner:
     def _candidate_antecedents(
         self, dataset: TwoViewDataset, source: Side
     ) -> list[tuple[tuple[int, ...], np.ndarray]]:
-        matrix = dataset.view(source)
-        itemsets = eclat(matrix, max(1, self.minsup), max_size=self.max_antecedent)
+        bits = BitMatrix.from_bool_columns(dataset.view(source))
+        mined = itemsets(
+            bits, max(1, self.minsup), closed=False, max_size=self.max_antecedent
+        )
         return [
             (itemset, dataset.support_mask(source, itemset))
-            for itemset, __ in itemsets
+            for itemset, __ in mined
         ]
 
     def _mine_direction(

@@ -22,6 +22,8 @@ from __future__ import annotations
 import dataclasses
 import time
 
+import numpy as np
+
 from repro import obs as _obs
 from repro.data.dataset import TwoViewDataset
 from repro.core.encoding import CodeLengthModel
@@ -314,12 +316,10 @@ class _CandidateBased:
         self,
         minsup: int | None = None,
         candidates: list[TwoViewCandidate] | None = None,
-        closed: bool = True,
         max_candidates: int = 10_000,
     ) -> None:
         self.minsup = minsup
         self.candidates = candidates
-        self.closed = closed
         self.max_candidates = max_candidates
 
     def _get_candidates(self, cache: SearchCache) -> list[TwoViewCandidate]:
@@ -342,7 +342,6 @@ class _CandidateBased:
                     candidates = two_view_candidates(
                         dataset,
                         minsup,
-                        closed=self.closed,
                         max_candidates=20 * self.max_candidates,
                         bits=bits,
                     )
@@ -353,10 +352,7 @@ class _CandidateBased:
                     minsup = min(dataset.n_transactions, 2 * minsup)
             return candidates[: self.max_candidates]
         __, candidates = auto_minsup(
-            dataset,
-            target_candidates=self.max_candidates,
-            closed=self.closed,
-            bits=bits,
+            dataset, target_candidates=self.max_candidates, bits=bits
         )
         return candidates
 
@@ -373,9 +369,8 @@ class TranslatorSelect(_CandidateBased):
         Absolute minimum support for candidate mining; ``None`` tunes it
         automatically to the candidate budget (paper, Section 6.1).
     candidates:
-        Pre-mined candidates, overriding ``minsup``.
-    closed:
-        Mine closed candidates (the paper's choice).
+        Pre-mined candidates, overriding ``minsup`` (ablation A2 passes
+        all frequent itemsets instead of the closed ones mined here).
     """
 
     def __init__(
@@ -383,11 +378,10 @@ class TranslatorSelect(_CandidateBased):
         k: int = 1,
         minsup: int | None = None,
         candidates: list[TwoViewCandidate] | None = None,
-        closed: bool = True,
         max_candidates: int = 10_000,
         max_iterations: int | None = None,
     ) -> None:
-        super().__init__(minsup, candidates, closed, max_candidates)
+        super().__init__(minsup, candidates, max_candidates)
         if k < 1:
             raise ValueError("k must be at least 1")
         self.k = k
@@ -407,9 +401,10 @@ class TranslatorSelect(_CandidateBased):
         adding a rule changes right cells only in the applied rule's
         ``rhs`` columns and left cells only in its ``lhs`` columns.  A
         cached gain is therefore exact until one of those column sets
-        intersects the candidate's — the "dirty column" test below — which
-        keeps iterations far below ``O(|candidates|)`` in practice without
-        changing the algorithm's semantics.
+        intersects the candidate's.  The candidates of every column are
+        indexed once, so an iteration re-scores only the candidates of the
+        columns the last one changed, and ranks the cached gains with one
+        stable sort, without changing the algorithm's semantics.
 
         ``cache`` optionally injects a pre-built :class:`SearchCache` for
         ``dataset``; its columns feed the miner and the packed supports.
@@ -418,49 +413,43 @@ class TranslatorSelect(_CandidateBased):
         state = CoverState(dataset, codes, cache)
         candidates = self._get_candidates(state.cache)
         history: list[IterationRecord] = []
+        # best_direction's arguments per candidate, with the packed supports
+        # of each distinct antecedent and consequent (a view's itemset
+        # recurs across many candidates).
         left_bits, right_bits = state.cache.left_bits, state.cache.right_bits
-        supports = [
-            (left_bits.support(candidate.lhs), right_bits.support(candidate.rhs))
-            for candidate in candidates
-        ]
-        lhs_sets = [set(candidate.lhs) for candidate in candidates]
-        rhs_sets = [set(candidate.rhs) for candidate in candidates]
-        cached: list[tuple[float, TranslationRule] | None] = [None] * len(candidates)
-        dirty_left: set[int] = set(range(dataset.n_left))
-        dirty_right: set[int] = set(range(dataset.n_right))
+        left_of = {lhs: left_bits.support(lhs) for lhs in {c.lhs for c in candidates}}
+        right_of = {rhs: right_bits.support(rhs) for rhs in {c.rhs for c in candidates}}
+        arguments = [(c.lhs, c.rhs, left_of[c.lhs], right_of[c.rhs]) for c in candidates]
+        by_left: list[list[int]] = [[] for __ in range(dataset.n_left)]
+        by_right: list[list[int]] = [[] for __ in range(dataset.n_right)]
+        for index, candidate in enumerate(candidates):
+            for item in candidate.lhs:
+                by_left[item].append(index)
+            for item in candidate.rhs:
+                by_right[item].append(index)
+        rules: list[TranslationRule | None] = [None] * len(candidates)
+        gains = np.zeros(len(candidates))
+        stale: list[int] | range = range(len(candidates))
 
         iteration = 0
         while self.max_iterations is None or iteration < self.max_iterations:
             iteration += 1
-            for index, candidate in enumerate(candidates):
-                entry = cached[index]
-                stale = (
-                    entry is None
-                    or (lhs_sets[index] & dirty_left)
-                    or (rhs_sets[index] & dirty_right)
-                )
-                if stale:
-                    support_left, support_right = supports[index]
-                    cached[index] = state.best_direction(
-                        candidate.lhs,
-                        candidate.rhs,
-                        support_left=support_left,
-                        support_right=support_right,
-                    )
-            dirty_left = set()
-            dirty_right = set()
-            scored = [
-                (gain, rule)
-                for rule, gain in (entry for entry in cached if entry is not None)
-                if gain > 0 and rule not in state.table
-            ]
-            if not scored:
+            for index in stale:
+                rules[index], gains[index] = state.best_direction(*arguments[index])
+            # The k best positive gains not in the table, ties in
+            # candidate order.
+            top_k: list[TranslationRule] = []
+            for index in np.argsort(-gains, kind="stable").tolist():
+                if gains[index] <= 0 or len(top_k) == self.k:
+                    break
+                if rules[index] not in state.table:
+                    top_k.append(rules[index])
+            if not top_k:
                 break
-            scored.sort(key=lambda pair: -pair[0])
-            top_k = scored[: self.k]
+            dirty: set[int] = set()
             used: set[tuple[str, int]] = set()
             added_any = False
-            for __, rule in top_k:
+            for rule in top_k:
                 rule_items = {("L", item) for item in rule.lhs} | {
                     ("R", item) for item in rule.rhs
                 }
@@ -475,11 +464,14 @@ class TranslatorSelect(_CandidateBased):
                     used |= rule_items
                     added_any = True
                     if rule.direction.applies_forward:
-                        dirty_right |= set(rule.rhs)
+                        for item in rule.rhs:
+                            dirty.update(by_right[item])
                     if rule.direction.applies_backward:
-                        dirty_left |= set(rule.lhs)
+                        for item in rule.lhs:
+                            dirty.update(by_left[item])
             if not added_any:
                 break
+            stale = sorted(dirty)
         return TranslatorResult(
             method=f"translator-select({self.k})",
             dataset_name=dataset.name,
@@ -517,8 +509,13 @@ class TranslatorGreedy(_CandidateBased):
         )
         history: list[IterationRecord] = []
         for candidate in ordered:
+            # best_direction picks the direction; the exact difference of
+            # totals decides, since its gain can round a zero up to +1e-16.
             rule, gain = state.best_direction(candidate.lhs, candidate.rhs)
-            if gain > 0 and rule not in state.table:
+            if gain <= 0 or rule in state.table:
+                continue
+            gain = state.gain(rule)
+            if gain > 0:
                 state.add_rule(rule)
                 history.append(_record(state, rule, gain))
         return TranslatorResult(

@@ -12,12 +12,14 @@ uni/bidirectional composition), and renders DOT and ASCII versions.
 from __future__ import annotations
 
 from collections.abc import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.data.dataset import TwoViewDataset
 from repro.core.rules import Direction, TranslationRule
 from repro.core.table import TranslationTable
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["rule_graph", "graph_statistics", "to_dot", "render_ascii"]
 
@@ -33,6 +35,9 @@ def rule_graph(
     an item to a rule is bidirectional when the implication also points
     *towards* that item's side.
     """
+    # Imported here so that ``import repro`` does not load networkx.
+    import networkx as nx
+
     graph = nx.Graph()
     rules = list(table)
     for rule_index, rule in enumerate(rules):

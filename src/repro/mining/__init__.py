@@ -3,11 +3,10 @@
 Provides the pattern mining machinery the TRANSLATOR algorithms and the
 baselines are built on:
 
-* :mod:`~repro.mining.eclat` — frequent itemset mining with tidset
-  intersection (Zaki et al., 1997), the search backbone the paper's exact
-  rule search is modelled on.
-* :mod:`~repro.mining.closed` — closed frequent itemset mining via
-  prefix-preserving closure extension (LCM-style).
+* :mod:`~repro.mining.itemsets` — the one itemset miner: a generator of
+  frequent or closed frequent itemsets over packed columns, one batched
+  AND + popcount per lattice node on an explicit stack.  Callers apply
+  their own budgets by stopping the generator.
 * :mod:`~repro.mining.twoview` — closed frequent *two-view* itemsets, the
   candidate sets consumed by TRANSLATOR-SELECT and TRANSLATOR-GREEDY, plus
   a helper for tuning ``minsup`` to a candidate budget.
@@ -16,8 +15,7 @@ baselines are built on:
   against mined candidates in ablation A2b).
 """
 
-from repro.mining.eclat import eclat, frequent_items
-from repro.mining.closed import closed_itemsets
+from repro.mining.itemsets import itemsets
 from repro.mining.sampling import sample_candidates, sample_pattern
 from repro.mining.twoview import (
     TwoViewCandidate,
@@ -26,9 +24,7 @@ from repro.mining.twoview import (
 )
 
 __all__ = [
-    "eclat",
-    "frequent_items",
-    "closed_itemsets",
+    "itemsets",
     "sample_candidates",
     "sample_pattern",
     "TwoViewCandidate",

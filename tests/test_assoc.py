@@ -47,7 +47,7 @@ class TestMining:
     def test_max_rules_guard(self, planted_dataset):
         # Either the rule cap or the upstream mining cap may fire first;
         # both abort the explosion.
-        with pytest.raises(RuntimeError, match="explosion|max_itemsets"):
+        with pytest.raises(RuntimeError, match="explosion|max_candidates"):
             mine_crossview_rules(planted_dataset, minsup=2, minconf=0.1, max_rules=10)
 
     def test_minconf_validation(self, planted_dataset):

@@ -1,27 +1,17 @@
-"""Unit tests for ECLAT frequent itemset mining."""
+"""Frequent mode of the itemset miner (``itemsets(..., closed=False)``).
+
+ECLAT's order and output, checked against the brute-force oracle of
+``tests/test_itemsets.py``, which also runs every case on both engines.
+"""
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 import pytest
 
-from repro.mining.eclat import eclat, frequent_items
-
-
-def brute_force_frequent(matrix: np.ndarray, minsup: int, max_size=None):
-    """Reference implementation: enumerate all itemsets."""
-    n_items = matrix.shape[1]
-    results = {}
-    limit = n_items if max_size is None else min(max_size, n_items)
-    for size in range(1, limit + 1):
-        for itemset in itertools.combinations(range(n_items), size):
-            support = int(matrix[:, itemset].all(axis=1).sum())
-            if support >= minsup:
-                results[itemset] = support
-    return results
-
+from repro.core.bitset import BitMatrix
+from repro.mining.itemsets import itemsets
+from tests.test_itemsets import brute_force, mine
 
 # Packed-tidset edge shapes: no rows, no columns, one row, and 65 rows so
 # the tidsets cross a 64-bit word boundary.
@@ -40,27 +30,19 @@ class TestAgainstBruteForce:
     ])
     def test_matches_brute_force(self, rng, shape, minsup):
         matrix = rng.random((40, 7)) < 0.4 if shape is None else EDGE_SHAPES[shape]
-        expected = brute_force_frequent(matrix, minsup)
-        mined = dict(eclat(matrix, minsup))
-        assert mined == expected
+        expected = brute_force(matrix, minsup, closed=False)
+        assert dict(mine(matrix, minsup, closed=False)) == expected
 
     def test_max_size(self, rng):
         matrix = rng.random((30, 6)) < 0.5
-        expected = brute_force_frequent(matrix, 2, max_size=2)
-        mined = dict(eclat(matrix, 2, max_size=2))
-        assert mined == expected
-
-    def test_restricted_universe(self, rng):
-        matrix = rng.random((30, 6)) < 0.5
-        mined = eclat(matrix, 1, items=[1, 3])
-        used = {item for itemset, __ in mined for item in itemset}
-        assert used <= {1, 3}
+        expected = brute_force(matrix, 2, closed=False, max_size=2)
+        assert dict(mine(matrix, 2, closed=False, max_size=2)) == expected
 
 
 class TestProperties:
     def test_supports_decrease_with_size(self, rng):
         matrix = rng.random((50, 6)) < 0.4
-        supports = dict(eclat(matrix, 1))
+        supports = dict(mine(matrix, 1, closed=False))
         for itemset, support in supports.items():
             for drop in range(len(itemset)):
                 subset = itemset[:drop] + itemset[drop + 1 :]
@@ -69,29 +51,25 @@ class TestProperties:
 
     def test_minsup_monotone(self, rng):
         matrix = rng.random((50, 6)) < 0.4
-        low = set(itemset for itemset, __ in eclat(matrix, 2))
-        high = set(itemset for itemset, __ in eclat(matrix, 10))
+        low = set(itemset for itemset, __ in mine(matrix, 2, closed=False))
+        high = set(itemset for itemset, __ in mine(matrix, 10, closed=False))
         assert high <= low
 
     def test_empty_matrix(self):
-        assert eclat(np.zeros((5, 3), dtype=bool), 1) == []
+        assert mine(np.zeros((5, 3), dtype=bool), 1, closed=False) == []
 
     def test_no_transactions(self):
-        assert eclat(np.zeros((0, 3), dtype=bool), 1) == []
+        assert mine(np.zeros((0, 3), dtype=bool), 1, closed=False) == []
 
     def test_minsup_validation(self, rng):
-        matrix = rng.random((5, 3)) < 0.5
+        bits = BitMatrix.from_bool_columns(rng.random((5, 3)) < 0.5)
         with pytest.raises(ValueError, match="minsup"):
-            eclat(matrix, 0)
-
-    def test_budget_guard(self):
-        matrix = np.ones((5, 10), dtype=bool)
-        with pytest.raises(RuntimeError, match="max_itemsets"):
-            eclat(matrix, 1, max_itemsets=10)
+            itemsets(bits, 0, closed=False)
 
     def test_frequent_items(self, rng):
+        # The frequent single items are the frequent mode at max_size=1.
         matrix = rng.random((50, 5)) < 0.3
-        singles = dict(frequent_items(matrix, 3))
+        singles = dict(mine(matrix, 3, closed=False, max_size=1))
         counts = matrix.sum(axis=0)
-        expected = {item: int(count) for item, count in enumerate(counts) if count >= 3}
+        expected = {(item,): int(count) for item, count in enumerate(counts) if count >= 3}
         assert singles == expected

@@ -161,15 +161,9 @@ class TestKrimpEdgeCases:
     def test_adaptive_minsup_reported(self):
         rng = np.random.default_rng(2)
         dense = rng.random((60, 14)) < 0.7
-        result = Krimp(minsup=1, max_candidates=200, adaptive=True).fit(dense)
+        result = Krimp(minsup=1, max_candidates=200).fit(dense)
         assert result.effective_minsup >= 1
         assert result.n_candidates <= 200
-
-    def test_non_adaptive_raises(self):
-        rng = np.random.default_rng(3)
-        dense = rng.random((60, 14)) < 0.7
-        with pytest.raises(RuntimeError, match="max_itemsets"):
-            Krimp(minsup=1, max_candidates=200, adaptive=False).fit(dense)
 
     def test_empty_matrix(self):
         result = Krimp(minsup=1).fit(np.zeros((4, 3), dtype=bool))

@@ -8,8 +8,9 @@ These are the load-bearing guarantees of the paper's framework:
    brute-force difference of total encoded lengths.
 3. **Cover-state consistency** — incremental state equals batch
    recomputation after any rule sequence.
-4. **Mining correctness** — ECLAT equals brute-force enumeration; closed
-   itemsets are exactly the support-maximal frequent itemsets.
+4. **Mining correctness** — the frequent mode of the itemset miner
+   equals brute-force enumeration; its closed mode yields exactly the
+   support-maximal frequent itemsets.
 5. **Serialisation roundtrips** — datasets and tables survive I/O.
 """
 
@@ -30,8 +31,8 @@ from repro.core.rules import Direction, TranslationRule
 from repro.core.state import CoverState
 from repro.core.table import TranslationTable
 from repro.core.translate import corrections, reconstruct
-from repro.mining.eclat import eclat
-from repro.mining.closed import closed_itemsets
+from repro.core.translator import TranslatorGreedy
+from repro.mining.itemsets import itemsets
 
 SETTINGS = settings(
     max_examples=40,
@@ -181,7 +182,7 @@ class TestMiningCorrectness:
     @given(datasets(max_n=15, max_items=5), st.integers(min_value=1, max_value=5))
     def test_eclat_matches_brute_force(self, dataset, minsup):
         matrix = dataset.left
-        mined = dict(eclat(matrix, minsup))
+        mined = dict(itemsets(BitMatrix.from_bool_columns(matrix), minsup, closed=False))
         expected = {}
         for size in range(1, matrix.shape[1] + 1):
             for itemset in itertools.combinations(range(matrix.shape[1]), size):
@@ -193,9 +194,9 @@ class TestMiningCorrectness:
     @SETTINGS
     @given(datasets(max_n=15, max_items=5), st.integers(min_value=1, max_value=4))
     def test_closed_are_support_maximal(self, dataset, minsup):
-        matrix = dataset.left
-        frequent = dict(eclat(matrix, minsup))
-        closed = dict(closed_itemsets(matrix, minsup))
+        bits = BitMatrix.from_bool_columns(dataset.left)
+        frequent = dict(itemsets(bits, minsup, closed=False))
+        closed = dict(itemsets(bits, minsup, closed=True))
         for itemset, support in closed.items():
             assert frequent.get(itemset) == support
             for other, other_support in frequent.items():
@@ -226,6 +227,36 @@ class TestEncodingProperties:
                 assert state.total_length() < before
             else:
                 assert state.total_length() >= before - 1e-9
+
+
+def greedy_zero_gain_dataset() -> TwoViewDataset:
+    """10 rows, 2 left and 4 right items, on which ``best_direction``
+    rounds the exact zero gain of ``{1} <-> {1, 3}`` up to +8.9e-16."""
+    rng = np.random.default_rng(61)
+    n = int(rng.integers(2, 21))
+    n_left = int(rng.integers(1, 6))
+    n_right = int(rng.integers(1, 6))
+    density = rng.uniform(0.1, 0.7)
+    left = rng.random((n, n_left)) < density
+    right = rng.random((n, n_right)) < density
+    return TwoViewDataset(left, right, name="greedy-zero-gain")
+
+
+class TestGreedyProperties:
+    @SETTINGS
+    @given(datasets())
+    @example(greedy_zero_gain_dataset())
+    def test_every_greedy_rule_lowers_total_bits(self, dataset):
+        result = TranslatorGreedy(minsup=1).fit(dataset)
+        totals = [CoverState(dataset).total_length()]
+        totals += [record.total_bits for record in result.history]
+        assert all(after < before for before, after in zip(totals, totals[1:]))
+
+    def test_greedy_rejects_a_rule_that_compresses_nothing(self):
+        dataset = greedy_zero_gain_dataset()
+        result = TranslatorGreedy(minsup=1).fit(dataset)
+        assert result.n_rules == 0
+        assert result.total_bits == CoverState(dataset).total_length()
 
 
 class TestSerialisationRoundtrips:

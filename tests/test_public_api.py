@@ -9,6 +9,10 @@ documented subcommand.
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,3 +111,22 @@ def test_extension_modules_are_reachable():
         "repro.multiview",
     ):
         importlib.import_module(module)
+
+
+def test_import_loads_neither_scipy_stats_nor_networkx():
+    """Every process imports ``repro``; the statistics baselines and the
+    rule graph load their third-party modules only when they run."""
+    probe = (
+        "import sys, repro, repro.cli\n"
+        "print(sorted({'scipy.stats', 'networkx'} & set(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.stdout.strip() == "[]"
