@@ -10,6 +10,11 @@ ROADMAP flags as the numpy kernel's known limits:
   50k} transactions, same fixed node budget on both engines so the
   comparison measures pure per-node throughput; the C engine runs the
   search's whole traversal in one call (``NativeKernel.dfs``);
+* **adult** — perfbench's exact-adult op (``TranslatorExact(max_rule_size=3,
+  max_iterations=2)`` on adult, 97 items) on both engines: at scale 0.3
+  (14,653 rows, 229 words per row) the C fit must also match perfbench's
+  pins (table digest, 152,169 nodes and 57,972 / 76,023 evaluations per
+  search), and ``--tiny`` runs it at scale 0.05;
 * **car** — the paper's Table-2 EXACT dataset (1,728 rows): one fit at
   ``max_rule_size=4`` to convergence on both engines, and (full mode
   only) the unbudgeted ``TranslatorExact()`` fit on the C engine,
@@ -71,7 +76,13 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 from bench_serve import engine, time_paths  # noqa: E402
 
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
-from workloads import PINNED_CANDIDATES, candidates_digest  # noqa: E402
+from workloads import (  # noqa: E402
+    DATASETS,
+    PINNED_CANDIDATES,
+    candidates_digest,
+    check_fit,
+    make_translator,
+)
 
 FULL_SETTINGS = {
     "search_transactions": [400, 1728, 5000, 20000, 50000],
@@ -86,6 +97,8 @@ FULL_SETTINGS = {
     "predict_target_items": 1024,
     "predict_repetitions": 3,
     "fallback_transactions": 400,
+    "adult_scale": DATASETS["exact-adult"][1],
+    "adult_repetitions": 3,
     "car_max_rule_size": 4,
     "car_unbudgeted": True,
     "mining_scale": 1.0,
@@ -106,6 +119,8 @@ TINY_SETTINGS = {
     "predict_target_items": 128,
     "predict_repetitions": 1,
     "fallback_transactions": 120,
+    "adult_scale": 0.05,
+    "adult_repetitions": 1,
     "car_max_rule_size": 2,
     "car_unbudgeted": False,
     "mining_scale": 0.3,
@@ -179,6 +194,46 @@ def search_cells(settings: dict, native_available: bool) -> list[dict]:
             row["speedup"] = row["numpy_seconds"] / row["native_seconds"]
         rows.append(row)
     return rows
+
+
+def adult_cell(settings: dict, native_available: bool) -> dict:
+    """perfbench's exact-adult op on both engines; at its scale, against its pins."""
+    name, pinned_scale = DATASETS["exact-adult"]
+    scale = settings["adult_scale"]
+    dataset = make_dataset(name, scale=scale)
+    cell: dict = {
+        "dataset": name,
+        "scale": scale,
+        "n_transactions": dataset.n_transactions,
+        "n_items": dataset.n_left + dataset.n_right,
+    }
+    fingerprints = {}
+    for backend in ("native", "numpy"):
+        if backend == "native" and not native_available:
+            cell["skipped"] = "C kernel unavailable"
+            continue
+        # The numpy fit takes ~10 s at scale 0.3: time it once.
+        repetitions = settings["adult_repetitions"] if backend == "native" else 1
+        elapsed = []
+        with engine(backend):
+            for __ in range(repetitions):
+                start = time.perf_counter()
+                result = make_translator("exact-adult").fit(dataset)
+                elapsed.append(time.perf_counter() - start)
+        cell[f"{backend}_seconds"] = min(elapsed)
+        cell["nodes"] = [s.nodes_visited for s in result.search_stats]
+        cell["evaluations"] = [s.evaluations for s in result.search_stats]
+        fingerprints[backend] = _fingerprint(result) + [
+            [s.nodes_visited, s.nodes_pruned_rub, s.evaluations,
+             s.evaluations_skipped_qub]
+            for s in result.search_stats
+        ]
+        if backend == "native" and scale == pinned_scale:
+            cell["equals_perfbench_pin"] = not check_fit("exact-adult", result, None)[1]
+    if "native" in fingerprints:
+        cell["identical_results"] = fingerprints["numpy"] == fingerprints["native"]
+        cell["speedup"] = cell["numpy_seconds"] / cell["native_seconds"]
+    return cell
 
 
 def car_cells(settings: dict, native_available: bool) -> dict:
@@ -425,12 +480,15 @@ def run_grid(tiny: bool = False) -> dict:
     settings = TINY_SETTINGS if tiny else FULL_SETTINGS
     native_available = native.available()
     search = search_cells(settings, native_available)
+    adult = adult_cell(settings, native_available)
     car = car_cells(settings, native_available)
     bulk = bulk_predict_cell(settings, native_available)
     mining = mining_cell(settings, native_available)
     fallback = fallback_cell(settings, native_available)
     compared = [row for row in search if "identical_results" in row]
-    for extra in (car["converged"], car["unbudgeted"], bulk, mining["auto_minsup"]):
+    for extra in (
+        adult, car["converged"], car["unbudgeted"], bulk, mining["auto_minsup"]
+    ):
         if "identical_results" in extra:
             compared.append(extra)
     speedups = [row["speedup"] for row in search if "speedup" in row]
@@ -447,6 +505,7 @@ def run_grid(tiny: bool = False) -> dict:
         },
         "settings": settings,
         "search": search,
+        "adult": adult,
         "car": car,
         "bulk_predict": bulk,
         "mining": mining,
@@ -454,6 +513,7 @@ def run_grid(tiny: bool = False) -> dict:
         "all_identical": (
             all(row["identical_results"] for row in compared)
             and fallback["identical_results"]
+            and adult.get("equals_perfbench_pin", True)
         ),
         "median_search_speedup": (
             statistics.median(speedups) if speedups else None
@@ -487,6 +547,17 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             print(f"search n={row['n_transactions']:>6}  {row.get('skipped')}")
+    adult = report["adult"]
+    if "speedup" in adult:
+        pin = adult.get("equals_perfbench_pin")
+        print(
+            f"adult exact-adult op at scale {adult['scale']}: "
+            f"numpy={adult['numpy_seconds']:.2f}s  "
+            f"native={adult['native_seconds']:.3f}s  "
+            f"speedup={adult['speedup']:.1f}x  "
+            f"identical={adult['identical_results']}"
+            + ("" if pin is None else f"  perfbench pin={pin}")
+        )
     converged = report["car"]["converged"]
     if "speedup" in converged:
         print(

@@ -26,15 +26,21 @@ traversal runs on one of two engines, and the platform picks which:
 * where the C kernel of :mod:`repro.native` compiles, the whole
   depth-first traversal of one search (or of one root-range shard) is a
   single call into it (``NativeKernel.dfs``).  Python builds the
-  universe-ordered operands once (:class:`_DfsOperands`), and decodes
-  the incumbent, the statistics and, after a budget break, the
+  universe-ordered packed operands once (:class:`_DfsOperands`), and
+  decodes the incumbent, the statistics and, after a budget break, the
   checkpoint and gap bound.  The call releases the GIL and never
-  allocates.
+  allocates.  It sums a ``rub`` mass only when a prune decision needs
+  it (see ``native/kernel.c``).
 * elsewhere (no C compiler, or ``REPRO_NATIVE_DISABLE=1``) an explicit
   frame stack is iterated in Python; the per-child metrics of a frame
   (co-occurrence, support counts, ``rub`` sums, directional gains) come
   out of a few *batched* dense GEMMs over 0/1 item matrices
   (:class:`_BitsetChildSet`).
+
+Both engines seed the incumbent with the best single-item pair, counted
+on the packed rows (``and_popcount_rows``), so a search on the C engine
+builds none of the dense float64 item matrices and runs no BLAS
+matrix-matrix product.
 
 :attr:`SearchStats.backend` names the engine that ran (``"native"`` or
 ``"numpy"``).  Both engines return **bit-identical** rules, gains,
@@ -62,11 +68,12 @@ support of the other view alone, so the gain towards the extended view
 is the parent's plus one item's term.
 
 A :class:`SearchCache` holds the dataset-static state: the packed data
-columns, packed once per fit, and the dense operands only a search reads
-(0/1 item matrices, the co-occurrence grid), built when a search first
-needs them.  The fit's :class:`~repro.core.state.CoverState` owns the
-cache, so every search of a fit, and the state's own gains, share one
-set of packed columns.
+columns, packed once per fit, and the operands only a search reads,
+built when a search first needs them: the co-occurrence grid (every
+search's pair seed, and :class:`~repro.core.beam.TranslatorBeam`) and
+the dense 0/1 item matrices (the numpy traversal).  The fit's
+:class:`~repro.core.state.CoverState` owns the cache, so every search of
+a fit, and the state's own gains, share one set of packed columns.
 
 Parallel sharding (``n_jobs``)
 ------------------------------
@@ -107,6 +114,7 @@ from repro import obs as _obs
 from repro.data.dataset import Side, TwoViewDataset
 from repro.core.bitset import (
     BitMatrix,
+    and_popcount_rows,
     fixed_weight_table,
     pack_mask,
     unpack_rows,
@@ -322,9 +330,12 @@ class SearchCache:
     incremental packing is bit-identical to packing from scratch, every
     fit behaves identically either way.
 
-    Construction packs only.  The dense operands a search reads
-    (``left_T``, ``right_T``, ``cooccur``) are built on first use, so
-    states that only replay rules never pay for them.
+    Construction packs only.  The operands a search reads are built on
+    first use, so states that only replay rules never pay for them:
+    ``cooccur``, counted on the packed columns, which every search's pair
+    seed and :class:`~repro.core.beam.TranslatorBeam` read, and the dense
+    0/1 item matrices ``left_T`` / ``right_T``, which only the numpy
+    traversal reads.
     """
 
     def __init__(
@@ -357,8 +368,8 @@ class SearchCache:
         self.right_counts = self.right_bits.counts()
         self.full_words = pack_mask(np.ones(dataset.n_transactions, dtype=bool))
 
-    # 0/1 item masks, one row per item, in float64 so the fixed-point
-    # matrix products downstream run on the BLAS dot kernels.
+    # 0/1 item masks, one row per item, in float64 so the numpy
+    # traversal's fixed-point matrix products run on the BLAS dot kernels.
     @functools.cached_property
     def left_T(self) -> np.ndarray:
         return np.ascontiguousarray(self.dataset.left.T, dtype=np.float64)
@@ -370,9 +381,29 @@ class SearchCache:
     @functools.cached_property
     def cooccur(self) -> np.ndarray:
         """``(n_left, n_right)`` grid: do the two items ever co-occur?"""
-        # Joint counts are integers far below 2^53, so the float64 BLAS
-        # product is exact (numpy runs integer matmuls without BLAS).
-        return (self.left_T @ self.right_T.T) > 0
+        return _count_grid(self.left_bits.words, self.right_bits.words) > 0
+
+
+def _count_grid(masks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``(len(masks), len(rows))`` grid of ``popcount(masks[i] & rows[j])``."""
+    grid = np.zeros((masks.shape[0], rows.shape[0]), dtype=np.int64)
+    for index, mask in enumerate(masks):
+        grid[index] = and_popcount_rows(rows, mask)
+    return grid
+
+
+def _net_grid(
+    masks: np.ndarray, pos: np.ndarray, neg: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """``weights[j] * (|masks[i] & pos[j]| - |masks[i] & neg[j]|)``, in float64.
+
+    The counts are exact integers and every product stays below ``2^51``
+    (see :class:`_Quantized`), so the grid equals the dense fixed-point
+    product ``masks @ (net * weights).T`` bit for bit.
+    """
+    counts = _count_grid(masks, np.concatenate([pos, neg]))
+    k = pos.shape[0]
+    return (counts[:, :k] - counts[:, k:]) * weights
 
 
 class _Quantized:
@@ -384,7 +415,10 @@ class _Quantized:
     intermediate sum (bounded by ``n_transactions * max(tub)`` plus total
     code length) stays below ``2^51`` — comfortably inside the range where
     float64 addition and multiplication of integers are exact, whatever
-    the summation order.
+    the summation order.  It holds what both engines read: the quantized
+    code lengths, ``tub`` and the packed sign rows.  The dense
+    fixed-point net rows belong to the numpy traversal
+    (:class:`_BitsetContext`).
     """
 
     __slots__ = (
@@ -394,8 +428,6 @@ class _Quantized:
         "wq_right",
         "tubq_left",
         "tubq_right",
-        "netq_left_T",
-        "netq_right_T",
         "pos_left",
         "neg_left",
         "pos_right",
@@ -422,9 +454,9 @@ class _Quantized:
         self.wq_right = np.rint(weights_right * self.one)
         # Net per-cell weight sign: covering an uncovered cell gains its
         # code length, introducing a new error loses it, anything else 0.
-        # The C traversal sums the packed sign rows as fused
-        # AND+popcounts; the pair seed and the numpy traversal read the
-        # dense fixed-point rows.
+        # The pair seed and the C traversal sum the packed sign rows as
+        # fused AND+popcounts; the numpy traversal reads them as dense
+        # fixed-point rows (_BitsetContext).
         self.pos_left, self.neg_left = state.sign_rows(Side.LEFT)
         self.pos_right, self.neg_right = state.sign_rows(Side.RIGHT)
         # tub in fixed point, recomputed from the quantized weights (the
@@ -432,8 +464,6 @@ class _Quantized:
         # quantized gains.
         self.tubq_left = unpack_rows(self.pos_left, n).T @ self.wq_left
         self.tubq_right = unpack_rows(self.pos_right, n).T @ self.wq_right
-        self.netq_left_T = state.net_signs(Side.LEFT) * self.wq_left[:, None]
-        self.netq_right_T = state.net_signs(Side.RIGHT) * self.wq_right[:, None]
 
     def to_float(self, value: float) -> float:
         return float(value) / self.one
@@ -492,7 +522,11 @@ class _BitsetContext:
     ``p``-th left-view entry of the universe (in universe order), so the
     batched products below never touch rows of the other side.
     ``side_position[u]`` maps a universe index to its side-local row.
-    The shards of a parallel search share one context read-only.
+    ``gain_rows_left`` / ``gain_rows_right`` are the fixed-point net rows
+    of every item (:meth:`CoverState.net_signs` times the quantized code
+    length), which frame gains accumulate and ``net_left`` /
+    ``net_right`` gather in universe order.  Only this engine builds
+    them.  The shards of a parallel search share one context read-only.
     """
 
     __slots__ = (
@@ -515,10 +549,10 @@ class _BitsetContext:
         self,
         universe: list[_Item],
         quantized: _Quantized,
-        cache: SearchCache,
+        state: CoverState,
     ) -> None:
-        dataset = cache.dataset
-        n = dataset.n_transactions
+        cache = state.cache
+        n = state.dataset.n_transactions
         n_words = cache.left_bits.n_words
         size = len(universe)
         self.n = n
@@ -545,12 +579,16 @@ class _BitsetContext:
         self.full_words = cache.full_words
         # Dense operands of the numpy childset and frame supports;
         # frame gains accumulate whole fixed-point net rows.
+        self.gain_rows_left = (
+            state.net_signs(Side.LEFT) * quantized.wq_left[:, None]
+        )
+        self.gain_rows_right = (
+            state.net_signs(Side.RIGHT) * quantized.wq_right[:, None]
+        )
         self.mask_left = cache.left_T[left_columns]
         self.mask_right = cache.right_T[right_columns]
-        self.net_left = quantized.netq_left_T[left_columns]
-        self.net_right = quantized.netq_right_T[right_columns]
-        self.gain_rows_left = quantized.netq_left_T
-        self.gain_rows_right = quantized.netq_right_T
+        self.net_left = self.gain_rows_left[left_columns]
+        self.net_right = self.gain_rows_right[right_columns]
 
 
 class _DfsOperands:
@@ -900,7 +938,7 @@ class ExactRuleSearch:
         self, quantized: _Quantized, best_rule: TranslationRule | None, best_q: float
     ) -> tuple[TranslationRule | None, float]:
         """Best single-item pair rule, computed for all |I_L| x |I_R| pairs
-        in three matrix products.
+        from fused AND+popcounts over the packed rows.
 
         This gives the branch-and-bound a strong lower bound from the
         start, which both tightens pruning on complete runs and makes the
@@ -909,8 +947,20 @@ class ExactRuleSearch:
         """
         dataset = self.state.dataset
         cache = self.cache
-        forward_grid = cache.left_T @ quantized.netq_right_T.T
-        backward_grid = quantized.netq_left_T @ cache.right_T.T
+        # Translating right item b onto left item a's rows gains
+        # wq[b] * (|L_a & pos_b| - |L_a & neg_b|): exact integer grids.
+        forward_grid = _net_grid(
+            cache.left_bits.words,
+            quantized.pos_right,
+            quantized.neg_right,
+            quantized.wq_right,
+        )
+        backward_grid = _net_grid(
+            cache.right_bits.words,
+            quantized.pos_left,
+            quantized.neg_left,
+            quantized.wq_left,
+        ).T
         length_grid = quantized.wq_left[:, None] + quantized.wq_right[None, :]
         two = 2.0 * quantized.one
         grids = {
@@ -935,7 +985,7 @@ class ExactRuleSearch:
         """The engine's per-search operands, shared by every shard."""
         if self.backend == "native":
             return _DfsOperands(universe, quantized, self.cache)
-        return _BitsetContext(universe, quantized, self.cache)
+        return _BitsetContext(universe, quantized, self.state)
 
     def _make_root(
         self, quantized: _Quantized, context: _BitsetContext, lo: int, hi: int

@@ -198,13 +198,13 @@ class NativeKernel:
         transaction set and the cells where translating its item gains
         or loses the item's code length.  ``sides`` (0 left, 1 right)
         and ``wq`` (fixed-point code lengths) are per entry;
-        ``tub_left`` / ``tub_right`` are the transaction upper bounds as
-        :func:`~repro.core.bitset.fixed_weight_table` layouts and
-        ``full`` is the all-transactions mask.  The traversal starts
-        from incumbent gain ``best_q`` and the cumulative ``counters``,
-        takes root children in ``[root[0], root[1])`` and stops before
-        the node that would exceed ``max_nodes`` in total; ``path`` and
-        ``cursors`` resume a stack a budget break returned.
+        ``tub_left`` / ``tub_right`` are the transaction upper bounds
+        (never negative) as :func:`~repro.core.bitset.fixed_weight_table`
+        layouts and ``full`` is the all-transactions mask.  The traversal
+        starts from incumbent gain ``best_q`` and the cumulative
+        ``counters``, takes root children in ``[root[0], root[1])`` and
+        stops before the node that would exceed ``max_nodes`` in total;
+        ``path`` and ``cursors`` resume a stack a budget break returned.
         """
         rows = _as_words(rows, "rows")
         if rows.ndim != 2:
@@ -222,6 +222,10 @@ class NativeKernel:
             raise ValueError("sides must be 0 (left) or 1 (right)")
         tub_left = _as_table(tub_left, n_words, "tub_left")
         tub_right = _as_table(tub_right, n_words, "tub_right")
+        if (tub_left < 0).any() or (tub_right < 0).any():
+            # The kernel skips a mass whenever the rest of rub already
+            # clears the incumbent, which is exact only for masses >= 0.
+            raise ValueError("tub_left and tub_right must be non-negative")
         full = _as_words(full, "full")
         if full.size != n_words:
             raise ValueError("full and rows disagree on word count")

@@ -132,9 +132,19 @@ REPRO_EXPORT void repro_match_union(
  * delta(0) + delta(1) - L(X) - L(Y) - 1, all in units of `one`.  Extending
  * view s by u leaves the support of the other view alone, so the child's
  * delta towards s is its parent's plus u's own term; its delta towards
- * the other view is summed afresh over the narrowed support.  tub_left /
- * tub_right are the transaction upper bounds of each view as weight
- * tables: rub sums the other view's table over the narrowed support.
+ * the other view is summed afresh over the narrowed support.
+ *
+ * tub_left / tub_right are the transaction upper bounds of each view as
+ * weight tables, and rub is the mass of each view's support under the
+ * other view's table, minus the rule's cost.  The masses are summed on
+ * demand: a child's rub test first reads its frame's other-side mass,
+ * and sums the child's own mass only when that alone does not clear the
+ * incumbent (mass - cost <= best_q).  Every tub entry is >= 0
+ * (NativeKernel.dfs rejects a negative one), so a mass is never negative
+ * and a child that clears the test on the frame's mass alone clears it
+ * with its own mass added: skipping the sum changes no decision.  A mass
+ * a frame skipped (or a checkpoint replay stacked) stays unsummed until
+ * a descendant's rub test or the budget break's frontier bound reads it.
  *
  * A node budget (max_nodes >= 0, cumulative with the counters passed in)
  * stops the traversal before the first node past it; the call then
@@ -177,6 +187,7 @@ typedef struct {
     int64_t n_items[2];      /* |lhs|, |rhs| */
     int64_t len[2];          /* L(lhs), L(rhs) */
     int64_t wsum[2];         /* supp[0] under tub_right, supp[1] under tub_left */
+    int64_t have_wsum[2];
     int64_t count[2];        /* |supp[0]|, |supp[1]| */
     int64_t delta[2];        /* delta towards the left / right view */
     int64_t have_delta[2];
@@ -186,7 +197,7 @@ typedef struct {
     const uint64_t *rows, *pos, *neg;
     const int64_t *sides, *wq;
     const int64_t *tub[2];
-    int64_t size, n_words, use_rub;
+    int64_t size, n_words;
     repro_frame *frames;
     int64_t *items;       /* universe entry that created frame d + 1 */
     uint64_t *joint;      /* expansion scratch: supp[0] & supp[1] ... */
@@ -254,40 +265,53 @@ static void repro_expand(const repro_dfs_ctx *c, repro_frame *f)
     f->n_alive = n_alive;
 }
 
-/* Narrow the frame's support on u's view by u into out; returns its
- * popcount and stores its tub mass (0 without use_rub) in *wsum. */
-static int64_t repro_narrow(
-    const repro_dfs_ctx *c, const repro_frame *f, int64_t u,
-    uint64_t *out, int64_t *wsum)
+/* The tub mass of support words under a weight table. */
+static int64_t repro_mass(
+    const repro_dfs_ctx *c, const uint64_t *supp, const int64_t *table)
 {
-    int64_t s = c->sides[u];
+    int64_t w, mass = 0;
+    for (w = 0; w < c->n_words; ++w) {
+        uint64_t word = supp[w];
+        const int64_t *weights = table + w * 64;
+        while (word) {
+            mass += weights[REPRO_CTZ(word)];
+            word &= word - 1;
+        }
+    }
+    return mass;
+}
+
+/* The frame's mass of view t's support, summed on first read. */
+static int64_t repro_wsum(const repro_dfs_ctx *c, repro_frame *f, int64_t t)
+{
+    if (!f->have_wsum[t]) {
+        f->wsum[t] = repro_mass(c, f->supp[t], c->tub[1 - t]);
+        f->have_wsum[t] = 1;
+    }
+    return f->wsum[t];
+}
+
+/* Narrow the frame's support on u's view by u into out; returns its
+ * popcount.  The loop has no branch, so the compiler can vectorise it. */
+static int64_t repro_narrow(
+    const repro_dfs_ctx *c, const repro_frame *f, int64_t u, uint64_t *out)
+{
     const uint64_t *row = c->rows + u * c->n_words;
-    const uint64_t *same = f->supp[s];
-    const int64_t *table = c->tub[1 - s];
-    int64_t w, count = 0, mass = 0;
+    const uint64_t *same = f->supp[c->sides[u]];
+    int64_t w, count = 0;
     for (w = 0; w < c->n_words; ++w) {
         uint64_t word = row[w] & same[w];
         out[w] = word;
-        if (!word)
-            continue;
         count += REPRO_POPCOUNT(word);
-        if (c->use_rub) {
-            const int64_t *weights = table + w * 64;
-            while (word) {
-                mass += weights[REPRO_CTZ(word)];
-                word &= word - 1;
-            }
-        }
     }
-    *wsum = mass;
     return count;
 }
 
 /* Stack child (at the slot after f) created by u; its support on u's
- * view is already in child->own. */
+ * view is already in child->own, and its mass in wsum when have_wsum. */
 static void repro_push(
     const repro_dfs_ctx *c, const repro_frame *f, repro_frame *child,
-    int64_t u, int64_t count, int64_t wsum)
+    int64_t u, int64_t count, int64_t wsum, int64_t have_wsum)
 {
     int64_t s = c->sides[u], t;
     for (t = 0; t < 2; ++t) {
@@ -295,6 +319,7 @@ static void repro_push(
         child->n_items[t] = f->n_items[t];
         child->len[t] = f->len[t];
         child->wsum[t] = f->wsum[t];
+        child->have_wsum[t] = f->have_wsum[t];
         child->count[t] = f->count[t];
         child->have_delta[t] = 0;
     }
@@ -302,6 +327,7 @@ static void repro_push(
     child->n_items[s] += 1;
     child->len[s] += c->wq[u];
     child->wsum[s] = wsum;
+    child->have_wsum[s] = have_wsum;
     child->count[s] = count;
     child->n_alive = -1;
     child->position = u + 1;
@@ -336,7 +362,7 @@ REPRO_EXPORT int64_t repro_dfs(
     int64_t skipped = io[REPRO_IO_SKIPPED_QUB];
     int64_t best_direction = -1, best_size = 0;
     int64_t status = REPRO_DFS_COMPLETE;
-    int64_t depth = 0, d, k, w, u;
+    int64_t depth = 0, count, d, k, w, u;
 
     c->rows = rows;
     c->pos = pos;
@@ -347,7 +373,6 @@ REPRO_EXPORT int64_t repro_dfs(
     c->tub[1] = tub_right;
     c->size = size;
     c->n_words = n_words;
-    c->use_rub = use_rub;
     c->frames = (repro_frame *)workspace;
     words_area = (uint64_t *)(c->frames + n_frames);
     c->joint = words_area + n_frames * n_words;
@@ -378,6 +403,7 @@ REPRO_EXPORT int64_t repro_dfs(
     for (k = 0; k < 2; ++k) {
         root->n_items[k] = 0;
         root->len[k] = 0;
+        root->have_wsum[k] = 1;
         root->delta[k] = 0;
         root->have_delta[k] = 1;
     }
@@ -405,19 +431,17 @@ REPRO_EXPORT int64_t repro_dfs(
                 io[REPRO_IO_ERROR_CHILDREN] = f->n_alive;
                 return REPRO_DFS_BAD_CURSOR;
             }
-            {
-                int64_t wsum, count;
-                child = f + 1;
-                count = repro_narrow(c, f, u, child->own, &wsum);
-                repro_push(c, f, child, u, count, wsum);
-                c->items[d] = u;
-            }
+            child = f + 1;
+            /* Masses stay unsummed until a rub test reads them. */
+            count = repro_narrow(c, f, u, child->own);
+            repro_push(c, f, child, u, count, 0, 0);
+            c->items[d] = u;
         }
         depth = path_len;
     }
 
     while (depth >= 0) {
-        int64_t s, o, count, wsum, cost, size_new, n_lhs, n_rhs;
+        int64_t s, o, wsum = 0, have_wsum, cost, size_new, n_lhs, n_rhs;
         int64_t len_new[2], count_new[2], delta_new[2];
         int evaluated = 0;
         f = c->frames + depth;
@@ -445,13 +469,19 @@ REPRO_EXPORT int64_t repro_dfs(
         s = sides[u];
         o = 1 - s;
         child = f + 1;
-        count = repro_narrow(c, f, u, child->own, &wsum);
         len_new[s] = f->len[s] + wq[u];
         len_new[o] = f->len[o];
         cost = len_new[0] + len_new[1] + one;
-        if (use_rub && wsum + f->wsum[o] - cost <= best_q) {
-            ++pruned;
-            continue;
+        count = repro_narrow(c, f, u, child->own);
+        /* The child's own mass matters only if the frame's does not
+         * clear the incumbent alone. */
+        have_wsum = use_rub && repro_wsum(c, f, o) - cost <= best_q;
+        if (have_wsum) {
+            wsum = repro_mass(c, child->own, c->tub[o]);
+            if (wsum + f->wsum[o] - cost <= best_q) {
+                ++pruned;
+                continue;
+            }
         }
         count_new[s] = count;
         count_new[o] = f->count[o];
@@ -499,7 +529,7 @@ REPRO_EXPORT int64_t repro_dfs(
         size_new = n_lhs + n_rhs;
         if (max_rule_size >= 0 && size_new >= max_rule_size)
             continue;
-        repro_push(c, f, child, u, count, wsum);
+        repro_push(c, f, child, u, count, wsum, have_wsum);
         if (evaluated) {
             child->delta[0] = delta_new[0];
             child->delta[1] = delta_new[1];
@@ -524,10 +554,12 @@ REPRO_EXPORT int64_t repro_dfs(
             for (d = 0; d <= depth; ++d) {
                 f = c->frames + d;
                 for (k = f->cursor; k < f->n_alive; ++k) {
-                    int64_t wsum, rub;
+                    int64_t rub, o;
                     u = f->alive[k];
-                    repro_narrow(c, f, u, scratch, &wsum);
-                    rub = wsum + f->wsum[1 - sides[u]]
+                    o = 1 - sides[u];
+                    repro_narrow(c, f, u, scratch);
+                    rub = repro_mass(c, scratch, c->tub[o])
+                        + repro_wsum(c, f, o)
                         - (f->len[0] + f->len[1] + one) - wq[u];
                     if (!io[REPRO_IO_HAS_BOUND] || rub > io[REPRO_IO_BOUND]) {
                         io[REPRO_IO_BOUND] = rub;

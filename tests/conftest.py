@@ -155,3 +155,29 @@ def random_two_view(
         if not right[:, column].any():
             right[int(rng.integers(n)), column] = True
     return TwoViewDataset(left, right, name="random")
+
+
+def rub_case(name: str) -> TwoViewDataset:
+    """A 150-row (three-word) dataset with 10 + 10 items at one end of rub pruning.
+
+    ``"dense"``: half of all cells set, so ``rub`` prunes no node of a
+    ``max_rule_size=3`` search.  ``"sparse"``: one item per view in every
+    row, plus a planted pair in about half the rows, so ``rub`` prunes
+    most nodes.  Both ends take the C traversal's lazy ``tub`` masses
+    through every branch: the dense one defers each child's mass, the
+    sparse one sums nearly all of them.
+    """
+    rng = np.random.default_rng(0 if name == "dense" else 1)
+    n, k = 150, 10
+    if name == "dense":
+        return random_two_view(rng, n=n, n_left=k, n_right=k, density=0.5)
+    if name != "sparse":
+        raise ValueError(f"unknown rub case {name!r}")
+    left = np.zeros((n, k), dtype=bool)
+    right = np.zeros((n, k), dtype=bool)
+    left[np.arange(n), rng.integers(k, size=n)] = True
+    right[np.arange(n), rng.integers(k, size=n)] = True
+    planted = rng.random(n) < 0.5
+    left[planted, 0] = True
+    right[planted, 0] = True
+    return TwoViewDataset(left, right, name="sparse")

@@ -39,7 +39,7 @@ from repro.data.dataset import TwoViewDataset
 from repro.data.synthetic import SyntheticSpec, generate_planted
 from repro.resilience import FaultInjector
 from repro.resilience.container import PRELUDE, ArtifactCorruptError
-from tests.conftest import SEARCH_BACKENDS, engine, random_two_view
+from tests.conftest import SEARCH_BACKENDS, engine, random_two_view, rub_case
 from tests.container_cases import ContainerCorruptionCases, forge
 
 pytestmark = pytest.mark.corpus_smoke
@@ -450,17 +450,37 @@ class TestAnytimeBudgets:
             ExactRuleSearch(CoverState(planted), max_nodes=10, n_jobs=3)
 
     @pytest.mark.native_smoke
-    @pytest.mark.parametrize("every", [1, 7, 100])
-    def test_resume_alternates_backends(self, every):
+    @pytest.mark.parametrize(
+        "data, every",
+        [
+            *(pytest.param("small", every, id=str(every)) for every in (1, 7, 100)),
+            *(
+                pytest.param(data, every, id=f"{data}-{every}")
+                for data in ("dense", "sparse")
+                for every in (1, 7, 100)
+            ),
+        ],
+    )
+    def test_resume_alternates_backends(self, data, every):
         # Both traversals index the same alive-child lists, so a checkpoint
         # taken by one resumes on the other: legs that alternate numpy and
         # native make exactly the decisions of an all-numpy legged run and,
-        # at the end, of an uninterrupted search.
-        dataset = random_two_view(
-            np.random.default_rng(4), n=70, n_left=6, n_right=6, density=0.35
-        )
+        # at the end, of an uninterrupted search.  The dense and sparse
+        # cases are the two ends of rub pruning, where the C traversal
+        # defers nearly every tub mass or sums nearly every one; a
+        # replayed stack starts with every mass unsummed.
+        if data == "small":
+            dataset = random_two_view(
+                np.random.default_rng(4), n=70, n_left=6, n_right=6, density=0.35
+            )
+        else:
+            dataset = rub_case(data)
         state = CoverState(dataset)
         full = ExactRuleSearch(state, max_rule_size=3).find_best_rule()
+        if data == "dense":
+            assert full[2].nodes_pruned_rub == 0
+        if data == "sparse":
+            assert 2 * full[2].nodes_pruned_rub > full[2].nodes_visited
         legged = {}
         schedules = {
             "numpy": ["numpy"],
@@ -494,6 +514,30 @@ class TestAnytimeBudgets:
             full[2].evaluations,
             full[2].evaluations_skipped_qub,
         )
+        if data == "small":
+            return
+        # The root's unvisited children see a whole view and so dominate
+        # the gap bound.  Cut the root range to the path's first entry and
+        # resume with the budget already spent: the bound then covers only
+        # the replayed frames' children, whose masses the C replay left
+        # unsummed.
+        for *__, checkpoint in legged["numpy"][:-1]:
+            if checkpoint.path:
+                checkpoint = dataclasses.replace(
+                    checkpoint, root_hi=checkpoint.path[0] + 1
+                )
+            bounds = set()
+            for backend in SEARCH_BACKENDS:
+                with engine(backend):
+                    search = ExactRuleSearch(
+                        state,
+                        max_rule_size=3,
+                        max_nodes=checkpoint.nodes_visited,
+                        checkpoint=checkpoint,
+                    )
+                    __, __, stats = search.find_best_rule()
+                bounds.add((repr(stats.gap_bound), search.last_checkpoint))
+            assert len(bounds) == 1, bounds
 
     @pytest.mark.native_smoke
     def test_anytime_search_completes_and_matches(self, planted):

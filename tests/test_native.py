@@ -53,7 +53,7 @@ from repro import obs
 from repro.core.compiled import CompiledPredictor
 from repro.core.rules import TranslationRule
 from repro.stream.buffer import StreamBuffer
-from tests.conftest import SEARCH_BACKENDS, engine, oracle, path_outputs
+from tests.conftest import SEARCH_BACKENDS, engine, oracle, path_outputs, rub_case
 
 pytestmark = pytest.mark.native_smoke
 
@@ -263,35 +263,45 @@ class TestSearchBackends:
                     stats.evaluations,
                     stats.evaluations_skipped_qub,
                     stats.complete,
+                    repr(stats.gap_bound),
                 )
                 for stats in result.search_stats
             ),
         )
 
     @needs_native
-    @pytest.mark.parametrize("seed", range(4))
-    def test_search_backends_bit_identical(self, seed):
-        dataset, __ = generate_planted(
-            SyntheticSpec(
-                n_transactions=int(80 + 60 * seed),
-                n_left=10,
-                n_right=11,
-                density_left=0.25 + 0.1 * (seed % 3),
-                density_right=0.35,
-                n_rules=4,
-                seed=seed,
+    @pytest.mark.parametrize("case", [*range(4), "dense", "sparse"])
+    def test_search_backends_bit_identical(self, case):
+        # The seeds are planted datasets; "dense" and "sparse" are the two
+        # ends of rub pruning (tests/conftest.py rub_case), where the C
+        # traversal defers nearly every tub mass or sums nearly every one,
+        # searched whole and with a budget break after 1, 7 and 100 nodes.
+        if isinstance(case, str):
+            dataset, budgets = rub_case(case), (None, 1, 7, 100)
+        else:
+            dataset, __ = generate_planted(
+                SyntheticSpec(
+                    n_transactions=int(80 + 60 * case),
+                    n_left=10,
+                    n_right=11,
+                    density_left=0.25 + 0.1 * (case % 3),
+                    density_right=0.35,
+                    n_rules=4,
+                    seed=case,
+                )
             )
-        )
-        results = {}
-        for backend in ("numpy", "native"):
-            with engine(backend):
-                results[backend] = TranslatorExact(
-                    max_iterations=3, max_rule_size=3
-                ).fit(dataset)
-        assert self._fingerprint(results["numpy"]) == self._fingerprint(
-            results["native"]
-        )
-        assert results["native"].search_stats[0].backend == "native"
+            budgets = (None,)
+        for budget in budgets:
+            results = {}
+            for backend in ("numpy", "native"):
+                with engine(backend):
+                    results[backend] = TranslatorExact(
+                        max_iterations=3, max_rule_size=3, max_nodes_per_search=budget
+                    ).fit(dataset)
+            assert self._fingerprint(results["numpy"]) == self._fingerprint(
+                results["native"]
+            )
+            assert results["native"].search_stats[0].backend == "native"
 
     @needs_native
     def test_sharded_native_search_matches_serial(self):
@@ -387,6 +397,12 @@ class TestSearchBackends:
             *args, root=(0, 2), max_rule_size=1, path=(0,), cursors=(1, 0), **common
         )
         assert deep.status == "too_deep"
+        # The kernel skips a tub mass whenever the rest of rub clears the
+        # incumbent, which is exact only for masses >= 0.
+        negative = fixed_weight_table(np.r_[0.0, -1.0, np.zeros(62)])
+        for tables in ((negative, args[6]), (args[5], negative)):
+            with pytest.raises(ValueError, match="non-negative"):
+                kernel.dfs(*args[:5], *tables, args[7], root=(0, 2), **common)
 
 
 # ----------------------------------------------------------------------

@@ -60,6 +60,9 @@ def test_native_benchmark_tiny_mode(tmp_path):
             assert row["skipped"]
     if report["native_available"]:
         assert report["bulk_predict"]["identical_results"]
+        # perfbench's exact-adult op, shrunk: both engines, same fit.
+        assert report["adult"]["scale"] == 0.05
+        assert report["adult"]["identical_results"]
     fallback = report["fallback"]
     assert fallback["identical_results"]
     assert fallback["subprocess_engine"] == "numpy"

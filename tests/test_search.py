@@ -20,7 +20,7 @@ import pytest
 
 from repro.data.dataset import Side, TwoViewDataset
 from repro.core.rules import Direction, TranslationRule
-from repro.core.search import ExactRuleSearch, SearchCache
+from repro.core.search import ExactRuleSearch, SearchCache, _Quantized
 from repro.core.state import CoverState
 from repro.core.beam import TranslatorBeam
 from repro.core.translator import TranslatorExact, TranslatorGreedy, TranslatorSelect
@@ -280,13 +280,19 @@ class TestSearchCache:
         assert with_cache == without
 
     def test_replay_builds_no_search_operands(self, planted_dataset):
+        # Replaying rules builds no search operand.  A search builds the
+        # co-occurrence grid for its pair seed; only the numpy traversal
+        # also reads the dense 0/1 item matrices.
         dense = {"left_T", "right_T", "cooccur"}
-        state = CoverState(planted_dataset)
-        state.add_rule(TranslationRule((0,), (0,), Direction.BOTH))
-        state.best_direction((1,), (1,))
-        assert not dense & set(vars(state.cache))
-        ExactRuleSearch(state, max_rule_size=2).find_best_rule()
-        assert dense <= set(vars(state.cache))
+        built = {"native": {"cooccur"}, "numpy": dense}
+        for backend in SEARCH_BACKENDS:
+            state = CoverState(planted_dataset)
+            state.add_rule(TranslationRule((0,), (0,), Direction.BOTH))
+            state.best_direction((1,), (1,))
+            assert not dense & set(vars(state.cache))
+            with engine(backend):
+                ExactRuleSearch(state, max_rule_size=2).find_best_rule()
+            assert dense & set(vars(state.cache)) == built[backend]
 
     def test_cache_dataset_mismatch_rejected(self, planted_dataset):
         # Same shape, other rows: a shape check could not tell them apart.
@@ -307,6 +313,51 @@ class TestSearchCache:
         for name, fit in fits.items():
             with pytest.raises(ValueError, match="different dataset"):
                 fit(SearchCache(planted_dataset))
+
+
+@pytest.mark.native_smoke
+class TestSeedPair:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_seed_matches_dense_grids(self, n):
+        # The pair seed counts on packed words; the grids here come from
+        # dense 0/1 matrices.  Starting from -inf, the seed must return
+        # the first maximum of the first direction, whatever its sign.
+        dataset = random_two_view(
+            np.random.default_rng(n), n=n, n_left=5, n_right=6, density=0.4
+        )
+        state = CoverState(dataset)
+        state.add_rule(TranslationRule((0,), (0,), Direction.BOTH))
+        quantized = _Quantized(state)
+        left = dataset.left.astype(np.int64)
+        right = dataset.right.astype(np.int64)
+        wq_left = quantized.wq_left.astype(np.int64)
+        wq_right = quantized.wq_right.astype(np.int64)
+        net_left = state.net_signs(Side.LEFT).astype(np.int64)
+        net_right = state.net_signs(Side.RIGHT).astype(np.int64)
+        one = int(quantized.one)
+        forward = (left.T @ net_right.T) * wq_right[None, :]
+        backward = (net_left @ right) * wq_left[:, None]
+        lengths = wq_left[:, None] + wq_right[None, :]
+        grids = (
+            ("->", forward - lengths - 2 * one),
+            ("<-", backward - lengths - 2 * one),
+            ("<->", forward + backward - lengths - one),
+        )
+        cooccur = left.T @ right > 0
+        for start in (0.0, -np.inf):
+            expected_rule, expected_q = None, start
+            for direction, grid in grids:
+                for a, b in itertools.product(range(5), range(6)):
+                    if cooccur[a, b] and grid[a, b] > expected_q:
+                        expected_rule = TranslationRule((a,), (b,), direction)
+                        expected_q = float(grid[a, b])
+            for backend in SEARCH_BACKENDS:
+                with engine(backend):
+                    seeded = ExactRuleSearch(state)._seed_best_pair(
+                        quantized, None, start
+                    )
+                assert seeded == (expected_rule, expected_q), backend
+        assert expected_rule is not None
 
 
 class TestStatsReporting:
