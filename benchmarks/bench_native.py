@@ -10,6 +10,10 @@ ROADMAP flags as the numpy kernel's known limits:
   50k} transactions, same fixed node budget on both engines so the
   comparison measures pure per-node throughput; the C engine runs the
   search's whole traversal in one call (``NativeKernel.dfs``);
+* **deep** — the search cell's data at ``n`` in {400, 5k} with
+  ``max_rule_size=None`` under the same node budget: rules grow past
+  the search cell's 3 items, so a frame's deltas sum over more path
+  items (``--tiny`` runs it at 400 rows);
 * **adult** — perfbench's exact-adult op (``TranslatorExact(max_rule_size=3,
   max_iterations=2)`` on adult, 97 items) on both engines: at scale 0.3
   (14,653 rows, 229 words per row) the C fit must also match perfbench's
@@ -91,6 +95,7 @@ FULL_SETTINGS = {
     "search_max_nodes": 30_000,
     "search_iterations": 2,
     "search_repetitions": 2,
+    "deep_transactions": [400, 5000],
     "predict_rows": 4096,
     "predict_rules": 512,
     "predict_source_items": 2048,
@@ -113,6 +118,7 @@ TINY_SETTINGS = {
     "search_max_nodes": 1_500,
     "search_iterations": 2,
     "search_repetitions": 1,
+    "deep_transactions": [400],
     "predict_rows": 256,
     "predict_rules": 48,
     "predict_source_items": 256,
@@ -148,10 +154,10 @@ def _fingerprint(result) -> list:
     ]
 
 
-def _fit(dataset, settings: dict):
+def _fit(dataset, settings: dict, max_rule_size: int | None):
     return TranslatorExact(
         max_iterations=settings["search_iterations"],
-        max_rule_size=3,
+        max_rule_size=max_rule_size,
         max_nodes_per_search=settings["search_max_nodes"],
     ).fit(dataset)
 
@@ -159,9 +165,15 @@ def _fit(dataset, settings: dict):
 # ----------------------------------------------------------------------
 # Cells
 # ----------------------------------------------------------------------
-def search_cells(settings: dict, native_available: bool) -> list[dict]:
+def search_cells(
+    settings: dict,
+    native_available: bool,
+    transactions: list[int],
+    max_rule_size: int | None = 3,
+) -> list[dict]:
+    """The planted search data at each ``n``, on both engines, same budget."""
     rows = []
-    for n in settings["search_transactions"]:
+    for n in transactions:
         dataset, __ = generate_planted(
             SyntheticSpec(
                 n_transactions=n,
@@ -183,7 +195,7 @@ def search_cells(settings: dict, native_available: bool) -> list[dict]:
             with engine(backend):
                 for __ in range(settings["search_repetitions"]):
                     start = time.perf_counter()
-                    result = _fit(dataset, settings)
+                    result = _fit(dataset, settings, max_rule_size)
                     elapsed.append(time.perf_counter() - start)
             row[f"{backend}_seconds"] = min(elapsed)
             fingerprints[backend] = _fingerprint(result)
@@ -479,13 +491,16 @@ def run_grid(tiny: bool = False) -> dict:
     """Run every cell and return the report dictionary."""
     settings = TINY_SETTINGS if tiny else FULL_SETTINGS
     native_available = native.available()
-    search = search_cells(settings, native_available)
+    search = search_cells(settings, native_available, settings["search_transactions"])
+    deep = search_cells(
+        settings, native_available, settings["deep_transactions"], max_rule_size=None
+    )
     adult = adult_cell(settings, native_available)
     car = car_cells(settings, native_available)
     bulk = bulk_predict_cell(settings, native_available)
     mining = mining_cell(settings, native_available)
     fallback = fallback_cell(settings, native_available)
-    compared = [row for row in search if "identical_results" in row]
+    compared = [row for row in search + deep if "identical_results" in row]
     for extra in (
         adult, car["converged"], car["unbudgeted"], bulk, mining["auto_minsup"]
     ):
@@ -505,6 +520,7 @@ def run_grid(tiny: bool = False) -> dict:
         },
         "settings": settings,
         "search": search,
+        "deep": deep,
         "adult": adult,
         "car": car,
         "bulk_predict": bulk,
@@ -522,6 +538,19 @@ def run_grid(tiny: bool = False) -> dict:
     return report
 
 
+def _print_search_row(name: str, row: dict) -> None:
+    if "speedup" in row:
+        print(
+            f"{name} n={row['n_transactions']:>6}  "
+            f"numpy={row['numpy_seconds']:.2f}s  "
+            f"native={row['native_seconds']:.2f}s  "
+            f"speedup={row['speedup']:.2f}x  "
+            f"identical={row['identical_results']}"
+        )
+    else:
+        print(f"{name} n={row['n_transactions']:>6}  {row.get('skipped')}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -536,17 +565,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     report = run_grid(tiny=args.tiny)
     args.output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    for row in report["search"]:
-        if "speedup" in row:
-            print(
-                f"search n={row['n_transactions']:>6}  "
-                f"numpy={row['numpy_seconds']:.2f}s  "
-                f"native={row['native_seconds']:.2f}s  "
-                f"speedup={row['speedup']:.2f}x  "
-                f"identical={row['identical_results']}"
-            )
-        else:
-            print(f"search n={row['n_transactions']:>6}  {row.get('skipped')}")
+    for name in ("search", "deep"):
+        for row in report[name]:
+            _print_search_row(name, row)
     adult = report["adult"]
     if "speedup" in adult:
         pin = adult.get("equals_perfbench_pin")

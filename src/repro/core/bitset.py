@@ -30,8 +30,9 @@ per 8 transactions).
 The exact search (:mod:`repro.core.search`) needs bit-identical results
 on both engines, which floating-point reductions cannot promise, so it
 quantizes its weights to fixed-point integers (laid out by
-:func:`fixed_weight_table` for its C traversal) and relies on this module
-only for the (exact) packing, bitwise and counting primitives.
+:func:`fixed_weight_table` for both traversals) and relies on this module
+only for the (exact) packing, bitwise and counting primitives; its numpy
+traversal counts every word batch with :func:`popcount_rows`.
 
 Engines
 -------
@@ -203,13 +204,13 @@ def popcount(words: np.ndarray) -> int:
 
 
 def popcount_rows(words: np.ndarray) -> np.ndarray:
-    """Per-row set-bit counts of a 2-D word array."""
+    """Set-bit counts of a 2-D to 4-D word array, reduced over its last axis."""
     if words.size == 0:
-        return np.zeros(words.shape[0], dtype=np.int64)
+        return np.zeros(words.shape[:-1], dtype=np.int64)
     if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words).sum(axis=1).astype(np.int64)
+        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
     byte_view = np.ascontiguousarray(words).view(np.uint8)
-    return _POPCOUNT8[byte_view].sum(axis=1).astype(np.int64)
+    return _POPCOUNT8[byte_view].sum(axis=-1, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------

@@ -20,27 +20,31 @@ node budget stops it early, returning the best rule found so far with
 
 Engines
 -------
-Supports are packed uint64 bitsets (:mod:`repro.core.bitset`).  The
-traversal runs on one of two engines, and the platform picks which:
+Supports are packed uint64 bitsets (:mod:`repro.core.bitset`).  Python
+builds one set of universe-ordered packed operands per search
+(:class:`_DfsOperands`), and the traversal runs over it on one of two
+engines, which the platform picks:
 
 * where the C kernel of :mod:`repro.native` compiles, the whole
   depth-first traversal of one search (or of one root-range shard) is a
-  single call into it (``NativeKernel.dfs``).  Python builds the
-  universe-ordered packed operands once (:class:`_DfsOperands`), and
-  decodes the incumbent, the statistics and, after a budget break, the
-  checkpoint and gap bound.  The call releases the GIL and never
-  allocates.  It sums a ``rub`` mass only when a prune decision needs
-  it (see ``native/kernel.c``).
-* elsewhere (no C compiler, or ``REPRO_NATIVE_DISABLE=1``) an explicit
-  frame stack is iterated in Python; the per-child metrics of a frame
-  (co-occurrence, support counts, ``rub`` sums, directional gains) come
-  out of a few *batched* dense GEMMs over 0/1 item matrices
-  (:class:`_BitsetChildSet`).
+  single call into it (``NativeKernel.dfs``).  The call releases the
+  GIL and never allocates.  It sums a ``rub`` mass only when a prune
+  decision needs it (see ``native/kernel.c``).
+* elsewhere (no C compiler, or ``REPRO_NATIVE_DISABLE=1``)
+  :func:`_dfs_numpy` walks the same frames on an explicit stack in
+  Python.  A frame holds what ``repro_frame`` holds, and one vectorised
+  pass over the packed words of its alive children gives their support
+  counts and own items' net counts (AND + popcount) and their ``rub``
+  masses (gathered from per-byte tables of the ``tub`` weights); a
+  second pass, when the frame first evaluates a child, sums their
+  deltas towards the other view the way ``repro_delta`` sums them.
 
-Both engines seed the incumbent with the best single-item pair, counted
-on the packed rows (``and_popcount_rows``), so a search on the C engine
-builds none of the dense float64 item matrices and runs no BLAS
-matrix-matrix product.
+Both return the same outcome (:class:`repro.native.api.DfsResult`), from
+which Python decodes the incumbent, the statistics and, after a budget
+break, the checkpoint and gap bound.  Both engines seed the incumbent
+with the best single-item pair, counted on the packed rows
+(``and_popcount_rows``), so no search builds a dense item matrix or runs
+a BLAS matrix-matrix product.
 
 :attr:`SearchStats.backend` names the engine that ran (``"native"`` or
 ``"numpy"``).  Both engines return **bit-identical** rules, gains,
@@ -50,15 +54,14 @@ children.  This is guaranteed structurally, not by luck: all code
 lengths are quantized once per search to fixed-point integers
 (:class:`_Quantized`), so every bound and gain is an exact integer sum,
 independent of evaluation order and of the support representation.  The
-C traversal sums in int64; the numpy one carries the integers in
-``float64`` (the quantization step is chosen so every partial sum stays
-far below ``2^53``, where float64 arithmetic is exact) because BLAS dot
-products over float64 are several times faster than numpy's int64 paths.
-On the test datasets the step is ``2^-39`` or finer, so reported gains
-differ from the real-valued ones by far less than the ``1e-9`` tolerance
-the brute-force tests use, while the paper's ``rub``/``qub`` soundness
-proofs carry over verbatim because the quantized weights obey the same
-inequalities the real weights do.
+C traversal sums in int64, the numpy one in int64 arrays and Python
+integers; the quantization step keeps every partial sum below ``2^51``,
+so each converts exactly to the ``float64`` the seed and the reported
+gains use.  On the test datasets the step is ``2^-39`` or finer, so
+reported gains differ from the real-valued ones by far less than the
+``1e-9`` tolerance the brute-force tests use, while the paper's
+``rub``/``qub`` soundness proofs carry over verbatim because the
+quantized weights obey the same inequalities the real weights do.
 
 Both traversals use an explicit frame stack rather than recursion, so
 deep universes (hundreds of items with ``max_rule_size=None``) cannot
@@ -68,10 +71,9 @@ support of the other view alone, so the gain towards the extended view
 is the parent's plus one item's term.
 
 A :class:`SearchCache` holds the dataset-static state: the packed data
-columns, packed once per fit, and the operands only a search reads,
-built when a search first needs them: the co-occurrence grid (every
-search's pair seed, and :class:`~repro.core.beam.TranslatorBeam`) and
-the dense 0/1 item matrices (the numpy traversal).  The fit's
+columns, packed once per fit, and the co-occurrence grid, built when a
+search first needs it (every search's pair seed, and
+:class:`~repro.core.beam.TranslatorBeam`).  The fit's
 :class:`~repro.core.state.CoverState` owns the cache, so every search of
 a fit, and the state's own gains, share one set of packed columns.
 
@@ -80,10 +82,10 @@ Parallel sharding (``n_jobs``)
 With ``n_jobs > 1`` the branch-and-bound is *sharded over root subtrees*:
 the universe's root positions are split into contiguous ranges, each
 worker of a :class:`repro.runtime.executor.ParallelExecutor` (thread
-backend — a native shard is one GIL-releasing C call, and the numpy
-childsets run in GIL-releasing BLAS) traverses its ranges with the same
-seed incumbent, and the per-shard
-winners are merged in shard order under the serial path's
+backend — a native shard is one GIL-releasing C call; numpy shards
+release the GIL only inside their word passes, so they mostly take
+turns) traverses its ranges with the same seed incumbent, and the
+per-shard winners are merged in shard order under the serial path's
 strictly-greater replacement rule.  The returned **rule and gain are
 bit-identical to the serial search**: ``rub``/``qub`` only ever discard
 nodes that provably cannot beat the current incumbent, so weakening the
@@ -99,7 +101,6 @@ budgeted search always runs serially regardless of ``n_jobs``.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import functools
 import math
@@ -117,16 +118,46 @@ from repro.core.bitset import (
     and_popcount_rows,
     fixed_weight_table,
     pack_mask,
+    popcount_rows,
     unpack_rows,
 )
 from repro.core.rules import TranslationRule
 
 if TYPE_CHECKING:
     from repro.core.state import CoverState
+    from repro.native.api import DfsResult, NativeKernel
 
-__all__ = ["SearchStats", "SearchCheckpoint", "SearchCache", "ExactRuleSearch"]
+__all__ = [
+    "SearchStats",
+    "SearchCheckpoint",
+    "SearchCache",
+    "ExactRuleSearch",
+    "MAX_FRACTION_BITS",
+    "quantization_bits",
+]
 
-_MAX_FRACTION_BITS = 42
+#: Largest fixed-point fraction-bit count :func:`quantization_bits` returns.
+MAX_FRACTION_BITS = 42
+
+
+def quantization_bits(
+    tub_max: float, weights_left: np.ndarray, weights_right: np.ndarray, n: int
+) -> int:
+    """The fixed-point fraction-bit count of a search over ``n`` transactions.
+
+    Code lengths are scaled by ``2^bits`` and rounded once (see
+    :class:`_Quantized`), with ``bits`` chosen so the largest possible
+    intermediate sum, ``(n + 1) * (tub_max + L(I_L) + L(I_R) + 4)`` in
+    fixed point, stays below ``2^51``, and clamped to
+    ``[0, MAX_FRACTION_BITS]``.  ``tub_max`` is the largest ``tub`` of the
+    left view plus the largest of the right view; ``weights_left`` /
+    ``weights_right`` are the per-item code lengths.  The column store
+    (:mod:`repro.corpus`) records the same scale for an empty cover state.
+    """
+    magnitude = (n + 1.0) * (
+        tub_max + float(weights_left.sum()) + float(weights_right.sum()) + 4.0
+    )
+    return max(0, min(MAX_FRACTION_BITS, 51 - math.frexp(magnitude)[1]))
 
 
 @dataclasses.dataclass
@@ -330,12 +361,11 @@ class SearchCache:
     incremental packing is bit-identical to packing from scratch, every
     fit behaves identically either way.
 
-    Construction packs only.  The operands a search reads are built on
-    first use, so states that only replay rules never pay for them:
+    Construction packs only.  The one operand a search adds is built on
+    first use, so states that only replay rules never pay for it:
     ``cooccur``, counted on the packed columns, which every search's pair
-    seed and :class:`~repro.core.beam.TranslatorBeam` read, and the dense
-    0/1 item matrices ``left_T`` / ``right_T``, which only the numpy
-    traversal reads.
+    seed and :class:`~repro.core.beam.TranslatorBeam` read.  Both
+    traversals read the packed columns themselves (:class:`_DfsOperands`).
     """
 
     def __init__(
@@ -368,16 +398,6 @@ class SearchCache:
         self.right_counts = self.right_bits.counts()
         self.full_words = pack_mask(np.ones(dataset.n_transactions, dtype=bool))
 
-    # 0/1 item masks, one row per item, in float64 so the numpy
-    # traversal's fixed-point matrix products run on the BLAS dot kernels.
-    @functools.cached_property
-    def left_T(self) -> np.ndarray:
-        return np.ascontiguousarray(self.dataset.left.T, dtype=np.float64)
-
-    @functools.cached_property
-    def right_T(self) -> np.ndarray:
-        return np.ascontiguousarray(self.dataset.right.T, dtype=np.float64)
-
     @functools.cached_property
     def cooccur(self) -> np.ndarray:
         """``(n_left, n_right)`` grid: do the two items ever co-occur?"""
@@ -409,16 +429,13 @@ def _net_grid(
 class _Quantized:
     """Fixed-point view of the per-search weights.
 
-    All code lengths are scaled by ``2^bits`` and rounded once; every
-    bound and gain downstream is then an exact integer sum.  The integers
-    ride in float64 arrays, and ``bits`` is chosen so the largest possible
-    intermediate sum (bounded by ``n_transactions * max(tub)`` plus total
-    code length) stays below ``2^51`` — comfortably inside the range where
-    float64 addition and multiplication of integers are exact, whatever
-    the summation order.  It holds what both engines read: the quantized
-    code lengths, ``tub`` and the packed sign rows.  The dense
-    fixed-point net rows belong to the numpy traversal
-    (:class:`_BitsetContext`).
+    All code lengths are scaled by ``2^bits`` (:func:`quantization_bits`)
+    and rounded once; every bound and gain downstream is then an exact
+    integer sum that stays below ``2^51`` whatever the summation order,
+    so the integer-valued ``float64`` vectors here convert exactly to the
+    int64 operands of both traversals (:class:`_DfsOperands`).  It holds
+    what the pair seed and the universe order read: the quantized code
+    lengths, ``tub`` and the packed sign rows.
     """
 
     __slots__ = (
@@ -445,18 +462,14 @@ class _Quantized:
             tub_max += float(tub_left.max())
         if tub_right.size:
             tub_max += float(tub_right.max())
-        magnitude = (n + 1.0) * (
-            tub_max + float(weights_left.sum()) + float(weights_right.sum()) + 4.0
-        )
-        self.bits = max(0, min(_MAX_FRACTION_BITS, 51 - math.frexp(magnitude)[1]))
+        self.bits = quantization_bits(tub_max, weights_left, weights_right, n)
         self.one = float(1 << self.bits)
         self.wq_left = np.rint(weights_left * self.one)
         self.wq_right = np.rint(weights_right * self.one)
         # Net per-cell weight sign: covering an uncovered cell gains its
         # code length, introducing a new error loses it, anything else 0.
-        # The pair seed and the C traversal sum the packed sign rows as
-        # fused AND+popcounts; the numpy traversal reads them as dense
-        # fixed-point rows (_BitsetContext).
+        # The pair seed and both traversals sum the packed sign rows as
+        # fused AND+popcounts.
         self.pos_left, self.neg_left = state.sign_rows(Side.LEFT)
         self.pos_right, self.neg_right = state.sign_rows(Side.RIGHT)
         # tub in fixed point, recomputed from the quantized weights (the
@@ -469,130 +482,23 @@ class _Quantized:
         return float(value) / self.one
 
 
-class _Frame:
-    """One node of the numpy traversal's explicit DFS stack.
+def _byte_masses(table: np.ndarray) -> np.ndarray:
+    """Entry ``256 * k + v``: the mass of byte value ``v`` at support byte ``k``.
 
-    ``s_left``/``s_right`` (0/1 float views of the supports) and the
-    ``net_*_vals`` products are caches: a child
-    created by extending one side shares the other side's vectors with its
-    parent by reference, so only genuinely new quantities are ever
-    recomputed.
+    ``table`` is a padded weight table (:func:`fixed_weight_table`) whose
+    entry ``8k + b`` weighs transaction ``8k + b``, which is bit ``b`` of
+    byte ``k`` of a packed support on every platform.
     """
-
-    __slots__ = (
-        "position",
-        "limit",
-        "cursor",
-        "lhs",
-        "rhs",
-        "len_lhs",
-        "len_rhs",
-        "supp_left",
-        "supp_right",
-        "s_left",
-        "s_right",
-        "wsum_left",
-        "wsum_right",
-        "count_left",
-        "count_right",
-        "gain_left",
-        "gain_right",
-        "net_left_vals",
-        "net_left_start",
-        "net_right_vals",
-        "net_right_start",
-        "childset",
-    )
-
-    def __init__(self) -> None:
-        self.childset = None
-        self.cursor = 0
-        self.s_left = None
-        self.s_right = None
-        self.net_left_vals = None
-        self.net_left_start = 0
-        self.net_right_vals = None
-        self.net_right_start = 0
-
-
-class _BitsetContext:
-    """Universe-ordered dense operands of one search on the numpy engine.
-
-    The per-side matrices are *compact*: row ``p`` of ``mask_left`` is the
-    ``p``-th left-view entry of the universe (in universe order), so the
-    batched products below never touch rows of the other side.
-    ``side_position[u]`` maps a universe index to its side-local row.
-    ``gain_rows_left`` / ``gain_rows_right`` are the fixed-point net rows
-    of every item (:meth:`CoverState.net_signs` times the quantized code
-    length), which frame gains accumulate and ``net_left`` /
-    ``net_right`` gather in universe order.  Only this engine builds
-    them.  The shards of a parallel search share one context read-only.
-    """
-
-    __slots__ = (
-        "n",
-        "size",
-        "words_all",
-        "side_position",
-        "left_index",
-        "right_index",
-        "mask_left",
-        "mask_right",
-        "net_left",
-        "net_right",
-        "full_words",
-        "gain_rows_left",
-        "gain_rows_right",
-    )
-
-    def __init__(
-        self,
-        universe: list[_Item],
-        quantized: _Quantized,
-        state: CoverState,
-    ) -> None:
-        cache = state.cache
-        n = state.dataset.n_transactions
-        n_words = cache.left_bits.n_words
-        size = len(universe)
-        self.n = n
-        self.size = size
-        self.words_all = np.zeros((size, n_words), dtype=np.uint64)
-        self.side_position = [0] * size
-        left_index: list[int] = []
-        right_index: list[int] = []
-        left_columns: list[int] = []
-        right_columns: list[int] = []
-        for index, entry in enumerate(universe):
-            if entry.side is Side.LEFT:
-                self.side_position[index] = len(left_index)
-                left_index.append(index)
-                left_columns.append(entry.column)
-                self.words_all[index] = cache.left_bits.row(entry.column)
-            else:
-                self.side_position[index] = len(right_index)
-                right_index.append(index)
-                right_columns.append(entry.column)
-                self.words_all[index] = cache.right_bits.row(entry.column)
-        self.left_index = np.asarray(left_index, dtype=np.int64)
-        self.right_index = np.asarray(right_index, dtype=np.int64)
-        self.full_words = cache.full_words
-        # Dense operands of the numpy childset and frame supports;
-        # frame gains accumulate whole fixed-point net rows.
-        self.gain_rows_left = (
-            state.net_signs(Side.LEFT) * quantized.wq_left[:, None]
-        )
-        self.gain_rows_right = (
-            state.net_signs(Side.RIGHT) * quantized.wq_right[:, None]
-        )
-        self.mask_left = cache.left_T[left_columns]
-        self.mask_right = cache.right_T[right_columns]
-        self.net_left = self.gain_rows_left[left_columns]
-        self.net_right = self.gain_rows_right[right_columns]
+    weights = table.reshape(-1, 8)
+    out = np.zeros((weights.shape[0], 256), dtype=np.int64)
+    for bit in range(8):
+        span = 1 << bit
+        out[:, span : 2 * span] = out[:, :span] + weights[:, bit, None]
+    return out.ravel()
 
 
 class _DfsOperands:
-    """Universe-ordered operands of the C traversal (``NativeKernel.dfs``).
+    """Universe-ordered operands of one search, read by both traversals.
 
     Built once per search and shared read-only by its shards: row ``u``
     of ``rows``, ``pos`` and ``neg`` holds universe entry ``u``'s packed
@@ -601,18 +507,33 @@ class _DfsOperands:
     and ``wq`` its fixed-point code length, which is also its per-cell
     weight.  The transaction upper bounds ride as padded int64 weight
     tables.
+
+    ``kernel`` is the loaded C kernel that runs the traversal, or
+    ``None``: then :func:`_dfs_numpy` runs it, on tables built only for
+    it.  ``item_words[u]`` stacks ``rows[u]``, ``pos[u]`` and ``neg[u]``.
+    ``delta_weights[u]`` weighs the counts of the last two in a delta
+    towards ``u``'s view: ``±wq[u]`` in column 0 (the delta of a left
+    child towards the right view) when ``u`` is a right item, in column 1
+    when it is a left one.  ``byte_masses[byte_base[s] + 256 * k + v]``
+    is the ``tub`` mass, under the table of the view other than ``s``, of
+    byte value ``v`` at byte ``k`` of a support (:func:`_byte_masses`), so
+    the ``rub`` mass of a child of view ``s`` is a gather over its
+    support's bytes.
     """
 
     __slots__ = (
         "kernel", "rows", "pos", "neg", "sides", "wq", "tub_left", "tub_right", "full",
+        "item_words", "delta_weights", "byte_masses", "byte_base",
     )
 
     def __init__(
-        self, universe: list[_Item], quantized: _Quantized, cache: SearchCache
+        self,
+        universe: list[_Item],
+        quantized: _Quantized,
+        cache: SearchCache,
+        kernel: NativeKernel | None,
     ) -> None:
-        from repro import native
-
-        self.kernel = native.load_kernel()
+        self.kernel = kernel
         is_right = np.array([entry.side is Side.RIGHT for entry in universe], dtype=bool)
         columns = np.array([entry.column for entry in universe], dtype=np.int64)
         shape = (len(universe), cache.left_bits.n_words)
@@ -632,160 +553,326 @@ class _DfsOperands:
         self.tub_left = fixed_weight_table(quantized.tubq_left)
         self.tub_right = fixed_weight_table(quantized.tubq_right)
         self.full = cache.full_words
+        self.item_words = self.delta_weights = self.byte_masses = self.byte_base = None
+        if kernel is None:
+            n_bytes = 8 * shape[1]
+            self.item_words = np.stack([self.rows, self.pos, self.neg], axis=1)
+            towards = np.stack([self.wq * self.sides, self.wq * (1 - self.sides)], axis=1)
+            self.delta_weights = np.stack([towards, -towards], axis=1)
+            # A left child's mass is under tub_right, a right child's
+            # under tub_left.
+            self.byte_masses = np.concatenate(
+                [_byte_masses(self.tub_right), _byte_masses(self.tub_left)]
+            )
+            self.byte_base = 256 * np.arange(2 * n_bytes, dtype=np.int64).reshape(
+                2, n_bytes
+            )
 
 
-class _BitsetChildSet:
-    """Per-child metrics of one frame, batched over all remaining entries.
+class _Frame:
+    """One frame of the numpy traversal: ``repro_frame`` of ``native/kernel.c``.
 
-    Built once when a frame yields its first child: co-occurrence flags,
-    new-side support counts, ``rub`` weighted sums and directional gains
-    for every candidate extension come out of a handful of vectorized word
-    operations and matrix products.  The ``rub`` and gain weight vectors of
-    one side share a single two-column GEMM, so each side's item matrix is
-    read once; the ``net @ support`` products only depend on the support of
-    the *opposite* side, so they are inherited from the parent frame along
-    extension chains that leave that side untouched.  All metrics are
-    exported as plain Python lists — the driver's inner loop then runs on
-    Python floats instead of boxed numpy scalars.
+    Per-view fields are indexed by view (0 the lhs, 1 the rhs): ``pair``
+    holds the packed supports, ``n_items`` and ``len`` the item counts
+    and code lengths, ``count`` and ``wsum`` each support's size and its
+    ``tub`` mass under the other view's table, and ``delta`` the rule's
+    deltas towards the left and the right view, ``None`` until summed.
+    ``path`` lists the universe entries that created the frames down to
+    this one.
 
-    When a frame's supports are sparse, the matrix products are projected
-    onto the support's transaction columns (``matrix[:, support] @
-    weights[support]``): every discarded column contributes an exact zero,
-    so — because all sums here are exact integers carried in float64 —
-    the projection changes cost, never values, and the results stay equal
-    to the unprojected products bit for bit.
+    :func:`_expand` lists the alive children in ``[position, limit)``
+    (``alive``) with each one's narrowed support, count, own item's net
+    count (``own_nets``) and, under ``rub``, mass; :func:`_delta_pass`, run when the frame first
+    evaluates a child, adds each child's delta towards the other view
+    from ``delta_start`` on (``others``, indexed by the child's view).
     """
 
     __slots__ = (
-        "context",
-        "frame",
-        "start_left",
-        "start_right",
-        "alive_list",
-        "counts_left",
-        "counts_right",
-        "wsums_left",
-        "wsums_right",
-        "fwd_left",
-        "fwd_right",
-        "bwd_left",
-        "bwd_right",
-        "net_left_vals",
-        "net_right_vals",
+        "path", "position", "limit", "cursor", "pair", "n_items", "len", "count",
+        "wsum", "delta", "alive", "narrowed", "counts", "masses", "own_nets",
+        "delta_start", "others",
     )
 
     def __init__(
-        self,
-        context: _BitsetContext,
-        quantized: _Quantized,
-        frame: _Frame,
-        start: int,
-        need_rub: bool,
+        self, path, position, limit, pair, n_items, lengths, count, wsum, delta
     ) -> None:
-        self.context = context
-        self.frame = frame
-        start_left = int(np.searchsorted(context.left_index, start))
-        start_right = int(np.searchsorted(context.right_index, start))
-        self.start_left = start_left
-        self.start_right = start_right
-        n = context.n
-        s_left = frame.s_left
-        s_right = frame.s_right
-        joint = s_left * s_right
-        mask_left = context.mask_left[start_left:]
-        mask_right = context.mask_right[start_right:]
+        self.path = path
+        self.position = position
+        self.limit = limit
+        self.cursor = 0
+        self.pair = pair
+        self.n_items = n_items
+        self.len = lengths
+        self.count = count
+        self.wsum = wsum
+        self.delta = delta
+        self.alive = None
+        self.others = None
+        self.delta_start = 0
 
-        # One GEMM per side: reading the item-mask matrix once yields the
-        # rub weighted sums, the directional gains, the new support counts
-        # and the joint-support counts (co-occurrence) of every child.
-        project_left = mask_left.shape[0] and 16 * frame.count_left < n
-        if project_left:
-            idx = np.flatnonzero(s_left)
-            mask_left = mask_left[:, idx]
-            columns = np.empty((idx.size, 4), dtype=np.float64)
-            columns[:, 0] = quantized.tubq_right[idx]
-            columns[:, 1] = frame.gain_right[idx]
-            columns[:, 2] = 1.0
-            columns[:, 3] = joint[idx]
-            gain_column = columns[:, 1]
-        else:
-            columns = np.empty((n, 4), dtype=np.float64)
-            np.multiply(quantized.tubq_right, s_left, out=columns[:, 0])
-            np.multiply(frame.gain_right, s_left, out=columns[:, 1])
-            columns[:, 2] = s_left
-            columns[:, 3] = joint
-            gain_column = columns[:, 1]
-        if not need_rub:
-            columns = columns[:, 1:]
-        products_left = mask_left @ columns
-        if need_rub:
-            self.wsums_left = products_left[:, 0].tolist()
-            products_left = products_left[:, 1:]
-        else:
-            self.wsums_left = None
-        self.fwd_left = products_left[:, 0].tolist()
-        self.counts_left = products_left[:, 1].tolist()
-        joint_left = products_left[:, 2]
-        # net_right @ s_left depends only on the left support: reuse the
-        # parent's product when this frame extended the right side.
-        if frame.net_right_vals is not None:
-            net_right_sum = frame.net_right_vals[
-                start_right - frame.net_right_start :
-            ]
-        elif project_left:
-            net_right_sum = context.net_right[start_right:][:, idx].sum(axis=1)
-        else:
-            net_right_sum = context.net_right[start_right:] @ s_left
-        self.net_right_vals = net_right_sum
-        fwd_const = float(gain_column.sum())
-        # forward of a right extension: the unchanged left support summed
-        # over the frame's rhs gain vector plus the new item's net column.
-        self.fwd_right = (net_right_sum + fwd_const).tolist()
+    def child(
+        self, k: int, u: int, s: int, length: int, size: int, delta
+    ) -> "_Frame":
+        """The frame of alive child ``k``, universe entry ``u`` of view ``s``.
 
-        project_right = mask_right.shape[0] and 16 * frame.count_right < n
-        if project_right:
-            idx = np.flatnonzero(s_right)
-            mask_right = mask_right[:, idx]
-            columns = np.empty((idx.size, 4), dtype=np.float64)
-            columns[:, 0] = quantized.tubq_left[idx]
-            columns[:, 1] = frame.gain_left[idx]
-            columns[:, 2] = 1.0
-            columns[:, 3] = joint[idx]
-            gain_column = columns[:, 1]
-        else:
-            columns = np.empty((n, 4), dtype=np.float64)
-            np.multiply(quantized.tubq_left, s_right, out=columns[:, 0])
-            np.multiply(frame.gain_left, s_right, out=columns[:, 1])
-            columns[:, 2] = s_right
-            columns[:, 3] = joint
-            gain_column = columns[:, 1]
-        if not need_rub:
-            columns = columns[:, 1:]
-        products_right = mask_right @ columns
-        if need_rub:
-            self.wsums_right = products_right[:, 0].tolist()
-            products_right = products_right[:, 1:]
-        else:
-            self.wsums_right = None
-        self.bwd_right = products_right[:, 0].tolist()
-        self.counts_right = products_right[:, 1].tolist()
-        joint_right = products_right[:, 2]
-        if frame.net_left_vals is not None:
-            net_left_sum = frame.net_left_vals[start_left - frame.net_left_start :]
-        elif project_right:
-            net_left_sum = context.net_left[start_left:][:, idx].sum(axis=1)
-        else:
-            net_left_sum = context.net_left[start_left:] @ s_right
-        self.net_left_vals = net_left_sum
-        bwd_const = float(gain_column.sum())
-        self.bwd_left = (net_left_sum + bwd_const).tolist()
+        ``length`` is ``u``'s code length and ``delta`` the child's deltas
+        when the frame evaluated it (``None`` leaves them to the child).
+        """
+        pair = self.pair.copy()
+        pair[s] = self.narrowed[k]
+        n_items = self.n_items.copy()
+        n_items[s] += 1
+        lengths = self.len.copy()
+        lengths[s] += length
+        count = self.count.copy()
+        count[s] = self.counts[k]
+        wsum = self.wsum.copy()
+        if self.masses is not None:
+            wsum[s] = self.masses[k]
+        return _Frame(
+            self.path + (u,), u + 1, size, pair, n_items, lengths, count, wsum, delta
+        )
 
-        # Children whose joint support is empty cannot co-occur (Section
-        # 5.2) and are skipped without ever reaching the driver loop.
-        alive = np.zeros(context.size - start, dtype=bool)
-        alive[context.left_index[start_left:] - start] = joint_left > 0.0
-        alive[context.right_index[start_right:] - start] = joint_right > 0.0
-        self.alive_list = (np.flatnonzero(alive) + start).tolist()
+
+# For a child of view s: its own view's support, then the other view's
+# twice (the supports its row, its pos row and its neg row are ANDed with).
+_CHILD_SUPPORTS = np.array([[0, 1, 1], [1, 0, 0]])
+
+
+def _expand(ops: _DfsOperands, frame: _Frame, use_rub: bool) -> None:
+    """List the frame's alive children with their counts, masses and own nets.
+
+    A child is alive when its item co-occurs with the frame's joint
+    support (``repro_expand``); its support narrows the frame's support
+    on its view (``repro_narrow``), its mass sums that support under the
+    other view's ``tub`` (``repro_mass``), byte by byte, and its own net
+    counts its item's pos and neg rows on the other view's support
+    (``repro_net``, for the delta towards its own view).  One AND and one
+    popcount over the packed words give the last three.
+    """
+    pair = frame.pair
+    lo = frame.position
+    hit = (ops.rows[lo : frame.limit] & (pair[0] & pair[1])).any(axis=1)
+    ids = hit.nonzero()[0]
+    ids += lo
+    sides = ops.sides[ids]
+    words = ops.item_words[ids] & pair[_CHILD_SUPPORTS][sides]
+    counts = popcount_rows(words)
+    frame.alive = ids.tolist()
+    frame.narrowed = words[:, 0]
+    frame.counts = counts[:, 0].tolist()
+    frame.own_nets = (counts[:, 1] - counts[:, 2]).tolist()
+    frame.masses = None
+    if use_rub:
+        frame.masses = (
+            ops.byte_masses.take(ops.byte_base[sides] + words.view(np.uint8)[:, 0])
+            .sum(axis=1)
+            .tolist()
+        )
+
+
+def _frame_delta(ops: _DfsOperands, frame: _Frame) -> tuple[int | None, int | None]:
+    """The frame's own deltas towards the left and the right view.
+
+    Only a child whose rule has items on both views is evaluated, so a
+    frame with one view empty evaluates only children of the empty view,
+    whose delta towards it sums no item; its delta towards the other view
+    is never read and stays ``None``, as ``repro_dfs`` leaves it unsummed.
+    """
+    n_left, n_right = frame.n_items
+    if not n_left:
+        return 0, None
+    if not n_right:
+        return None, 0
+    items = np.array(frame.path, dtype=np.int64)
+    supports = frame.pair[1 - ops.sides[items]]
+    counts = popcount_rows(supports[:, None, :] & ops.item_words[items, 1:])
+    towards_right, towards_left = (
+        counts.reshape(-1) @ ops.delta_weights[items].reshape(-1, 2)
+    ).tolist()
+    return towards_left, towards_right
+
+
+def _delta_pass(ops: _DfsOperands, frame: _Frame, start: int) -> None:
+    """The deltas towards the other view of the frame's children from ``start`` on.
+
+    As ``repro_dfs`` sums them (``repro_delta``): afresh, over the
+    child's narrowed support, for the path items of the view other than
+    the child's.  The child's delta towards its own view is the frame's
+    plus its own net (:func:`_expand`), so the frame's deltas are summed
+    here too when it has none yet.
+    """
+    if frame.delta is None:
+        frame.delta = _frame_delta(ops, frame)
+    items = np.array(frame.path, dtype=np.int64)
+    signs = ops.item_words[items, 1:].reshape(2 * items.size, -1)
+    counts = popcount_rows(frame.narrowed[start:, None, :] & signs)
+    frame.others = (counts @ ops.delta_weights[items].reshape(-1, 2)).tolist()
+    frame.delta_start = start
+
+
+def _dfs_numpy(
+    ops: _DfsOperands,
+    *,
+    one: int,
+    best_q: int,
+    counters: tuple[int, int, int, int],
+    root: tuple[int, int],
+    use_rub: bool,
+    use_qub: bool,
+    max_rule_size: int | None,
+    max_nodes: int | None,
+    path: tuple[int, ...],
+    cursors: tuple[int, ...] | None,
+) -> DfsResult:
+    """``NativeKernel.dfs`` on numpy: the same traversal and the same outcome.
+
+    Walks the frames ``repro_dfs`` walks and makes every decision it
+    makes, in the same order; only the masses and deltas are summed in
+    batches (:func:`_expand`, :func:`_delta_pass`) rather than on demand,
+    which changes no value.  The caller validated the checkpoint's
+    shape; the cursors are checked here against the replayed child lists.
+    """
+    from repro.native.api import DfsResult
+
+    sides = ops.sides.tolist()
+    wq = ops.wq.tolist()
+    size = len(wq)
+    visited, pruned, evaluations, skipped = counters
+    best = direction = None
+    n = int(popcount_rows(ops.full[None, :])[0])
+    stack = [
+        _Frame(
+            (), root[0], root[1], np.stack([ops.full, ops.full]), [0, 0], [0, 0],
+            [n, n], [int(ops.tub_right.sum()), int(ops.tub_left.sum())], (0, 0),
+        )
+    ]
+    if cursors is not None:
+        # Replay the checkpoint's path the way the traversal built it.
+        for depth, cursor in enumerate(cursors):
+            frame = stack[-1]
+            _expand(ops, frame, use_rub)
+            frame.cursor = cursor
+            n_alive = len(frame.alive)
+            if depth == len(path):
+                if cursor >= n_alive:
+                    return DfsResult(
+                        "bad_top_cursor", best_q, counters,
+                        error_depth=depth, error_children=n_alive,
+                    )
+                break
+            u = path[depth]
+            if not 0 < cursor <= n_alive or frame.alive[cursor - 1] != u:
+                return DfsResult(
+                    "bad_cursor", best_q, counters,
+                    error_depth=depth, error_children=n_alive,
+                )
+            stack.append(frame.child(cursor - 1, u, sides[u], wq[u], size, None))
+
+    status = "complete"
+    budget = math.inf if max_nodes is None else max_nodes
+    while stack:
+        frame = stack[-1]
+        if frame.alive is None:
+            if frame.position >= frame.limit:
+                stack.pop()
+                continue
+            _expand(ops, frame, use_rub)
+        alive, masses, counts = frame.alive, frame.masses, frame.counts
+        lengths, n_items = frame.len, frame.n_items
+        base_cost = lengths[0] + lengths[1] + one
+        # What a child of view s reads of the frame's other view (1 - s).
+        other_len = (lengths[1], lengths[0])
+        other_count = (frame.count[1], frame.count[0])
+        other_wsum = (frame.wsum[1], frame.wsum[0])
+        other_items = (n_items[1], n_items[0])
+        leaves = max_rule_size is not None and n_items[0] + n_items[1] + 1 >= max_rule_size
+        own_nets, others = frame.own_nets, frame.others
+        delta, start = frame.delta, frame.delta_start
+        for k in range(frame.cursor, len(alive)):
+            visited += 1
+            if visited > budget:
+                # Leave the over-budget node unvisited for the resume.
+                frame.cursor = k
+                visited -= 1
+                status = "interrupted"
+                break
+            u = alive[k]
+            s = sides[u]
+            length = wq[u]
+            cost = base_cost + length
+            if use_rub and masses[k] + other_wsum[s] - cost <= best_q:
+                pruned += 1
+                continue
+            evaluated = False
+            if other_items[s]:
+                if use_qub and (
+                    counts[k] * other_len[s] + other_count[s] * (lengths[s] + length)
+                    - cost <= best_q
+                ):
+                    skipped += 1
+                else:
+                    evaluations += 1
+                    evaluated = True
+                    if others is None:
+                        _delta_pass(ops, frame, k)
+                        others = frame.others
+                        delta, start = frame.delta, frame.delta_start
+                    towards_s = delta[s] + length * own_nets[k]
+                    towards_o = others[k - start][s]
+                    towards_left, towards_right = (
+                        (towards_o, towards_s) if s else (towards_s, towards_o)
+                    )
+                    improved = None
+                    gain = towards_right - cost - one
+                    if gain > best_q:
+                        best_q, improved = gain, "->"
+                    gain = towards_left - cost - one
+                    if gain > best_q:
+                        best_q, improved = gain, "<-"
+                    gain = towards_left + towards_right - cost
+                    if gain > best_q:
+                        best_q, improved = gain, "<->"
+                    if improved is not None:
+                        best, direction = frame.path + (u,), improved
+            if leaves:
+                continue
+            frame.cursor = k + 1
+            stack.append(
+                frame.child(
+                    k, u, s, length, size,
+                    (towards_left, towards_right) if evaluated else None,
+                )
+            )
+            break
+        else:
+            stack.pop()
+        if status == "interrupted":
+            break
+
+    outcome = {
+        "status": status,
+        "best_q": best_q,
+        "counters": (visited, pruned, evaluations, skipped),
+        "best": best,
+        "direction": direction,
+    }
+    if status == "interrupted":
+        outcome["path"] = stack[-1].path
+        outcome["cursors"] = tuple(frame.cursor for frame in stack)
+        if use_rub:
+            # Every unexplored node lies under a stacked frame's child
+            # from its cursor on; bound each the way the traversal would.
+            bound = None
+            for frame in stack:
+                base = frame.len[0] + frame.len[1] + one
+                for k in range(frame.cursor, len(frame.alive)):
+                    u = frame.alive[k]
+                    rub = frame.masses[k] + frame.wsum[1 - sides[u]] - base - wq[u]
+                    if bound is None or rub > bound:
+                        bound = rub
+            outcome["frontier_bound"] = bound
+    return DfsResult(**outcome)
 
 
 class ExactRuleSearch:
@@ -979,41 +1066,15 @@ class ExactRuleSearch:
         return best_rule, best_q
 
     # ------------------------------------------------------------------
-    def _operands(
-        self, universe: list[_Item], quantized: _Quantized
-    ) -> _BitsetContext | _DfsOperands:
-        """The engine's per-search operands, shared by every shard."""
-        if self.backend == "native":
-            return _DfsOperands(universe, quantized, self.cache)
-        return _BitsetContext(universe, quantized, self.state)
+    def _operands(self, universe: list[_Item], quantized: _Quantized) -> _DfsOperands:
+        """The per-search operands, shared by every shard."""
+        from repro import native
 
-    def _make_root(
-        self, quantized: _Quantized, context: _BitsetContext, lo: int, hi: int
-    ) -> _Frame:
-        n = self.state.dataset.n_transactions
-        root = _Frame()
-        root.position = lo
-        root.limit = hi
-        root.lhs = ()
-        root.rhs = ()
-        root.len_lhs = 0.0
-        root.len_rhs = 0.0
-        root.supp_left = context.full_words
-        root.supp_right = context.full_words
-        root.wsum_left = float(quantized.tubq_right.sum())
-        root.wsum_right = float(quantized.tubq_left.sum())
-        root.count_left = n
-        root.count_right = n
-        ones = np.ones(n, dtype=np.float64)
-        root.s_left = ones
-        root.s_right = ones
-        zero_gain = np.zeros(n, dtype=np.float64)
-        root.gain_left = zero_gain
-        root.gain_right = zero_gain
-        return root
+        kernel = native.load_kernel() if self.backend == "native" else None
+        return _DfsOperands(universe, quantized, self.cache, kernel)
 
     # ------------------------------------------------------------------
-    # Anytime support: gap bounds, checkpoint capture, checkpoint replay
+    # Anytime support: gap bounds, checkpoint capture
     # ------------------------------------------------------------------
     def _record_interrupt(
         self,
@@ -1066,161 +1127,6 @@ class ExactRuleSearch:
             universe_size=len(universe),
         )
 
-    def _frontier_bound(
-        self,
-        quantized: _Quantized,
-        universe: list[_Item],
-        context: _BitsetContext,
-        stack: list[_Frame],
-    ) -> float | None:
-        """Largest ``rub`` of a stacked frame's unvisited child (numpy stack)."""
-        one = quantized.one
-        entry_is_left = [entry.side is Side.LEFT for entry in universe]
-        entry_length = [entry.length_q for entry in universe]
-        side_position = context.side_position
-        bound = None
-        for frame in stack:
-            childset = frame.childset
-            base_cost = frame.len_lhs + frame.len_rhs + one
-            for index in childset.alive_list[frame.cursor :]:
-                left_side = entry_is_left[index]
-                offset = side_position[index] - (
-                    childset.start_left if left_side else childset.start_right
-                )
-                if left_side:
-                    rub = (
-                        childset.wsums_left[offset]
-                        + frame.wsum_right
-                        - base_cost
-                        - entry_length[index]
-                    )
-                else:
-                    rub = (
-                        frame.wsum_left
-                        + childset.wsums_right[offset]
-                        - base_cost
-                        - entry_length[index]
-                    )
-                if bound is None or rub > bound:
-                    bound = rub
-        return bound
-
-    def _rebuild_checkpoint_stack(
-        self,
-        quantized: _Quantized,
-        universe: list[_Item],
-        context: _BitsetContext,
-        checkpoint: SearchCheckpoint,
-    ) -> list[_Frame]:
-        """Replay a checkpoint's root-to-leaf path into a live frame stack.
-
-        Re-creates each frame on the path exactly the way the original
-        traversal created it (same childset construction, same metric
-        lookups) and restores the saved cursors.  Every frame's childset
-        is rebuilt, the top one included, so each cursor is checked
-        against the child list it indexes: a lower frame's cursor must
-        point just past the child that created the next frame, and the
-        top frame's cursor at the unvisited child the budget stopped on.
-        A cursor that fails either raises ``ValueError`` before any node
-        is visited.
-        """
-        size = len(universe)
-        use_rub = self.use_rub
-        path = checkpoint.path
-        stack = [
-            self._make_root(
-                quantized, context, checkpoint.root_lo, checkpoint.root_hi
-            )
-        ]
-        for depth, cursor in enumerate(checkpoint.cursors):
-            frame = stack[-1]
-            childset = _BitsetChildSet(
-                context, quantized, frame, frame.position, use_rub
-            )
-            if frame.limit < size:
-                cut = bisect.bisect_left(childset.alive_list, frame.limit)
-                childset.alive_list = childset.alive_list[:cut]
-            frame.childset = childset
-            frame.cursor = cursor
-            alive_list = childset.alive_list
-            if depth == len(path):
-                if cursor >= len(alive_list):
-                    _reject_top_cursor(checkpoint, len(alive_list))
-                break
-            index = path[depth]
-            if not 0 < cursor <= len(alive_list) or alive_list[cursor - 1] != index:
-                _reject_cursor(checkpoint, depth)
-            left_side = universe[index].side is Side.LEFT
-            side_offset = context.side_position[index] - (
-                childset.start_left if left_side else childset.start_right
-            )
-            if left_side:
-                wsum_new = childset.wsums_left[side_offset] if use_rub else 0.0
-                count_new = childset.counts_left[side_offset]
-            else:
-                wsum_new = childset.wsums_right[side_offset] if use_rub else 0.0
-                count_new = childset.counts_right[side_offset]
-            stack.append(
-                self._child_frame(
-                    context, universe, frame, childset, index, wsum_new, count_new
-                )
-            )
-        return stack
-
-    def _child_frame(
-        self,
-        context: _BitsetContext,
-        universe: list[_Item],
-        frame: _Frame,
-        childset: _BitsetChildSet,
-        index: int,
-        wsum_new: float,
-        count_new: float,
-    ) -> _Frame:
-        """The numpy frame of ``frame``'s child created by universe ``index``."""
-        entry = universe[index]
-        column = entry.column
-        position = context.side_position[index]
-        child = _Frame()
-        child.position = index + 1
-        child.limit = len(universe)
-        if entry.side is Side.LEFT:
-            child.lhs = frame.lhs + (column,)
-            child.rhs = frame.rhs
-            child.len_lhs = frame.len_lhs + entry.length_q
-            child.len_rhs = frame.len_rhs
-            child.supp_left = context.words_all[index] & frame.supp_left
-            child.supp_right = frame.supp_right
-            child.s_left = frame.s_left * context.mask_left[position]
-            child.s_right = frame.s_right
-            child.wsum_left = wsum_new
-            child.wsum_right = frame.wsum_right
-            child.count_left = count_new
-            child.count_right = frame.count_right
-            child.gain_left = frame.gain_left + context.gain_rows_left[column]
-            child.gain_right = frame.gain_right
-            # s_right unchanged: the net_left @ s_right products carry over.
-            child.net_left_vals = childset.net_left_vals
-            child.net_left_start = childset.start_left
-        else:
-            child.lhs = frame.lhs
-            child.rhs = frame.rhs + (column,)
-            child.len_lhs = frame.len_lhs
-            child.len_rhs = frame.len_rhs + entry.length_q
-            child.supp_left = frame.supp_left
-            child.supp_right = context.words_all[index] & frame.supp_right
-            child.s_left = frame.s_left
-            child.s_right = frame.s_right * context.mask_right[position]
-            child.wsum_left = frame.wsum_left
-            child.wsum_right = wsum_new
-            child.count_left = frame.count_left
-            child.count_right = count_new
-            child.gain_left = frame.gain_left
-            child.gain_right = frame.gain_right + context.gain_rows_right[column]
-            child.net_right_vals = childset.net_right_vals
-            child.net_right_start = childset.start_right
-        return child
-
     def _traverse_parallel(
         self,
         quantized: _Quantized,
@@ -1247,8 +1153,8 @@ class ExactRuleSearch:
         size = len(universe)
         executor = self.executor
         if executor is None:
-            # Threads: shards share the read-only operands, and both
-            # engines do their heavy lifting with the GIL released.
+            # Threads: shards share the read-only operands, and a native
+            # shard runs with the GIL released.
             executor = ParallelExecutor(
                 n_jobs=min(self.n_jobs, size), backend="thread", chunk_size=1
             )
@@ -1287,7 +1193,7 @@ class ExactRuleSearch:
         stats: SearchStats,
         best_rule: TranslationRule | None,
         best_q: float,
-        operands: _BitsetContext | _DfsOperands | None = None,
+        operands: _DfsOperands | None = None,
         root_lo: int = 0,
         root_hi: int | None = None,
         resume: SearchCheckpoint | None = None,
@@ -1296,65 +1202,49 @@ class ExactRuleSearch:
 
         Shards of a parallel search pass their shared ``operands`` and
         their root range ``[root_lo, root_hi)``; a resumed search replays
-        ``resume``'s stack instead of starting at the root.  The C
-        kernel runs the whole traversal in one call; the numpy engine
-        iterates an explicit frame stack here.
+        ``resume``'s stack instead of starting at the root.  The C kernel
+        runs the traversal in one GIL-releasing call where it loads
+        (``operands.kernel``), :func:`_dfs_numpy` elsewhere; both return
+        the same outcome, decoded here.
         """
         if self.max_rule_size is not None and self.max_rule_size <= 0:
             return best_rule, best_q
         if operands is None:
             operands = self._operands(universe, quantized)
-        if root_hi is None:
-            root_hi = len(universe)
-        if isinstance(operands, _DfsOperands):
-            return self._traverse_native(
-                quantized, universe, stats, best_rule, best_q,
-                operands, (root_lo, root_hi), resume,
-            )
-        return self._traverse_numpy(
-            quantized, universe, stats, best_rule, best_q,
-            operands, (root_lo, root_hi), resume,
-        )
-
-    def _traverse_native(
-        self,
-        quantized: _Quantized,
-        universe: list[_Item],
-        stats: SearchStats,
-        best_rule: TranslationRule | None,
-        best_q: float,
-        operands: _DfsOperands,
-        root_range: tuple[int, int],
-        resume: SearchCheckpoint | None,
-    ) -> tuple[TranslationRule | None, float]:
-        """The traversal as one ``NativeKernel.dfs`` call (GIL released)."""
+        root_range = (root_lo, len(universe) if root_hi is None else root_hi)
         if resume is not None:
             root_range = (resume.root_lo, resume.root_hi)
-        outcome = operands.kernel.dfs(
-            operands.rows,
-            operands.pos,
-            operands.neg,
-            operands.sides,
-            operands.wq,
-            operands.tub_left,
-            operands.tub_right,
-            operands.full,
-            one=int(quantized.one),
-            best_q=int(best_q),
-            counters=(
+        options = {
+            "one": int(quantized.one),
+            "best_q": int(best_q),
+            "counters": (
                 stats.nodes_visited,
                 stats.nodes_pruned_rub,
                 stats.evaluations,
                 stats.evaluations_skipped_qub,
             ),
-            root=root_range,
-            use_rub=self.use_rub,
-            use_qub=self.use_qub,
-            max_rule_size=self.max_rule_size,
-            max_nodes=self.max_nodes,
-            path=resume.path if resume is not None else (),
-            cursors=resume.cursors if resume is not None else None,
-        )
+            "root": root_range,
+            "use_rub": self.use_rub,
+            "use_qub": self.use_qub,
+            "max_rule_size": self.max_rule_size,
+            "max_nodes": self.max_nodes,
+            "path": resume.path if resume is not None else (),
+            "cursors": resume.cursors if resume is not None else None,
+        }
+        if operands.kernel is None:
+            outcome = _dfs_numpy(operands, **options)
+        else:
+            outcome = operands.kernel.dfs(
+                operands.rows,
+                operands.pos,
+                operands.neg,
+                operands.sides,
+                operands.wq,
+                operands.tub_left,
+                operands.tub_right,
+                operands.full,
+                **options,
+            )
         if outcome.status == "bad_top_cursor":
             _reject_top_cursor(resume, outcome.error_children)
         if outcome.status == "bad_cursor":
@@ -1382,160 +1272,6 @@ class ExactRuleSearch:
                 None if frontier is None else float(frontier),
                 outcome.path, outcome.cursors, root_range,
             )
-        return best_rule, best_q
-
-    def _traverse_numpy(
-        self,
-        quantized: _Quantized,
-        universe: list[_Item],
-        stats: SearchStats,
-        best_rule: TranslationRule | None,
-        best_q: float,
-        context: _BitsetContext,
-        root_range: tuple[int, int],
-        resume: SearchCheckpoint | None,
-    ) -> tuple[TranslationRule | None, float]:
-        """The traversal on an explicit frame stack of batched childsets.
-
-        Child metrics come from the frame's batched childset, and only
-        co-occurring (alive) children are iterated at all.
-        """
-        one = quantized.one
-        two = 2.0 * one
-        size = len(universe)
-        use_rub, use_qub = self.use_rub, self.use_qub
-        max_rule_size, max_nodes = self.max_rule_size, self.max_nodes
-        entry_is_left = [entry.side is Side.LEFT for entry in universe]
-        entry_column = [entry.column for entry in universe]
-        entry_length = [entry.length_q for entry in universe]
-        side_position = context.side_position
-
-        nodes_visited = stats.nodes_visited
-        if resume is not None:
-            stack = self._rebuild_checkpoint_stack(
-                quantized, universe, context, resume
-            )
-        else:
-            stack = [self._make_root(quantized, context, *root_range)]
-        while stack:
-            frame = stack[-1]
-            childset = frame.childset
-            if childset is None:
-                if frame.position >= frame.limit:
-                    stack.pop()
-                    continue
-                childset = _BitsetChildSet(
-                    context, quantized, frame, frame.position, use_rub
-                )
-                if frame.limit < size:
-                    # A sharded root only iterates its own range of root
-                    # subtrees; children still extend over the full tail.
-                    cut = bisect.bisect_left(childset.alive_list, frame.limit)
-                    childset.alive_list = childset.alive_list[:cut]
-                frame.childset = childset
-            alive_list = childset.alive_list
-            cursor = frame.cursor
-            if cursor >= len(alive_list):
-                stack.pop()
-                continue
-            index = alive_list[cursor]
-            frame.cursor = cursor + 1
-            nodes_visited += 1
-            if max_nodes is not None and nodes_visited > max_nodes:
-                # The over-budget node at ``cursor`` was never processed:
-                # rewind it so the checkpoint re-visits it, making the
-                # resumed decision sequence (and statistics) bit-identical
-                # to an uninterrupted run's.
-                frame.cursor = cursor
-                stats.nodes_visited = nodes_visited - 1
-                self._record_interrupt(
-                    quantized, universe, stats, best_rule, best_q,
-                    self._frontier_bound(quantized, universe, context, stack)
-                    if use_rub else None,
-                    tuple(frame.position - 1 for frame in stack[1:]),
-                    tuple(frame.cursor for frame in stack),
-                    (stack[0].position, stack[0].limit),
-                )
-                return best_rule, best_q
-            left_side = entry_is_left[index]
-            column = entry_column[index]
-            side_offset = side_position[index] - (
-                childset.start_left if left_side else childset.start_right
-            )
-            if left_side:
-                new_len_lhs = frame.len_lhs + entry_length[index]
-                new_len_rhs = frame.len_rhs
-            else:
-                new_len_lhs = frame.len_lhs
-                new_len_rhs = frame.len_rhs + entry_length[index]
-            length_cost = new_len_lhs + new_len_rhs + one
-            wsum_new = 0.0
-            if use_rub:
-                wsum_new = (
-                    childset.wsums_left[side_offset]
-                    if left_side
-                    else childset.wsums_right[side_offset]
-                )
-                if left_side:
-                    rub = wsum_new + frame.wsum_right - length_cost
-                else:
-                    rub = frame.wsum_left + wsum_new - length_cost
-                if rub <= best_q:
-                    stats.nodes_pruned_rub += 1
-                    continue
-            count_new = (
-                childset.counts_left[side_offset]
-                if left_side
-                else childset.counts_right[side_offset]
-            )
-            if left_side:
-                new_lhs = frame.lhs + (column,)
-                new_rhs = frame.rhs
-                count_left, count_right = count_new, frame.count_right
-            else:
-                new_lhs = frame.lhs
-                new_rhs = frame.rhs + (column,)
-                count_left, count_right = frame.count_left, count_new
-            if new_lhs and new_rhs:
-                qub_passed = True
-                if use_qub:
-                    qub = (
-                        count_left * new_len_rhs
-                        + count_right * new_len_lhs
-                        - length_cost
-                    )
-                    if qub <= best_q:
-                        stats.evaluations_skipped_qub += 1
-                        qub_passed = False
-                if qub_passed:
-                    stats.evaluations += 1
-                    if left_side:
-                        forward = childset.fwd_left[side_offset]
-                        backward = childset.bwd_left[side_offset]
-                    else:
-                        forward = childset.fwd_right[side_offset]
-                        backward = childset.bwd_right[side_offset]
-                    base = new_len_lhs + new_len_rhs
-                    gain = forward - base - two
-                    if gain > best_q:
-                        best_q = gain
-                        best_rule = TranslationRule(new_lhs, new_rhs, "->")
-                    gain = backward - base - two
-                    if gain > best_q:
-                        best_q = gain
-                        best_rule = TranslationRule(new_lhs, new_rhs, "<-")
-                    gain = forward + backward - base - one
-                    if gain > best_q:
-                        best_q = gain
-                        best_rule = TranslationRule(new_lhs, new_rhs, "<->")
-            if max_rule_size is not None and len(new_lhs) + len(new_rhs) >= max_rule_size:
-                continue
-            stack.append(
-                self._child_frame(
-                    context, universe, frame, childset, index, wsum_new, count_new
-                )
-            )
-        stats.nodes_visited = nodes_visited
         return best_rule, best_q
 
     # ------------------------------------------------------------------

@@ -33,9 +33,10 @@ import numpy as np
 
 from repro import obs as _obs
 from repro.core.rules import TranslationRule
+from repro.core.search import quantization_bits
 from repro.data.dataset import TwoViewDataset
 
-from .store import ColumnStore, _weights_from_counts, quantization_bits
+from .store import ColumnStore, _weights_from_counts
 
 __all__ = [
     "TopKResult",

@@ -29,8 +29,8 @@ also O(block) and a truncated or bit-flipped file raises
 single damaged word reaches a kernel.
 
 The header additionally stores the **exact** per-column supports and
-the engine's fixed-point scale (``quant_bits``, derived with the same
-magnitude bound :class:`repro.core.search.ExactRuleSearch` uses), which
+the engine's fixed-point scale (``quant_bits``, from the exact search's
+own :func:`~repro.core.search.quantization_bits`), which
 is what lets :mod:`repro.corpus.discover` compute MDL gains over the
 store that are bit-identical to the in-RAM exact engine.  Ingest is
 two-phase for exactly this reason: blocks are streamed to a temporary
@@ -57,6 +57,7 @@ import numpy as np
 from repro import obs as _obs
 
 from repro.core.bitset import BitMatrix, and_popcount_rows, n_words_for
+from repro.core.search import MAX_FRACTION_BITS, quantization_bits
 from repro.data.dataset import TwoViewDataset
 from repro.resilience.container import (
     MAX_DIM,
@@ -92,8 +93,6 @@ STORE = Schema(
 )
 
 _WORD_BYTES = 8
-# Mirrors the engine's fixed-point scale clamp (search._MAX_FRACTION_BITS).
-_MAX_FRACTION_BITS = 42
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
@@ -117,23 +116,6 @@ def _weights_from_counts(counts: np.ndarray, n_transactions: int) -> np.ndarray:
     with np.errstate(divide="ignore"):
         lengths = -np.log2(counts / float(n_transactions))
     return np.where(np.isfinite(lengths), lengths, 0.0)
-
-
-def quantization_bits(
-    tub_max: float, weights_left: np.ndarray, weights_right: np.ndarray, n: int
-) -> int:
-    """The engine's fixed-point fraction-bit count for an empty cover state.
-
-    Reproduces ``repro.core.search._Quantized``: the scale is chosen so
-    the largest possible intermediate sum stays below ``2^51`` where
-    float64 integer arithmetic is exact.  ``tub_max`` is the maximum
-    per-transaction code-length bound of the left view plus that of the
-    right view.
-    """
-    magnitude = (n + 1.0) * (
-        tub_max + float(weights_left.sum()) + float(weights_right.sum()) + 4.0
-    )
-    return max(0, min(_MAX_FRACTION_BITS, 51 - math.frexp(magnitude)[1]))
 
 
 class _BlockAccumulator:
@@ -466,7 +448,7 @@ class ColumnStore:
         self.n_left = header_int("n_left", minimum=1)
         self.n_right = header_int("n_right", minimum=1)
         self.block_words = header_int("block_words", minimum=1)
-        self.quant_bits = header_int("quant_bits", maximum=_MAX_FRACTION_BITS)
+        self.quant_bits = header_int("quant_bits", maximum=MAX_FRACTION_BITS)
         self.rows_per_block = 64 * self.block_words
         self.n_blocks = -(-self.n_transactions // self.rows_per_block)
         n_items = self.n_left + self.n_right

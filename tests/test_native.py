@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro import native
+from repro.core import bitset
 from repro.core.bitset import (
     BitMatrix,
     and_popcount_rows,
@@ -53,7 +54,14 @@ from repro import obs
 from repro.core.compiled import CompiledPredictor
 from repro.core.rules import TranslationRule
 from repro.stream.buffer import StreamBuffer
-from tests.conftest import SEARCH_BACKENDS, engine, oracle, path_outputs, rub_case
+from tests.conftest import (
+    SEARCH_BACKENDS,
+    engine,
+    oracle,
+    path_outputs,
+    random_two_view,
+    rub_case,
+)
 
 pytestmark = pytest.mark.native_smoke
 
@@ -270,14 +278,25 @@ class TestSearchBackends:
         )
 
     @needs_native
-    @pytest.mark.parametrize("case", [*range(4), "dense", "sparse"])
+    @pytest.mark.parametrize(
+        "case", [*range(4), "dense", "sparse", "n=1", "n=9", "n=65"]
+    )
     def test_search_backends_bit_identical(self, case):
         # The seeds are planted datasets; "dense" and "sparse" are the two
         # ends of rub pruning (tests/conftest.py rub_case), where the C
-        # traversal defers nearly every tub mass or sums nearly every one,
-        # searched whole and with a budget break after 1, 7 and 100 nodes.
-        if isinstance(case, str):
+        # traversal defers nearly every tub mass or sums nearly every one;
+        # "n=1", "n=9" and "n=65" put the last transaction on the byte and
+        # word edges of the numpy traversal's per-byte mass tables.  All
+        # but the seeds are searched whole and with a budget break after
+        # 1, 7 and 100 nodes.
+        if case in ("dense", "sparse"):
             dataset, budgets = rub_case(case), (None, 1, 7, 100)
+        elif isinstance(case, str):
+            n = int(case.removeprefix("n="))
+            dataset = random_two_view(
+                np.random.default_rng(n), n=n, n_left=8, n_right=8, density=0.5
+            )
+            budgets = (None, 1, 7, 100)
         else:
             dataset, __ = generate_planted(
                 SyntheticSpec(
@@ -302,6 +321,32 @@ class TestSearchBackends:
                 results["native"]
             )
             assert results["native"].search_stats[0].backend == "native"
+
+    def test_popcount_fallback_matches_bitwise_count(self, monkeypatch):
+        # numpy < 2.0 has no np.bitwise_count: popcount_rows then counts
+        # bytes through _POPCOUNT8.  It reduces the last axis of 2-D to
+        # 4-D word arrays, and the numpy traversal counts only through it,
+        # so a fit with np.bitwise_count gone fits the same model.
+        if not hasattr(np, "bitwise_count"):
+            pytest.skip("numpy without bitwise_count runs the fallback anyway")
+        rng = np.random.default_rng(5)
+        words = rng.integers(0, 2**64, size=(3, 4, 2, 5), dtype=np.uint64)
+        samples = [words[0, 0], words[0], words, words[:0, :, :, :]]
+        expected = [np.bitwise_count(sample).sum(axis=-1) for sample in samples]
+        dataset = random_two_view(rng, n=70, n_left=8, n_right=8, density=0.4)
+
+        def fit():
+            with engine("numpy"):
+                return TranslatorExact(
+                    max_iterations=3, max_rule_size=3, max_nodes_per_search=100
+                ).fit(dataset)
+
+        fitted = fit()
+        monkeypatch.setattr(bitset, "_HAS_BITWISE_COUNT", False)
+        monkeypatch.delattr(np, "bitwise_count")
+        for sample, counts in zip(samples, expected):
+            np.testing.assert_array_equal(bitset.popcount_rows(sample), counts)
+        assert self._fingerprint(fit()) == self._fingerprint(fitted)
 
     @needs_native
     def test_sharded_native_search_matches_serial(self):

@@ -53,7 +53,9 @@ def test_native_benchmark_tiny_mode(tmp_path):
     report = bench.run_grid(tiny=True)
     assert report["mode"] == "tiny"
     assert report["all_identical"], "engines disagreed"
-    for row in report["search"]:
+    # The deep cell: rules past 3 items, at the tiny size only.
+    assert [row["n_transactions"] for row in report["deep"]] == [400]
+    for row in report["search"] + report["deep"]:
         if report["native_available"]:
             assert row["identical_results"], f"search cell diverged: {row}"
         else:

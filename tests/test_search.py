@@ -280,19 +280,20 @@ class TestSearchCache:
         assert with_cache == without
 
     def test_replay_builds_no_search_operands(self, planted_dataset):
-        # Replaying rules builds no search operand.  A search builds the
-        # co-occurrence grid for its pair seed; only the numpy traversal
-        # also reads the dense 0/1 item matrices.
-        dense = {"left_T", "right_T", "cooccur"}
-        built = {"native": {"cooccur"}, "numpy": dense}
+        # Replaying rules builds no search operand.  A search on either
+        # engine builds the co-occurrence grid for its pair seed and
+        # nothing else: both traversals read the packed columns.
         for backend in SEARCH_BACKENDS:
             state = CoverState(planted_dataset)
             state.add_rule(TranslationRule((0,), (0,), Direction.BOTH))
             state.best_direction((1,), (1,))
-            assert not dense & set(vars(state.cache))
+            packed = set(vars(state.cache))
+            assert "cooccur" not in packed
             with engine(backend):
                 ExactRuleSearch(state, max_rule_size=2).find_best_rule()
-            assert dense & set(vars(state.cache)) == built[backend]
+            assert set(vars(state.cache)) - packed == {"cooccur"}, backend
+            assert not hasattr(state.cache, "left_T")
+            assert not hasattr(state.cache, "right_T")
 
     def test_cache_dataset_mismatch_rejected(self, planted_dataset):
         # Same shape, other rows: a shape check could not tell them apart.
